@@ -11,7 +11,9 @@ from .errors import (
     HypothesisViolation,
     InsufficientSupport,
     InvalidLambda,
+    MemoryBudgetExceeded,
     MissingRecords,
+    RateUnderflow,
     SuperposeError,
     ZeroDenominator,
     ZeroEdgeMass,
@@ -38,7 +40,6 @@ from .layers import (
 from .limits import (
     LimitParams,
     MomentReport,
-    RankCorrelations,
     TailPrediction,
     compound_poisson_pmf,
     fprime2_pmf,
@@ -47,7 +48,6 @@ from .limits import (
     limiting_bidegree_pmf,
     limiting_degree_pmf,
     limiting_moments,
-    limiting_rank_correlations,
     tail_prediction,
 )
 from .stats import (

@@ -2,7 +2,8 @@
 
 Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
 come from a JSON config; every run writes a manifest sufficient to
-reproduce it.  Exit codes: 1 config error, 2 degenerate statistic,
+reproduce it.  Exit codes: 1 config error, 2 degenerate statistic or
+any other typed error (a rate underflow, an over-budget limit law),
 3 hypothesis violation, 4 I/O error.
 """
 
@@ -32,7 +33,6 @@ from .limits import (
     limiting_bidegree_pmf,
     limiting_degree_pmf,
     limiting_moments,
-    limiting_rank_correlations,
     tail_prediction,
 )
 from .stats import (
@@ -262,16 +262,14 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
 def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     params = LimitParams(cfg.theory["mu"], cfg.layer_distribution, cfg.theory["tail_epsilon"])
     f1 = limiting_degree_pmf(params)
-    f2 = limiting_bidegree_pmf(params)
+    f2 = limiting_bidegree_pmf(params, f1)
     pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
     pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
-    moments = limiting_moments(params)
-    rc = limiting_rank_correlations(params)
     summary = {
         "assortativity": limiting_assortativity(params),
-        "kendall": rc.kendall,
-        "spearman": rc.spearman,
-        "moments": vars(moments),
+        "kendall": kendall(f2),
+        "spearman": spearman(f2),
+        "moments": vars(limiting_moments(params)),
     }
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     _manifest(

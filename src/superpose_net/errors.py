@@ -21,6 +21,14 @@ class InvalidLambda(SuperposeError):
     """Compound Poisson rate must be positive."""
 
 
+class RateUnderflow(SuperposeError):
+    """Compound Poisson rate so large that P(sum = 0) underflows to zero."""
+
+
+class MemoryBudgetExceeded(SuperposeError):
+    """A dense limit law would not fit the fixed memory budget."""
+
+
 class EmptyGraph(SuperposeError):
     """Operation requires at least one edge."""
 

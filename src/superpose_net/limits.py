@@ -18,7 +18,10 @@ from scipy.stats import binom
 from .errors import (
     HypothesisViolation,
     InvalidLambda,
+    MemoryBudgetExceeded,
+    RateUnderflow,
     ZeroDenominator,
+    ZeroEdgeMass,
     ZeroP10,
 )
 from .layers import (
@@ -27,9 +30,11 @@ from .layers import (
     cross_moment,
     edge_biased_distribution,
 )
-from .stats import Pmf1D, Pmf2D, kendall, size_biased, spearman
+from .stats import Pmf1D, Pmf2D
 
 _MAX_SUPPORT = 1 << 20
+_BLOCK_ENTRIES = 1 << 14  # binomial pmf values per scipy call; bounds temporaries
+_MAX_BIDEGREE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -45,31 +50,35 @@ class LimitParams:
             raise ValueError(f"tail_epsilon must be in (0,1), got {self.tail_epsilon}")
 
 
+def _binomial_windows(trials, strengths, weights):
+    """Yield (row, k, weights[row] * P(Bin(trials[row], strengths[row]) = k))
+    arrays over each atom's 10-sigma window, whose omitted mass is below
+    double precision, in row-major blocks of about _BLOCK_ENTRIES values."""
+    sd = np.sqrt(trials * strengths * (1.0 - strengths))
+    lo = np.maximum(0, (trials * strengths - 10 * sd - 5).astype(np.int64))
+    length = np.minimum(trials, (trials * strengths + 10 * sd + 5).astype(np.int64)) - lo + 1
+    shift = lo + length - np.cumsum(length)  # k minus the flat position of its value
+    step = max(1, _BLOCK_ENTRIES // int(length.max(initial=1)))
+    for first in range(0, len(length), step):
+        row = np.repeat(np.arange(first, min(first + step, len(length))), length[first : first + step])
+        k = shift[row] - shift[first] + lo[first] + np.arange(len(row))
+        yield row, k, weights[row] * binom.pmf(k, trials[row], strengths[row])
+
+
 def increment_pmf(params: LimitParams) -> Pmf1D:
     """Size of one layer's degree contribution at a node it contains.
 
     A finite mixture of Bin(x-1, y) laws weighted by x * P(x, y); exact.
     """
-    p10 = cross_moment(params.dist, 1, 0)
+    dist = params.dist
+    p10 = cross_moment(dist, 1, 0)
     if p10 <= 0.0:
         raise ZeroP10("increment law undefined: mean layer size is zero")
-    top = max(params.dist.max_size - 1, 0)
-    out = np.zeros(top + 1)
-    for x, y, p in params.dist.atoms():
-        if x == 0 or p == 0:
-            continue
-        trials = x - 1
-        weight = x * p / p10
-        if trials == 0:
-            out[0] += weight
-            continue
-        # restrict each binomial row to a 10-sigma window; the omitted
-        # mass is below double precision
-        sd = math.sqrt(trials * y * (1.0 - y))
-        lo = max(0, int(trials * y - 10 * sd - 5))
-        hi = min(trials, int(trials * y + 10 * sd + 5))
-        ks = np.arange(lo, hi + 1)
-        out[lo : hi + 1] += weight * binom.pmf(ks, trials, y)
+    keep = (dist.sizes > 0) & (dist.probs > 0)
+    x = dist.sizes[keep]
+    out = np.zeros(max(dist.max_size - 1, 0) + 1)
+    for _, k, value in _binomial_windows(x - 1, dist.strengths[keep], x * dist.probs[keep] / p10):
+        out += np.bincount(k, weights=value, minlength=len(out))
     return Pmf1D(out)
 
 
@@ -92,6 +101,8 @@ def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = 1e-10) -> P
         return Pmf1D(np.array([1.0]))  # all increments are zero
     kk = np.arange(len(gk)) * gk
     f = [math.exp(-lam * (1.0 - gk[0]))]
+    if f[0] == 0.0:
+        raise RateUnderflow(f"f(0) = exp(-lam (1 - g(0))) underflows to 0 at rate {lam:g}")
     acc = f[0]
     s = 0
     while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT:
@@ -114,44 +125,58 @@ def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
     return compound_poisson_pmf(params.mu * p10, g, params.tail_epsilon)
 
 
+def _edge_layer_rows(biased: LayerTypeDistribution, width: int, shift: int) -> np.ndarray:
+    """Row a is sqrt(p_a) * Bin(x_a - 2, y_a) over the edge-biased atoms,
+    placed from column shift of a zero (atoms x width) matrix."""
+    rows = np.zeros((len(biased.probs), width))
+    windows = _binomial_windows(biased.sizes - 2, biased.strengths, np.sqrt(biased.probs))
+    for row, k, value in windows:
+        rows[row, shift + k] = value
+    return rows
+
+
 def fprime2_pmf(params: LimitParams) -> Pmf2D:
     """Joint law of the two extra degrees produced by an edge's own layer.
 
     Mixture of Bin(x-2, y) x Bin(x-2, y) products over the edge-biased
-    layer law; exact and symmetric.
+    layer law, R^T diag(p) R; exact and symmetric.
     """
     biased = edge_biased_distribution(params.dist)
-    top = max(biased.max_size - 2, 0)
-    out = np.zeros((top + 1, top + 1))
-    support = np.arange(top + 1)
-    for x, y, p in biased.atoms():
-        row = binom.pmf(support, x - 2, y)
-        out += p * np.outer(row, row)
-    return Pmf2D(out)
+    r = _edge_layer_rows(biased, max(biased.max_size - 2, 0) + 1, 0)
+    return Pmf2D(r.T @ r)
 
 
-def _convolve2d(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Direct shift-and-add convolution over the nonzero entries of b."""
-    out = np.zeros((a.shape[0] + b.shape[0] - 1, a.shape[1] + b.shape[1] - 1))
-    for u, v in np.argwhere(b > 0):
-        out[u : u + a.shape[0], v : v + a.shape[1]] += b[u, v] * a
-    return out
+def _check_bidegree_budget(atoms: int, width: int) -> None:
+    need = 8 * (atoms + width) * width  # bytes of U and of the joint law
+    if need > _MAX_BIDEGREE_BYTES:
+        raise MemoryBudgetExceeded(
+            f"bidegree law needs {need / 2**30:.1f} GiB, over the {_MAX_BIDEGREE_BYTES / 2**30:g} GiB budget"
+        )
 
 
-def limiting_bidegree_pmf(params: LimitParams) -> Pmf2D:
+def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D:
     """Joint degree law of the endpoints of a random edge, in the limit.
 
-    Shift by (1,1) for the edge itself, convolve the product of two
-    independent degree laws with the own-layer contribution.
+    (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair, iid
+    Bin(X-2, Y) given the edge-biased layer type: shift_11 sum_a p_a
+    (f1 * r_a) x (f1 * r_a) = U^T U, row a of U being sqrt(p_a) (f1 * r_a)
+    after a zero column that makes the shift.  Pass f1 =
+    limiting_degree_pmf(params) when it is already at hand.
     """
-    f1 = limiting_degree_pmf(params)
-    fp2 = fprime2_pmf(params)
-    base = np.outer(f1.probs, f1.probs)
-    conv = _convolve2d(base, fp2.probs)
-    shifted = np.zeros((conv.shape[0] + 1, conv.shape[1] + 1))
-    shifted[1:, 1:] = conv
-    defect = max(0.0, 1.0 - math.fsum(shifted.ravel().tolist()))
-    return Pmf2D(shifted, mass_defect=defect)
+    biased = edge_biased_distribution(params.dist)
+    atoms = len(biased.probs)
+    top = max(biased.max_size - 2, 0)
+    _check_bidegree_budget(atoms, top + 2)  # f1 has at least one point
+    if f1 is None:
+        f1 = limiting_degree_pmf(params)
+    width = len(f1.probs) + top + 1
+    _check_bidegree_budget(atoms, width)
+    u = _edge_layer_rows(biased, width, 1)
+    for row in u:  # direct convolution keeps every entry non-negative
+        row[1:] = np.convolve(f1.probs, row[1 : top + 2])
+    joint = u.T @ u
+    defect = max(0.0, 1.0 - math.fsum(joint.ravel().tolist()))
+    return Pmf2D(joint, mass_defect=defect)
 
 
 def limiting_assortativity(params: LimitParams) -> float:
@@ -189,8 +214,6 @@ def limiting_moments(params: LimitParams) -> MomentReport:
     if cm.p10 <= 0.0:
         raise ZeroP10("moments undefined: mean layer size is zero")
     if cm.p21 <= 0.0:
-        from .errors import ZeroEdgeMass
-
         raise ZeroEdgeMass("moments undefined: P_21 = 0")
     mu = params.mu
     e_h = cm.p21 / cm.p10
@@ -214,22 +237,6 @@ def limiting_moments(params: LimitParams) -> MomentReport:
         e_dprime2=e_dprime2,
         var_dprime=e_dprime2 - e_dprime**2,
         cov_dprime=(cm.p43 + cm.p33) / cm.p21 - e_dprime**2,
-    )
-
-
-@dataclass(frozen=True)
-class RankCorrelations:
-    kendall: float
-    spearman: float
-    mass_defect: float
-
-
-def limiting_rank_correlations(params: LimitParams) -> RankCorrelations:
-    f2 = limiting_bidegree_pmf(params)
-    return RankCorrelations(
-        kendall=kendall(f2),
-        spearman=spearman(f2),
-        mass_defect=f2.mass_defect,
     )
 
 

@@ -65,12 +65,6 @@ class Pmf2D:
         return Pmf2D(self.probs.T.copy(), self.mass_defect)
 
 
-def delta1(k: int) -> Pmf1D:
-    p = np.zeros(k + 1)
-    p[k] = 1.0
-    return Pmf1D(p)
-
-
 def product_pmf(f: Pmf1D, g: Pmf1D) -> Pmf2D:
     joint = np.outer(f.probs, g.probs)
     defect = 1.0 - (1.0 - f.mass_defect) * (1.0 - g.mass_defect)
@@ -186,38 +180,6 @@ def spearman(f: Pmf2D) -> float:
     return float(cov / math.sqrt(v1 * v2))
 
 
-# -- streaming variants over directed-edge degree pairs -------------------
-# Independent computational route for the same functionals, used to
-# cross-check the pmf evaluations.
-
-def pearson_from_pairs(s: np.ndarray, t: np.ndarray) -> float:
-    x = np.concatenate([s, t]).astype(float)
-    y = np.concatenate([t, s]).astype(float)
-    if np.var(x) <= 1e-30 or np.var(y) <= 1e-30:
-        raise DegenerateMarginal("marginal variance is zero")
-    return float(np.corrcoef(x, y)[0, 1])
-
-
-def kendall_from_pairs(s: np.ndarray, t: np.ndarray) -> float:
-    from scipy.stats import kendalltau
-
-    x = np.concatenate([s, t])
-    y = np.concatenate([t, s])
-    if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
-        raise DegenerateMarginal("a marginal is constant")
-    return float(kendalltau(x, y, variant="b").statistic)
-
-
-def spearman_from_pairs(s: np.ndarray, t: np.ndarray) -> float:
-    from scipy.stats import spearmanr
-
-    x = np.concatenate([s, t])
-    y = np.concatenate([t, s])
-    if len(np.unique(x)) < 2 or len(np.unique(y)) < 2:
-        raise DegenerateMarginal("a marginal is constant")
-    return float(spearmanr(x, y).statistic)
-
-
 # -- per-layer subgraph counts --------------------------------------------
 
 @dataclass(frozen=True)
@@ -255,21 +217,19 @@ def layer_subgraph_counts(records) -> SubgraphCountMeans:
 # -- CSV serialization ----------------------------------------------------
 
 def pmf1d_to_csv(f: Pmf1D, path) -> None:
+    (s,) = np.nonzero(f.probs > 0)
+    probs = f.probs[s].astype(float).tolist()
+    rows = "".join([f"{i},{p!r}\n" for i, p in zip(s.tolist(), probs)])
     with open(path, "w") as fh:
-        fh.write("s,prob\n")
-        for s, p in enumerate(f.probs.tolist()):
-            if p > 0:
-                fh.write(f"{s},{float(p)!r}\n")
-        fh.write(f"# mass_defect={float(f.mass_defect)!r}\n")
+        fh.write(f"s,prob\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
 
 
 def pmf2d_to_csv(f: Pmf2D, path) -> None:
+    s, t = np.nonzero(f.probs > 0)
+    probs = f.probs[s, t].astype(float).tolist()
+    rows = "".join([f"{i},{j},{p!r}\n" for i, j, p in zip(s.tolist(), t.tolist(), probs)])
     with open(path, "w") as fh:
-        fh.write("s,t,prob\n")
-        nz = np.argwhere(f.probs > 0)
-        for s, t in nz.tolist():
-            fh.write(f"{s},{t},{float(f.probs[s, t])!r}\n")
-        fh.write(f"# mass_defect={float(f.mass_defect)!r}\n")
+        fh.write(f"s,t,prob\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
 
 
 def pmf1d_from_csv(path) -> Pmf1D:

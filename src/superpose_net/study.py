@@ -24,7 +24,6 @@ from .limits import (
     limiting_assortativity,
     limiting_bidegree_pmf,
     limiting_degree_pmf,
-    limiting_rank_correlations,
     tail_prediction,
 )
 from .stats import (
@@ -181,12 +180,11 @@ def _theory_values(spec: StudySpec):
     if "tv1" in spec.metrics or need_bideg:
         theory["_f1"] = limiting_degree_pmf(params)
     if need_bideg:
-        theory["_f2"] = limiting_bidegree_pmf(params)
+        theory["_f2"] = limiting_bidegree_pmf(params, theory["_f1"])
         theory["bidegree_mass_defect"] = theory["_f2"].mass_defect
     if {"kendall", "spearman"} & set(spec.metrics):
-        rc = limiting_rank_correlations(params)
-        theory["kendall"] = rc.kendall
-        theory["spearman"] = rc.spearman
+        theory["kendall"] = kendall(theory["_f2"])
+        theory["spearman"] = spearman(theory["_f2"])
     if "assortativity" in spec.metrics:
         theory["assortativity"] = limiting_assortativity(params)
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":

@@ -23,14 +23,15 @@ from superpose_net import (
     compound_poisson_pmf,
     cross_moment,
     generate_graph,
+    kendall,
     layer_subgraph_counts,
     limiting_assortativity,
     limiting_bidegree_pmf,
     limiting_degree_pmf,
-    limiting_rank_correlations,
     pearson_correlation,
     run_study,
     size_biased,
+    spearman,
     tail_prediction,
     write_edge_list,
 )
@@ -178,17 +179,17 @@ def test_criterion_07_empirical_rank_correlations(two_four_study):
     3 standard errors of their limiting values; for the product case
     constant (2, 1) the limits are exactly zero and the empirical values
     are within 3 standard errors of zero."""
-    rc = limiting_rank_correlations(LimitParams(1.0, TWO_FOUR))
-    theory = {"kendall": rc.kendall, "spearman": rc.spearman}
+    f2 = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR))
+    theory = {"kendall": kendall(f2), "spearman": spearman(f2)}
     for metric in ("kendall", "spearman"):
         agg = two_four_study.summary["100000"][metric]
         assert agg["count"] == 10
         assert abs(agg["mean"] - theory[metric]) <= 3 * agg["se"]
 
     product = LayerTypeDistribution.constant(2, 1.0)
-    rc0 = limiting_rank_correlations(LimitParams(1.0, product))
-    assert abs(rc0.kendall) < 1e-12
-    assert abs(rc0.spearman) < 1e-12
+    f0 = limiting_bidegree_pmf(LimitParams(1.0, product))
+    assert abs(kendall(f0)) < 1e-12
+    assert abs(spearman(f0)) < 1e-12
     study0 = run_study(StudySpec(
         dist=product, mu=1.0, n_grid=(100_000,), replications=10,
         seed=71, metrics=("kendall", "spearman"),

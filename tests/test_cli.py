@@ -143,6 +143,47 @@ class TestMainExitCodes:
         }), "--out", str(tmp_path)])
         assert code == 0
 
+    def test_rate_underflow_is_2_and_writes_no_pmf(self, tmp_path, capsys):
+        code = main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "constant", "size": 1000, "strength": 0.5},
+            "theory": {"mu": 1.0},
+        }), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "RateUnderflow"
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_memory_budget_is_2(self, tmp_path, capsys):
+        code = main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
+                                   "b": 1.0, "x_min": 1, "x_max": 100_000},
+            "theory": {"mu": 1.0},
+        }), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryBudgetExceeded"
+        assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
+
+    def test_theory_evaluates_each_law_once(self, tmp_path, monkeypatch):
+        import superpose_net.cli as cli_mod
+        import superpose_net.limits as limits_mod
+
+        calls = []
+        for name in ("limiting_degree_pmf", "limiting_bidegree_pmf"):
+            real = getattr(limits_mod, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(limits_mod, name, counted)
+            monkeypatch.setattr(cli_mod, name, counted)
+        assert main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "tabular", "atoms": [[2, 1.0, 0.5], [4, 1.0, 0.5]]},
+            "theory": {"mu": 1.0},
+        }), "--out", str(tmp_path)]) == 0
+        assert sorted(calls) == ["limiting_bidegree_pmf", "limiting_degree_pmf"]
+
     def test_threads_flag_does_not_change_output(self, tmp_path):
         doc = json.dumps({
             "layer_distribution": {"family": "tabular",

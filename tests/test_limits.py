@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from superpose_net import (
     InvalidLambda,
     LayerTypeDistribution,
     LimitParams,
+    MemoryBudgetExceeded,
     Pmf1D,
+    RateUnderflow,
     ZeroEdgeMass,
     compound_poisson_pmf,
     fprime2_pmf,
@@ -19,7 +22,6 @@ from superpose_net import (
     limiting_bidegree_pmf,
     limiting_degree_pmf,
     limiting_moments,
-    limiting_rank_correlations,
     pearson_correlation,
     size_biased,
     spearman,
@@ -109,6 +111,21 @@ class TestLimitingDegree:
         assert f.mean() == pytest.approx(3.0, abs=1e-8)
 
 
+class TestRateUnderflow:
+    def test_underflowing_zero_mass_raises_quickly(self):
+        # lambda = mu * P_10 = 1000, so exp(-lambda (1 - g(0))) is 0.0
+        params = LimitParams(1.0, LayerTypeDistribution.constant(1000, 0.5))
+        start = time.perf_counter()
+        with pytest.raises(RateUnderflow):
+            limiting_degree_pmf(params)
+        assert time.perf_counter() - start < 1.0
+
+    def test_largest_representable_rate_still_works(self):
+        f = compound_poisson_pmf(700.0, Pmf1D(np.array([0.0, 1.0])))
+        assert f.probs[0] > 0
+        assert f.mean() == pytest.approx(700.0, rel=1e-8)
+
+
 class TestFprime2:
     def test_constant_3_unit(self):
         f = fprime2_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 1.0)))
@@ -152,6 +169,15 @@ class TestLimitingBidegree:
             # the size-biased route renormalizes a truncated pmf, so allow
             # truncation error from both routes, not just f2's defect
             assert np.max(np.abs(a - b)) <= f2.mass_defect + 100 * params.tail_epsilon
+
+
+class TestBidegreeMemoryBudget:
+    def test_oversized_law_raises_before_allocating(self):
+        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100_000)
+        start = time.perf_counter()
+        with pytest.raises(MemoryBudgetExceeded):
+            limiting_bidegree_pmf(LimitParams(1.0, d))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestAssortativity:
@@ -209,21 +235,21 @@ class TestMoments:
 
 class TestRankCorrelations:
     def test_product_case_is_zero(self):
-        rc = limiting_rank_correlations(LimitParams(1.0, LayerTypeDistribution.constant(2, 1.0)))
-        assert rc.kendall == pytest.approx(0.0, abs=1e-9)
-        assert rc.spearman == pytest.approx(0.0, abs=1e-9)
+        f2 = limiting_bidegree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(2, 1.0)))
+        assert kendall(f2) == pytest.approx(0.0, abs=1e-9)
+        assert spearman(f2) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_atom_positive(self):
-        rc = limiting_rank_correlations(LimitParams(1.0, TWO_FOUR))
-        assert 0 < rc.kendall < 1
-        assert 0 < rc.spearman < 1
+        f2 = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR))
+        assert 0 < kendall(f2) < 1
+        assert 0 < spearman(f2) < 1
 
     def test_truncation_stability(self):
         eps = 1e-10
-        a = limiting_rank_correlations(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps))
-        b = limiting_rank_correlations(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps / 2))
-        assert abs(a.kendall - b.kendall) < 10 * eps
-        assert abs(a.spearman - b.spearman) < 10 * eps
+        a = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps))
+        b = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps / 2))
+        assert abs(kendall(a) - kendall(b)) < 10 * eps
+        assert abs(spearman(a) - spearman(b)) < 10 * eps
 
 
 class TestTailPrediction:

@@ -8,9 +8,11 @@ from superpose_net import (
     Pmf1D,
     Pmf2D,
     StudySpec,
+    kendall,
     limiting_assortativity,
-    limiting_rank_correlations,
+    limiting_bidegree_pmf,
     run_study,
+    spearman,
     tail_slope_fit,
     tv_distance_1d,
     tv_distance_2d,
@@ -93,10 +95,30 @@ class TestRunStudy:
     def test_theory_row_matches_limit_module_bitwise(self):
         report = run_study(StudySpec(**self.SPEC))
         params = LimitParams(self.SPEC["mu"], self.SPEC["dist"], 1e-10)
-        rc = limiting_rank_correlations(params)
+        f2 = limiting_bidegree_pmf(params)
         assert report.theory["assortativity"] == limiting_assortativity(params)
-        assert report.theory["kendall"] == rc.kendall
-        assert report.theory["spearman"] == rc.spearman
+        assert report.theory["kendall"] == kendall(f2)
+        assert report.theory["spearman"] == spearman(f2)
+
+    def test_bidegree_law_is_evaluated_once(self, monkeypatch):
+        import superpose_net.limits as limits_mod
+        import superpose_net.study as study_mod
+
+        calls = []
+        real = limits_mod.limiting_bidegree_pmf
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(limits_mod, "limiting_bidegree_pmf", counted)
+        monkeypatch.setattr(study_mod, "limiting_bidegree_pmf", counted)
+        report = run_study(StudySpec(
+            dist=LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), mu=1.0,
+            n_grid=(200,), replications=1, seed=5, metrics=("kendall", "spearman"),
+        ))
+        assert len(calls) == 1
+        assert 0 < report.theory["kendall"] < 1
 
     def test_rows_have_standard_errors(self):
         report = run_study(StudySpec(**self.SPEC))
