@@ -1,7 +1,7 @@
 """Simulator and exact-limit analytics for multilayer Bernoulli graph
 superpositions."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .errors import (
     ConfigError,
@@ -10,6 +10,7 @@ from .errors import (
     EmptyGraph,
     HypothesisViolation,
     InsufficientSupport,
+    InvalidEdgeList,
     InvalidLambda,
     MemoryBudgetExceeded,
     MissingRecords,
@@ -35,7 +36,7 @@ from .layers import (
     LayerTypeDistribution,
     cross_moment,
     edge_biased_distribution,
-    sample_layer_type,
+    sample_atoms,
 )
 from .limits import (
     LimitParams,

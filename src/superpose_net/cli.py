@@ -4,7 +4,7 @@ Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
 come from a JSON config; every run writes a manifest sufficient to
 reproduce it.  Exit codes: 1 config error, 2 degenerate statistic or
 any other typed error (a rate underflow, an over-budget limit law),
-3 hypothesis violation, 4 I/O error.
+3 hypothesis violation, 4 I/O error or an invalid edge-list file.
 """
 
 from __future__ import annotations
@@ -23,12 +23,14 @@ from .errors import (
     DegenerateStatistic,
     HypothesisViolation,
     InsufficientSupport,
+    InvalidEdgeList,
     SuperposeError,
 )
 from .generate import GenConfig, generate_graph, read_edge_list, write_edge_list, write_layer_records
 from .layers import LayerTypeDistribution
 from .limits import (
     LimitParams,
+    check_bidegree_budget,
     limiting_assortativity,
     limiting_bidegree_pmf,
     limiting_degree_pmf,
@@ -206,6 +208,15 @@ def serialize_config(cfg: RunConfig) -> dict:
 
 # -- dispatch --------------------------------------------------------------
 
+def _validated(section: str, build, **kwargs):
+    """build(**kwargs), reporting a ValueError from its checks as a
+    ConfigError on the config section the values came from."""
+    try:
+        return build(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(section, str(exc)) from None
+
+
 def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None:
     doc = {
         "config": serialize_config(cfg),
@@ -218,8 +229,8 @@ def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None
 
 def _run_generate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
     model = cfg.model
-    gen = GenConfig(
-        n=model["n"], layers=model.get("m"), mu=model.get("mu"),
+    gen = _validated(
+        "model", GenConfig, n=model["n"], layers=model.get("m"), mu=model.get("mu"),
         seed=model["seed"], keep_layer_records=model.get("keep_layer_records", False),
     )
     g = generate_graph(gen, cfg.layer_distribution, threads=threads)
@@ -260,7 +271,11 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
-    params = LimitParams(cfg.theory["mu"], cfg.layer_distribution, cfg.theory["tail_epsilon"])
+    params = _validated(
+        "theory", LimitParams, mu=cfg.theory["mu"], dist=cfg.layer_distribution,
+        tail_epsilon=cfg.theory["tail_epsilon"],
+    )
+    check_bidegree_budget(params)  # before the degree law, which can take seconds
     f1 = limiting_degree_pmf(params)
     f2 = limiting_bidegree_pmf(params, f1)
     pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
@@ -281,7 +296,8 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
 
 def _run_converge(cfg: RunConfig, out_dir: Path, threads: int) -> None:
     study = cfg.study
-    spec = StudySpec(
+    spec = _validated(
+        "study", StudySpec,
         dist=cfg.layer_distribution,
         mu=study["mu"],
         n_grid=tuple(study["n_grid"]),
@@ -315,6 +331,8 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def dispatch(cfg: RunConfig, out_dir, seed_override=None, threads: int = 1) -> None:
+    if threads < 1:
+        raise ConfigError("--threads", f"must be >= 1, got {threads}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if seed_override is not None:
@@ -345,7 +363,10 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to JSON config (or inline JSON)")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (results unchanged)")
+        p.add_argument(
+            "--threads", type=int, default=1,
+            help="accepted for compatibility; must be >= 1 and does not change results",
+        )
     args = parser.parse_args(argv)
 
     def fail(code, kind, message):
@@ -358,12 +379,16 @@ def main(argv=None) -> int:
         return fail(EXIT_CONFIG, "config", str(exc))
     try:
         dispatch(cfg, args.out, seed_override=args.seed, threads=args.threads)
+    except ConfigError as exc:
+        return fail(EXIT_CONFIG, "config", str(exc))
     except (DegenerateMarginal, DegenerateStatistic, InsufficientSupport) as exc:
         return fail(EXIT_DEGENERATE, "degenerate", str(exc))
     except HypothesisViolation as exc:
         return fail(EXIT_HYPOTHESIS, "hypothesis", str(exc))
     except OSError as exc:
         return fail(EXIT_IO, "io", str(exc))
+    except InvalidEdgeList as exc:
+        return fail(EXIT_IO, "InvalidEdgeList", str(exc))
     except SuperposeError as exc:
         return fail(EXIT_DEGENERATE, type(exc).__name__, str(exc))
     return 0

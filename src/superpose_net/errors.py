@@ -41,6 +41,11 @@ class ZeroDenominator(SuperposeError):
     """Closed-form assortativity denominator vanishes."""
 
 
+class InvalidEdgeList(SuperposeError):
+    """An edge-list file holds a malformed line, an out-of-range node id or
+    a self-loop."""
+
+
 class MissingRecords(SuperposeError):
     """Per-layer records were not kept for this sample."""
 

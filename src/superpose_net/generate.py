@@ -2,26 +2,34 @@
 
 Each layer picks a uniform node subset of its sampled size and links its
 pairs independently with its sampled strength; the graph is the union of
-all layer edge sets.  Every layer draws from its own counter-derived
-random stream, so the output depends only on (seed, config, distribution),
-never on generation order or thread count.
+all layer edge sets.  The layers are cut into fixed-size chunks, each
+drawing from its own Philox stream keyed by (seed, chunk index), so the
+output depends only on (seed, config, distribution).  Within a chunk the
+layers are grouped by size: small sizes are sampled a whole group at a
+time, larger ones one layer at a time by generate_layer.
 """
 
 from __future__ import annotations
 
+import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .layers import LayerType, LayerTypeDistribution, sample_layer_type
+from .errors import InvalidEdgeList, MissingRecords
+from .layers import LayerType, LayerTypeDistribution, sample_atoms
 
+_CHUNK = 1 << 16  # layers per random stream
+_SMALL = 48  # largest layer size sampled a group at a time
+# the group path redraws subsets holding a repeated node; below this
+# chance of drawing none, layers go one at a time instead
+_MIN_ACCEPT = 0.25
+_DRAW_BUDGET = 1 << 22  # random draws per block of a size group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
-# partial Fisher-Yates above this occupancy, rejection sampling below
-_FY_FRACTION = 64
 
 
 @dataclass(frozen=True)
@@ -69,60 +77,6 @@ class GraphSample:
         return len(self.edges)
 
 
-class _LayerStreams:
-    """Counter-based per-layer random streams.
-
-    Stream k is Philox keyed by (master seed, k); resetting the state of a
-    single reusable bit generator reproduces a freshly keyed generator
-    exactly, at a fraction of the construction cost.
-    """
-
-    def __init__(self, seed: int):
-        self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
-        self._bg = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bg)
-
-    def layer_rng(self, k: int) -> np.random.Generator:
-        self._bg.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([k, self._seed], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return self._gen
-
-
-def _uniform_subset(n: int, x: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform size-x subset of {1,...,n}, sorted."""
-    if x >= n:
-        return np.arange(1, n + 1, dtype=np.int64)
-    if x * _FY_FRACTION > n:
-        # partial Fisher-Yates over [0, n)
-        pool = np.arange(n, dtype=np.int64)
-        idx = rng.integers(0, n - np.arange(x))
-        for i, j in enumerate(idx + np.arange(x)):
-            pool[i], pool[j] = pool[j], pool[i]
-        picked = pool[:x]
-    else:
-        draw = rng.integers(0, n, size=x)
-        if len(np.unique(draw)) == x:
-            picked = draw
-        else:
-            seen: set[int] = set()
-            while len(seen) < x:
-                for v in rng.integers(0, n, size=x - len(seen)).tolist():
-                    if len(seen) < x:
-                        seen.add(v)
-            picked = np.fromiter(seen, dtype=np.int64, count=x)
-    out = np.sort(picked) + 1
-    return out
-
-
 def _pair_indices(x: int, y: float, rng: np.random.Generator) -> np.ndarray:
     """Linear indices (lexicographic) of the Bernoulli(y)-selected pairs."""
     npairs = x * (x - 1) // 2
@@ -152,6 +106,10 @@ def _unrank_pairs(e: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
     # row r occupies indices [r*(2x-r-1)/2, ...); invert the triangular offset
     t = x * (x - 1) // 2 - 1 - e
     k = ((np.sqrt(8.0 * t + 1) - 1) // 2).astype(np.int64)
+    # the float root can be one off once 8t+1 is not exact in a double;
+    # settle k as the largest integer with k(k+1)/2 <= t
+    k -= k * (k + 1) // 2 > t
+    k += (k + 1) * (k + 2) // 2 <= t
     r = x - 2 - k
     offset = r * (2 * x - r - 1) // 2
     c = e - offset + r + 1
@@ -165,27 +123,66 @@ def generate_layer(n: int, layer: LayerType, rng: np.random.Generator):
     (E, 2) array of 1-based pairs i < j.  Sizes above n are clamped.
     """
     x = min(layer.size, n)
-    nodes = _uniform_subset(n, x, rng) if x > 0 else np.empty(0, dtype=np.int64)
-    idx = _pair_indices(x, layer.strength, rng)
-    if len(idx) == 0:
-        return nodes, np.empty((0, 2), dtype=np.int64)
-    r, c = _unrank_pairs(idx, x)
-    edges = np.stack([nodes[r], nodes[c]], axis=1)
-    return nodes, edges
+    nodes = np.sort(rng.choice(n, x, replace=False)) + 1
+    r, c = _unrank_pairs(_pair_indices(x, layer.strength, rng), x)
+    return nodes, np.stack([nodes[r], nodes[c]], axis=1)
 
 
-def _generate_chunk(lo, hi, n, dist, seed, keep_records):
-    streams = _LayerStreams(seed)
+def _subsets(n: int, rows: int, x: int, rng: np.random.Generator) -> np.ndarray:
+    """(rows, x) array of sorted uniform x-subsets of range(n).
+
+    Rows are drawn with replacement and a row holding a repeat is redrawn
+    whole, which leaves each accepted row uniform over the subsets.
+    """
+    out = np.sort(rng.integers(0, n, size=(rows, x)), axis=1)
+    bad = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
+    while len(bad):
+        redo = np.sort(rng.integers(0, n, size=(len(bad), x)), axis=1)
+        out[bad] = redo
+        bad = bad[(redo[:, 1:] == redo[:, :-1]).any(axis=1)]
+    return out
+
+
+def _size_group(n, x, layers, strengths, rng, records):
+    """Edge codes of the layers (indices into strengths) of one size x,
+    sampled in blocks of at most _DRAW_BUDGET draws."""
+    first, second = np.triu_indices(x, 1)
+    step = _DRAW_BUDGET // max(len(first), x, 1)
     codes = []
-    records = [] if keep_records else None
-    for k in range(lo, hi):
-        rng = streams.layer_rng(k)
-        lt = sample_layer_type(dist, rng)
-        nodes, edges = generate_layer(n, lt, rng)
-        if len(edges):
-            codes.append((edges[:, 0] - 1) * n + (edges[:, 1] - 1))
-        if keep_records:
-            records.append(LayerRecord(lt, nodes, edges))
+    for lo in range(0, len(layers), step):
+        ks = layers[lo : lo + step]
+        nodes = _subsets(n, len(ks), x, rng)
+        row, pair = np.nonzero(rng.random((len(ks), len(first))) < strengths[ks, None])
+        a, b = nodes[row, first[pair]], nodes[row, second[pair]]
+        codes.append(a * n + b)
+        if records is not None:
+            edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, len(ks))))
+            for k, nd, e in zip(ks.tolist(), nodes + 1, edges):
+                records[k] = LayerRecord(LayerType(x, float(strengths[k])), nd, e)
+    return codes
+
+
+def _sample_chunk(n, count, dist, rng, keep_records):
+    """Edge codes (i * n + j over 0-based i < j) of count layers, and their
+    LayerRecords in layer order when keep_records is set."""
+    atoms = sample_atoms(dist, count, rng)
+    sizes = np.minimum(dist.sizes[atoms], n)
+    strengths = dist.strengths[atoms]
+    order = np.argsort(sizes, kind="stable")
+    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    codes = []
+    records = [None] * count if keep_records else None
+    for layers in np.split(order, cuts):
+        x = int(sizes[layers[0]])
+        if x <= _SMALL and math.prod((n - i) / n for i in range(x)) >= _MIN_ACCEPT:
+            codes += _size_group(n, x, layers, strengths, rng, records)
+            continue
+        for k in layers.tolist():
+            layer = LayerType(x, float(strengths[k]))
+            nodes, edges = generate_layer(n, layer, rng)
+            codes.append((edges[:, 0] - 1) * n + edges[:, 1] - 1)
+            if records is not None:
+                records[k] = LayerRecord(layer, nodes, edges)
     return codes, records
 
 
@@ -196,36 +193,34 @@ def generate_graph(
 ) -> GraphSample:
     """Sample the full superposition graph.
 
-    Output is a pure function of (seed, config, dist); the thread count
-    only partitions the per-layer work.
+    Output is a pure function of (seed, config, dist).  threads is
+    accepted for compatibility and must be >= 1; sampling runs on the
+    calling thread whatever its value.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     n, m = config.n, config.m
-    if threads <= 1:
-        chunks = [_generate_chunk(0, m, n, dist, config.seed, config.keep_layer_records)]
-    else:
-        bounds = np.linspace(0, m, threads + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _generate_chunk, int(lo), int(hi), n, dist, config.seed,
-                    config.keep_layer_records,
-                )
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-            ]
-            chunks = [f.result() for f in futures]
-
-    codes = [c for ck, _ in chunks for c in ck]
-    if codes:
-        uniq = np.unique(np.concatenate(codes))
-        edges = np.stack([uniq // n + 1, uniq % n + 1], axis=1)
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-
-    records = None
-    if config.keep_layer_records:
-        records = [r for _, rk in chunks for r in rk]
-
+    seed = config.seed & 0xFFFFFFFFFFFFFFFF
+    codes = []
+    records = [] if config.keep_layer_records else None
+    for chunk, lo in enumerate(range(0, m, _CHUNK)):
+        rng = np.random.Generator(np.random.Philox(key=np.array([chunk, seed], dtype=np.uint64)))
+        chunk_codes, chunk_records = _sample_chunk(
+            n, min(_CHUNK, m - lo), dist, rng, config.keep_layer_records
+        )
+        codes += chunk_codes
+        if records is not None:
+            records += chunk_records
+    edges = _edges_from_codes(np.concatenate(codes), n)
     return GraphSample(n=n, edges=edges, m=m, seed=config.seed, layer_records=records)
+
+
+def _edges_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct (E, 2) 1-based edges from codes i * n + j, 0-based."""
+    # sort and drop repeats: np.unique's hash pass is many times slower
+    codes = np.sort(codes)
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return np.stack([codes // n + 1, codes % n + 1], axis=1)
 
 
 def degrees(g: GraphSample) -> np.ndarray:
@@ -245,38 +240,46 @@ def write_edge_list(g: GraphSample, path) -> None:
 
 
 def read_edge_list(path) -> GraphSample:
-    n = m = seed = None
-    pairs = []
+    """Graph of a file of "i j" lines, below "# key=value" header lines.
+
+    n, m and seed come from the header (n defaults to the largest id).
+    Repeated edges and both orientations merge into one edge.  Raises
+    InvalidEdgeList for a line that is not two integers, a node id
+    outside 1..n, or a self-loop.
+    """
+    meta = {}
     with open(path) as fh:
         for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if "=" in tok:
-                        key, _, val = tok.partition("=")
-                        if key == "n":
-                            n = int(val)
-                        elif key == "m":
-                            m = int(val) if val != "None" else None
-                        elif key == "seed":
-                            seed = int(val) if val != "None" else None
-                continue
-            i, j = map(int, line.split())
-            pairs.append((min(i, j), max(i, j)))
-    edges = np.array(sorted(set(pairs)), dtype=np.int64).reshape(-1, 2)
+            text = line.strip()
+            if text and not text.startswith("#"):
+                break
+            meta.update(tok.split("=", 1) for tok in text[1:].split() if "=" in tok)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # raised for a file without edges
+            ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
+        n, m, seed = (
+            int(meta[key]) if meta.get(key, "None") != "None" else None for key in ("n", "m", "seed")
+        )
+    except ValueError as exc:
+        raise InvalidEdgeList(f"{path}: {exc}") from None
+    if ids.size == 0:
+        ids = ids.reshape(0, 2)
+    if ids.shape[1] != 2:
+        raise InvalidEdgeList(f"{path}: lines hold {ids.shape[1]} node ids, not 2")
+    lo, hi = ids.min(axis=1), ids.max(axis=1)
     if n is None:
-        n = int(edges.max()) if len(edges) else 0
+        n = int(hi.max(initial=0))
+    if len(ids) and (lo.min() < 1 or hi.max() > n):
+        raise InvalidEdgeList(f"{path}: a node id lies outside 1..{n}")
+    if np.any(lo == hi):
+        raise InvalidEdgeList(f"{path}: self-loop at node {int(lo[lo == hi][0])}")
+    edges = _edges_from_codes((lo - 1) * n + hi - 1, n)
     return GraphSample(n=n, edges=edges, m=m, seed=seed)
 
 
 def write_layer_records(g: GraphSample, path) -> None:
-    import json
-
     if g.layer_records is None:
-        from .errors import MissingRecords
-
         raise MissingRecords("sample was generated without keep_layer_records")
     with open(path, "w") as fh:
         for rec in g.layer_records:

@@ -184,11 +184,10 @@ class CrossMoments:
         )
 
 
-def sample_layer_type(dist: LayerTypeDistribution, rng: np.random.Generator) -> LayerType:
-    """Draw one atom; deterministic given the generator state."""
-    i = int(np.searchsorted(dist._cdf, rng.random(), side="right"))
-    i = min(i, len(dist.probs) - 1)
-    return LayerType(int(dist.sizes[i]), float(dist.strengths[i]))
+def sample_atoms(dist: LayerTypeDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Indices of count iid atoms of dist, drawn by one cdf search."""
+    i = np.searchsorted(dist._cdf, rng.random(count), side="right")
+    return np.minimum(i, len(dist.probs) - 1)
 
 
 def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistribution:

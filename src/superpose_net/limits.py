@@ -154,6 +154,14 @@ def _check_bidegree_budget(atoms: int, width: int) -> None:
         )
 
 
+def check_bidegree_budget(params: LimitParams) -> None:
+    """Raise MemoryBudgetExceeded if the bidegree law would not fit even
+    with a one-point degree law: the cheap check to run before
+    limiting_degree_pmf."""
+    biased = edge_biased_distribution(params.dist)
+    _check_bidegree_budget(len(biased.probs), max(biased.max_size - 2, 0) + 2)
+
+
 def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D:
     """Joint degree law of the endpoints of a random edge, in the limit.
 
@@ -163,12 +171,12 @@ def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D
     after a zero column that makes the shift.  Pass f1 =
     limiting_degree_pmf(params) when it is already at hand.
     """
+    if f1 is None:
+        check_bidegree_budget(params)
+        f1 = limiting_degree_pmf(params)
     biased = edge_biased_distribution(params.dist)
     atoms = len(biased.probs)
     top = max(biased.max_size - 2, 0)
-    _check_bidegree_budget(atoms, top + 2)  # f1 has at least one point
-    if f1 is None:
-        f1 = limiting_degree_pmf(params)
     width = len(f1.probs) + top + 1
     _check_bidegree_budget(atoms, width)
     u = _edge_layer_rows(biased, width, 1)

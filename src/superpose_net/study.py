@@ -21,6 +21,7 @@ from .generate import GenConfig, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import (
     LimitParams,
+    check_bidegree_budget,
     limiting_assortativity,
     limiting_bidegree_pmf,
     limiting_degree_pmf,
@@ -104,6 +105,10 @@ class StudySpec:
     def __post_init__(self):
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be sorted ascending")
+        for n in self.n_grid:
+            GenConfig(n=n, mu=self.mu)  # raises for n < 2 or round(mu * n) < 1
+        if self.threads < 1:
+            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         unknown = set(self.metrics) - set(ALL_METRICS)
@@ -177,6 +182,8 @@ def _theory_values(spec: StudySpec):
     params = LimitParams(spec.mu, spec.dist, spec.tail_epsilon)
     theory = {}
     need_bideg = {"tv2", "kendall", "spearman"} & set(spec.metrics)
+    if need_bideg:
+        check_bidegree_budget(params)  # before the degree law, which can take seconds
     if "tv1" in spec.metrics or need_bideg:
         theory["_f1"] = limiting_degree_pmf(params)
     if need_bideg:

@@ -153,7 +153,38 @@ class TestMainExitCodes:
         assert err["error"] == "RateUnderflow"
         assert not list(tmp_path.glob("*.csv"))
 
-    def test_memory_budget_is_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command, doc, extra", [
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": 1, "m": 1, "seed": 0}}, []),
+        ("converge", {"command": "converge",
+                      "layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [200, 100], "replications": 1, "seed": 0}}, []),
+        ("generate", MINIMAL_GENERATE, ["--threads", "-3"]),
+        ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                    "theory": {"mu": 0}}, []),
+    ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0"])
+    def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
+        code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
+        assert code == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 2 3\n"])
+    def test_invalid_edge_list_is_4(self, tmp_path, capsys, body):
+        edge_file = tmp_path / "bad.edgelist"
+        edge_file.write_text("# superpose-net n=3 m=1 seed=0\n" + body)
+        code = main(["empirical", "--config", json.dumps({"input": {"edge_list": str(edge_file)}}),
+                     "--out", str(tmp_path / "out")])
+        assert code == 4
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidEdgeList"
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_memory_budget_is_2(self, tmp_path, capsys, monkeypatch):
+        import superpose_net.cli as cli_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("the degree law was evaluated before the budget check")
+
+        monkeypatch.setattr(cli_mod, "limiting_degree_pmf", never)
         code = main(["theory", "--config", json.dumps({
             "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
                                    "b": 1.0, "x_min": 1, "x_max": 100_000},

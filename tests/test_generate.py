@@ -1,10 +1,13 @@
+import hashlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from superpose_net import (
     GenConfig,
+    InvalidEdgeList,
     LayerType,
     LayerTypeDistribution,
     cross_moment,
@@ -14,48 +17,46 @@ from superpose_net import (
     read_edge_list,
     write_edge_list,
 )
-from superpose_net.generate import _LayerStreams
+from superpose_net.generate import _SMALL, _unrank_pairs
 
 
-def layer_rng(seed=0, k=0):
-    return _LayerStreams(seed).layer_rng(k)
+def layer_records(n, x, y, layers, seed):
+    """Records of a constant-(x, y) graph, all sampled by the batched path
+    for their size group: the per-layer path fails if called."""
+    cfg = GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True)
+    with mock.patch("superpose_net.generate.generate_layer", side_effect=AssertionError):
+        return generate_graph(cfg, LayerTypeDistribution.constant(x, y)).layer_records
 
 
 class TestGenerateLayer:
     def test_full_strength_full_size_is_complete(self):
         n = 8
-        nodes, edges = generate_layer(n, LayerType(n, 1.0), layer_rng())
+        nodes, edges = generate_layer(n, LayerType(n, 1.0), np.random.default_rng(0))
         assert nodes.tolist() == list(range(1, n + 1))
         assert len(edges) == n * (n - 1) // 2
         assert len({tuple(e) for e in edges.tolist()}) == len(edges)
 
     def test_zero_strength_is_empty(self):
-        nodes, edges = generate_layer(20, LayerType(5, 0.0), layer_rng())
+        nodes, edges = generate_layer(20, LayerType(5, 0.0), np.random.default_rng(0))
         assert len(nodes) == 5
         assert len(edges) == 0
 
     def test_mean_edge_count(self):
         reps = 20_000
-        streams = _LayerStreams(7)
-        total = 0
-        for k in range(reps):
-            _, edges = generate_layer(50, LayerType(4, 0.5), streams.layer_rng(k))
-            total += len(edges)
+        total = sum(len(r.edges) for r in layer_records(50, 4, 0.5, reps, seed=7))
         mean = total / reps
         se = math.sqrt(6 * 0.25 / reps)
         assert abs(mean - 3.0) < 3 * se
 
     def test_size_clamped_to_n(self):
-        nodes, _ = generate_layer(5, LayerType(100, 0.3), layer_rng())
+        nodes, _ = generate_layer(5, LayerType(100, 0.3), np.random.default_rng(0))
         assert nodes.tolist() == [1, 2, 3, 4, 5]
 
     def test_node_inclusion_uniform(self):
         n, x, reps = 20, 6, 20_000
-        streams = _LayerStreams(3)
         hits = np.zeros(n)
-        for k in range(reps):
-            nodes, _ = generate_layer(n, LayerType(x, 0.0), streams.layer_rng(k))
-            hits[nodes - 1] += 1
+        for rec in layer_records(n, x, 0.0, reps, seed=3):
+            hits[rec.nodes - 1] += 1
         p = x / n
         se = math.sqrt(p * (1 - p) / reps)
         assert np.all(np.abs(hits / reps - p) < 4 * se)
@@ -63,16 +64,30 @@ class TestGenerateLayer:
     def test_edge_probability_identity(self):
         # chance that a fixed pair is linked by one layer: P_21 / (n)_2
         n, reps = 30, 40_000
-        lt = LayerType(5, 0.6)
-        streams = _LayerStreams(11)
         hits = 0
-        for k in range(reps):
-            _, edges = generate_layer(n, lt, streams.layer_rng(k))
-            if len(edges) and np.any((edges[:, 0] == 1) & (edges[:, 1] == 2)):
+        for rec in layer_records(n, 5, 0.6, reps, seed=11):
+            e = rec.edges
+            if len(e) and np.any((e[:, 0] == 1) & (e[:, 1] == 2)):
                 hits += 1
         p = 5 * 4 * 0.6 / (n * (n - 1))
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) < 3 * se
+
+
+class TestUnrankPairs:
+    @pytest.mark.parametrize("x", [300_000_000, 1_000_000_000])
+    def test_exact_at_row_boundaries(self, x):
+        # first and last pair of 2e5 rows spread over the whole triangle
+        rows = np.unique(np.linspace(0, x - 2, 200_000).astype(np.int64))
+        first = rows * (2 * x - rows - 1) // 2
+        r, c = _unrank_pairs(np.concatenate([first, first + x - rows - 2]), x)
+        assert np.array_equal(r, np.concatenate([rows, rows]))
+        assert np.array_equal(c, np.concatenate([rows + 1, np.full(len(rows), x - 1)]))
+
+    def test_small_triangle_in_order(self):
+        x = 7
+        r, c = _unrank_pairs(np.arange(x * (x - 1) // 2), x)
+        assert list(zip(r.tolist(), c.tolist())) == [(i, j) for i in range(x) for j in range(i + 1, x)]
 
 
 class TestGenerateGraph:
@@ -92,6 +107,18 @@ class TestGenerateGraph:
         cfg = GenConfig(n=1000, layers=1000, seed=5, keep_layer_records=True)
         g = generate_graph(cfg, d)
         draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
+        target = cross_moment(d, 2, 1) / 2
+        se = draws.std(ddof=1) / math.sqrt(len(draws))
+        assert abs(draws.mean() - target) < 3 * se
+
+    def test_per_layer_link_draw_mean_mixed_sizes(self):
+        # one size on each side of the batched path's threshold
+        d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (3 * _SMALL, 0.1, 0.5)])
+        cfg = GenConfig(n=1000, layers=4000, seed=8, keep_layer_records=True)
+        g = generate_graph(cfg, d)
+        draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
+        sizes = {r.layer_type.size for r in g.layer_records}
+        assert sizes == {3, 3 * _SMALL}
         target = cross_moment(d, 2, 1) / 2
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3 * se
@@ -118,6 +145,20 @@ class TestGenerateGraph:
             union.update(map(tuple, r.edges.tolist()))
         assert union == set(map(tuple, g.edges.tolist()))
 
+    def test_every_size_from_zero_to_n(self):
+        # sizes near n take the per-layer path, the others the batched one
+        n = 12
+        d = LayerTypeDistribution.tabular([(x, 0.5, 1 / (n + 1)) for x in range(n + 1)])
+        g = generate_graph(GenConfig(n=n, layers=400, seed=4, keep_layer_records=True), d)
+        union = set()
+        for r in g.layer_records:
+            assert len(r.nodes) == r.layer_type.size
+            assert np.all(np.diff(r.nodes) > 0) and np.all((r.nodes >= 1) & (r.nodes <= n))
+            assert np.all(np.isin(r.edges, r.nodes)) and np.all(r.edges[:, 0] < r.edges[:, 1])
+            union.update(map(tuple, r.edges.tolist()))
+        assert {r.layer_type.size for r in g.layer_records} == set(range(n + 1))
+        assert union == set(map(tuple, g.edges.tolist()))
+
     @pytest.mark.parametrize("threads", [1, 4, 8])
     def test_determinism_across_threads(self, threads):
         d = LayerTypeDistribution.tabular([(3, 0.6, 0.7), (10, 0.1, 0.3)])
@@ -126,6 +167,11 @@ class TestGenerateGraph:
         other = generate_graph(cfg, d, threads=threads)
         assert np.array_equal(base.edges, other.edges)
 
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError):
+            generate_graph(GenConfig(n=10, layers=1), LayerTypeDistribution.constant(2, 1.0), threads)
+
     def test_mu_resolution(self):
         cfg = GenConfig(n=100, mu=1.0, seed=7)
         assert cfg.m == 100
@@ -133,6 +179,25 @@ class TestGenerateGraph:
             GenConfig(n=100, layers=10, mu=1.0, seed=0)
         with pytest.raises(ValueError):
             GenConfig(n=100, seed=0)
+
+
+class TestGoldenStream:
+    """Pin the random stream: a change to these hashes changes every
+    sampled graph, and needs a version bump and a CHANGES.md entry."""
+
+    @pytest.mark.parametrize("dist, cfg, edge_count, digest", [
+        (LayerTypeDistribution.tabular([(3, 0.7, 0.5), (60, 0.1, 0.5)]),
+         GenConfig(n=500, layers=300, seed=2024), 22936,
+         "b6d4d1a04475b7c75c7b7ef57b464a0921add3db743c405c9e3df376e6365b32"),
+        (LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 30),
+         GenConfig(n=1000, mu=1.0, seed=7), 279,
+         "ca2dc4f1b5b1683836fcbf0eeb306c2e4d81b03bc30425d6a9126a1089ec2f8c"),
+    ], ids=["above_small_threshold", "power_law"])
+    def test_edges_hash(self, dist, cfg, edge_count, digest):
+        g = generate_graph(cfg, dist)
+        assert g.edge_count == edge_count
+        edges = np.ascontiguousarray(g.edges, dtype="<i8")
+        assert hashlib.sha256(edges.tobytes()).hexdigest() == digest
 
 
 class TestDegrees:
@@ -162,3 +227,17 @@ class TestEdgeListIO:
         back = read_edge_list(path)
         assert back.n == g.n and back.m == g.m and back.seed == g.seed
         assert np.array_equal(back.edges, g.edges)
+
+    def test_merges_orientations_and_repeats(self, tmp_path):
+        path = tmp_path / "g.edgelist"
+        path.write_text("\n# superpose-net n=5 m=None seed=None\n3 1\n1 3\n\n4 2\n1 3\n")
+        g = read_edge_list(path)
+        assert (g.n, g.m, g.seed) == (5, None, None)
+        assert g.edges.tolist() == [[1, 3], [2, 4]]
+
+    @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 x\n"])
+    def test_rejects_invalid_lines(self, tmp_path, body):
+        path = tmp_path / "g.edgelist"
+        path.write_text("# superpose-net n=3 m=1 seed=0\n1 2\n" + body)
+        with pytest.raises(InvalidEdgeList):
+            read_edge_list(path)

@@ -12,7 +12,7 @@ from superpose_net import (
     ZeroEdgeMass,
     cross_moment,
     edge_biased_distribution,
-    sample_layer_type,
+    sample_atoms,
 )
 
 from conftest import random_tabular
@@ -69,19 +69,17 @@ class TestCrossMoment:
 class TestSampling:
     def test_constant_is_degenerate(self, rng):
         d = LayerTypeDistribution.constant(3, 0.5)
-        for _ in range(10):
-            assert sample_layer_type(d, rng) == LayerType(3, 0.5)
+        assert sample_atoms(d, 10, rng).tolist() == [0] * 10
 
     def test_single_atom_tabular(self, rng):
         d = LayerTypeDistribution.tabular([(5, 0.2, 1.0)])
-        assert sample_layer_type(d, rng) == LayerType(5, 0.2)
+        i = sample_atoms(d, 1, rng)
+        assert (d.sizes[i].tolist(), d.strengths[i].tolist()) == ([5], [0.2])
 
     def test_power_law_frequencies_match_normalization(self, rng):
         d = LayerTypeDistribution.power_law(2.5, 0.5, 1.0, 1, 1000)
         draws = 200_000
-        seen = np.zeros(1001)
-        for _ in range(draws):
-            seen[sample_layer_type(d, rng).size] += 1
+        seen = np.bincount(d.sizes[sample_atoms(d, draws, rng)], minlength=1001)
         # exact truncated-zeta normalization as oracle
         for x in (1, 2, 3, 5, 10):
             p = d.probs[int(np.searchsorted(d.sizes, x))]

@@ -153,3 +153,11 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(200,),
                       replications=1, seed=0, metrics=("bogus",))
+
+    @pytest.mark.parametrize("changes", [
+        {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"threads": 0},
+    ], ids=["n_is_1", "mu_0", "no_layers_at_n", "threads_0"])
+    def test_spec_rejects_values_that_fail_in_a_cell(self, changes):
+        # each of these used to pass the spec and fail inside run_study
+        with pytest.raises(ValueError):
+            StudySpec(**{**self.SPEC, **changes})
