@@ -6,7 +6,6 @@ __version__ = "0.2.0"
 from .errors import (
     ConfigError,
     DegenerateMarginal,
-    DegenerateStatistic,
     EmptyGraph,
     HypothesisViolation,
     InsufficientSupport,

@@ -20,7 +20,6 @@ from . import __version__
 from .errors import (
     ConfigError,
     DegenerateMarginal,
-    DegenerateStatistic,
     HypothesisViolation,
     InsufficientSupport,
     InvalidEdgeList,
@@ -48,7 +47,7 @@ from .stats import (
     size_biased,
     spearman,
 )
-from .study import StudySpec, run_study, tail_slope_fit
+from .study import DEFAULT_METRICS, StudySpec, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -303,7 +302,7 @@ def _run_converge(cfg: RunConfig, out_dir: Path, threads: int) -> None:
         n_grid=tuple(study["n_grid"]),
         replications=study["replications"],
         seed=study["seed"],
-        metrics=tuple(study.get("metrics", ("tv1", "tv2", "assortativity", "kendall", "spearman"))),
+        metrics=tuple(study.get("metrics", DEFAULT_METRICS)),
         tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON),
         fit_range=tuple(study["fit_range"]) if study.get("fit_range") else None,
         threads=threads,
@@ -317,7 +316,10 @@ def _run_converge(cfg: RunConfig, out_dir: Path, threads: int) -> None:
 
 def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
     p = cfg.layer_distribution.params
-    pred = tail_prediction(p["alpha"], p["beta"], p["b"], cfg.theory["mu"], cfg.layer_distribution)
+    pred = _validated(
+        "theory", tail_prediction, alpha=p["alpha"], beta=p["beta"], b=p["b"],
+        mu=cfg.theory["mu"], dist=cfg.layer_distribution,
+    )
     summary = dict(vars(pred))
     if "pmf_csv" in cfg.input:
         pmf = pmf1d_from_csv(cfg.input["pmf_csv"])
@@ -381,7 +383,7 @@ def main(argv=None) -> int:
         dispatch(cfg, args.out, seed_override=args.seed, threads=args.threads)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
-    except (DegenerateMarginal, DegenerateStatistic, InsufficientSupport) as exc:
+    except (DegenerateMarginal, InsufficientSupport) as exc:
         return fail(EXIT_DEGENERATE, "degenerate", str(exc))
     except HypothesisViolation as exc:
         return fail(EXIT_HYPOTHESIS, "hypothesis", str(exc))

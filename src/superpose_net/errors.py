@@ -65,10 +65,6 @@ class InsufficientSupport(SuperposeError):
     """Too few positive-mass points in the requested fit range."""
 
 
-class DegenerateStatistic(SuperposeError):
-    """A per-cell statistic is undefined for this sample (recorded, not fatal)."""
-
-
 class ConfigError(SuperposeError):
     """Invalid run configuration.
 

@@ -30,6 +30,7 @@ _MIN_ACCEPT = 0.25
 _DRAW_BUDGET = 1 << 22  # random draws per block of a size group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
+_WRITE_ROWS = 1 << 16  # edges formatted per write; bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,9 @@ def degrees(g: GraphSample) -> np.ndarray:
 def write_edge_list(g: GraphSample, path) -> None:
     with open(path, "w") as fh:
         fh.write(f"# superpose-net n={g.n} m={g.m} seed={g.seed}\n")
-        for i, j in g.edges.tolist():
-            fh.write(f"{i} {j}\n")
+        for first in range(0, len(g.edges), _WRITE_ROWS):
+            block = g.edges[first : first + _WRITE_ROWS]
+            fh.write("%d %d\n" * len(block) % tuple(block.ravel().tolist()))
 
 
 def read_edge_list(path) -> GraphSample:

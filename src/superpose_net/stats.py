@@ -61,9 +61,6 @@ class Pmf2D:
     def marginal(self, axis: int) -> Pmf1D:
         return Pmf1D(self.probs.sum(axis=1 - axis), self.mass_defect)
 
-    def transpose(self) -> "Pmf2D":
-        return Pmf2D(self.probs.T.copy(), self.mass_defect)
-
 
 def product_pmf(f: Pmf1D, g: Pmf1D) -> Pmf2D:
     joint = np.outer(f.probs, g.probs)

@@ -42,6 +42,7 @@ ALL_METRICS = (
     "tv1", "tv2", "assortativity", "kendall", "spearman",
     "tail_slope", "subgraph_counts",
 )
+DEFAULT_METRICS = ALL_METRICS[:5]
 
 _MIN_TAIL_OBS = 50
 _DEFAULT_T_LO = 10
@@ -97,7 +98,7 @@ class StudySpec:
     n_grid: tuple
     replications: int
     seed: int
-    metrics: tuple = ALL_METRICS[:5]
+    metrics: tuple = DEFAULT_METRICS
     tail_epsilon: float = 1e-10
     fit_range: Optional[tuple] = None
     threads: int = 1

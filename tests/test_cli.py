@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -161,7 +165,10 @@ class TestMainExitCodes:
         ("generate", MINIMAL_GENERATE, ["--threads", "-3"]),
         ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                     "theory": {"mu": 0}}, []),
-    ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0"])
+        ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                            "b": 1, "x_min": 1, "x_max": 100},
+                     "theory": {"mu": -1}}, []),
+    ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -233,3 +240,13 @@ class TestMainExitCodes:
                      "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+
+
+def test_cli_import_leaves_scipy_out():
+    """scipy's import alone costs about a second, more than a typical run."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, superpose_net.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

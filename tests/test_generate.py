@@ -17,6 +17,7 @@ from superpose_net import (
     read_edge_list,
     write_edge_list,
 )
+from superpose_net import generate
 from superpose_net.generate import _SMALL, _unrank_pairs
 
 
@@ -234,6 +235,20 @@ class TestEdgeListIO:
         g = read_edge_list(path)
         assert (g.n, g.m, g.seed) == (5, None, None)
         assert g.edges.tolist() == [[1, 3], [2, 4]]
+
+    @pytest.mark.parametrize("rows", [7, 1 << 16])
+    def test_writer_matches_the_line_by_line_writer(self, tmp_path, monkeypatch, rows):
+        """Blocks of 7 rows leave a short last block; 2^16 is one block."""
+        monkeypatch.setattr(generate, "_WRITE_ROWS", rows)
+        d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (60, 0.1, 0.5)])
+        empty = generate_graph(GenConfig(n=5, layers=1, seed=0), LayerTypeDistribution.constant(3, 0.0))
+        for g in (generate_graph(GenConfig(n=500, layers=300, seed=2024), d), empty):
+            write_edge_list(g, tmp_path / "new.edgelist")
+            with open(tmp_path / "old.edgelist", "w") as fh:
+                fh.write(f"# superpose-net n={g.n} m={g.m} seed={g.seed}\n")
+                for i, j in g.edges.tolist():
+                    fh.write(f"{i} {j}\n")
+            assert (tmp_path / "new.edgelist").read_bytes() == (tmp_path / "old.edgelist").read_bytes()
 
     @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 x\n"])
     def test_rejects_invalid_lines(self, tmp_path, body):

@@ -1,9 +1,10 @@
 import math
 import time
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from scipy.stats import poisson
+from scipy.stats import binom, poisson
 
 from superpose_net import (
     HypothesisViolation,
@@ -27,6 +28,7 @@ from superpose_net import (
     spearman,
     tail_prediction,
 )
+from superpose_net.limits import _binom_pmf, _stirlerr
 
 from conftest import random_tabular
 
@@ -46,6 +48,42 @@ def brute_force_cpoi(lam, g, j_max=None):
 
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
+
+
+class TestBinomialKernel:
+    """The numpy binomial pmf of the limit engine against scipy's."""
+
+    STRENGTHS = (0.0, 1e-9, 1e-4, 0.01, 0.3, 0.5, 0.99, 1.0)
+
+    @pytest.mark.parametrize("y", STRENGTHS)
+    def test_every_k_up_to_2000_trials(self, y):
+        for first in range(0, 2001, 500):
+            trials = np.arange(first, min(first + 500, 2001))
+            n = np.repeat(trials, trials + 1)
+            k = np.arange(len(n)) - np.repeat(np.cumsum(trials + 1) - trials - 1, trials + 1)
+            p = np.full(len(n), y)
+            assert np.abs(_binom_pmf(k, n, p) - binom.pmf(k, n, y)).max() <= 1e-14
+
+    def test_relative_accuracy_at_the_mode(self):
+        n = np.array([1, 2, 3, 7, 16, 100, 1000, 10**4, 10**5, 10**6])
+        for y in self.STRENGTHS:
+            k = np.minimum(((n + 1) * y).astype(np.int64), n)
+            got = _binom_pmf(k, n, np.full(len(n), y))
+            assert np.abs(got / binom.pmf(k, n, y) - 1).max() <= 1e-12
+
+    def test_stirlerr_against_exact_log_factorials(self):
+        """Table entries to double precision; above 15 the series is off by
+        at most its first omitted term, 691/360360 n^-11 (1.1e-16 at 16)."""
+        pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+        n = np.arange(1, 201)
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = [
+                float(Decimal(math.factorial(i)).ln() - (i + Decimal("0.5")) * Decimal(i).ln()
+                      + i - (2 * pi).ln() / 2)
+                for i in n.tolist()
+            ]
+        assert np.abs(_stirlerr(n) - exact).max() <= 2e-16
 
 
 class TestIncrementPmf:
@@ -274,6 +312,12 @@ class TestTailPrediction:
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 2000)
         pred = tail_prediction(3.0, 0.5, 1.0, 1.0, d)
         assert pred.c_prime > 0 and pred.c_double_prime > 0
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0])
+    def test_nonpositive_mu_rejected(self, mu):
+        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            tail_prediction(3.0, 0.5, 1.0, mu, d)
 
 
 class TestTailValidityWindow:

@@ -142,7 +142,7 @@ class TestPearson:
         except DegenerateMarginal:
             return
         assert -1 - 1e-9 <= rho <= 1 + 1e-9
-        assert pearson_correlation(f.transpose()) == pytest.approx(rho, abs=1e-12)
+        assert pearson_correlation(Pmf2D(f.probs.T)) == pytest.approx(rho, abs=1e-12)
 
 
 class TestKendall:
