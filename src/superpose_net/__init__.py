@@ -50,16 +50,18 @@ from .limits import (
     limiting_moments,
     tail_prediction,
 )
-from .stats import (
+from .pmf import (
     Pmf1D,
     Pmf2D,
-    bidegree_distribution,
-    degree_distribution,
     kendall,
-    layer_subgraph_counts,
     pearson_correlation,
     size_biased,
     spearman,
+)
+from .stats import (
+    bidegree_distribution,
+    degree_distribution,
+    layer_subgraph_counts,
 )
 from .study import (
     ConvergenceReport,

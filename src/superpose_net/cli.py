@@ -36,17 +36,8 @@ from .limits import (
     limiting_moments,
     tail_prediction,
 )
-from .stats import (
-    bidegree_distribution,
-    degree_distribution,
-    kendall,
-    pearson_correlation,
-    pmf1d_from_csv,
-    pmf1d_to_csv,
-    pmf2d_to_csv,
-    size_biased,
-    spearman,
-)
+from .pmf import FUNCTIONALS, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
+from .stats import bidegree_distribution, degree_distribution
 from .study import DEFAULT_METRICS, StudySpec, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
@@ -63,7 +54,6 @@ class RunConfig:
     theory: dict = field(default_factory=dict)
     study: dict = field(default_factory=dict)
     input: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
 
 
 def _reject_unknown(section: dict, allowed: set, path: str) -> None:
@@ -100,11 +90,14 @@ def _parse_distribution(section, path="layer_distribution") -> LayerTypeDistribu
 
 
 def parse_config(source, command: Optional[str] = None) -> RunConfig:
-    """Validate a JSON config (path or inline text) into a RunConfig."""
-    if isinstance(source, (str, Path)) and Path(str(source)).exists():
-        text = Path(source).read_text()
-    else:
-        text = str(source)
+    """Validate a JSON config into a RunConfig.  Text whose first non-blank
+    character is { is the JSON itself; anything else is a file path."""
+    text = str(source)
+    if not text.lstrip().startswith("{"):
+        try:
+            text = Path(text).read_text()
+        except (OSError, ValueError) as exc:
+            raise ConfigError("<document>", f"cannot read config file: {exc}")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -114,7 +107,7 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
 
     _reject_unknown(
         raw,
-        {"command", "layer_distribution", "model", "theory", "study", "input", "output"},
+        {"command", "layer_distribution", "model", "theory", "study", "input"},
         "<top>",
     )
     cmd = command or raw.get("command")
@@ -150,14 +143,6 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
     inp = dict(raw.get("input", {}))
     _reject_unknown(inp, {"edge_list", "pmf_csv", "fit_range"}, "input")
     cfg.input = inp
-
-    output = dict(raw.get("output", {}))
-    _reject_unknown(output, {"directory", "formats"}, "output")
-    output.setdefault("formats", ["csv"])
-    bad = set(output["formats"]) - {"csv", "json", "edgelist"}
-    if bad:
-        raise ConfigError("output.formats", f"unknown format {sorted(bad)[0]!r}")
-    cfg.output = output
 
     _check_required(cfg)
     return cfg
@@ -198,7 +183,7 @@ def serialize_config(cfg: RunConfig) -> dict:
                 "family": "tabular",
                 "atoms": [[x, y, p] for x, y, p in d.atoms()],
             }
-    for key in ("model", "theory", "study", "input", "output"):
+    for key in ("model", "theory", "study", "input"):
         section = getattr(cfg, key)
         if section:
             doc[key] = section
@@ -226,13 +211,13 @@ def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
-def _run_generate(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
     model = cfg.model
     gen = _validated(
         "model", GenConfig, n=model["n"], layers=model.get("m"), mu=model.get("mu"),
         seed=model["seed"], keep_layer_records=model.get("keep_layer_records", False),
     )
-    g = generate_graph(gen, cfg.layer_distribution, threads=threads)
+    g = generate_graph(gen, cfg.layer_distribution)
     outputs = []
     path = out_dir / "graph.edgelist"
     write_edge_list(g, path)
@@ -254,11 +239,7 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
     pmf2d_to_csv(f2, out_dir / "bidegree_pmf.csv")
     outputs += ["degree_pmf.csv", "size_biased_pmf.csv", "bidegree_pmf.csv"]
     summary = {"n": g.n, "edges": g.edge_count}
-    for name, fn in (
-        ("assortativity", pearson_correlation),
-        ("kendall", kendall),
-        ("spearman", spearman),
-    ):
+    for name, fn in FUNCTIONALS.items():
         try:
             summary[name] = fn(f2)
         except DegenerateMarginal as exc:
@@ -279,12 +260,10 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     f2 = limiting_bidegree_pmf(params, f1)
     pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
     pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
-    summary = {
-        "assortativity": limiting_assortativity(params),
-        "kendall": kendall(f2),
-        "spearman": spearman(f2),
-        "moments": vars(limiting_moments(params)),
-    }
+    # the limit's assortativity in closed form, its rank functionals from f2
+    summary = {"assortativity": limiting_assortativity(params)}
+    summary.update((name, fn(f2)) for name, fn in FUNCTIONALS.items() if name != "assortativity")
+    summary["moments"] = vars(limiting_moments(params))
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     _manifest(
         cfg, out_dir,
@@ -293,7 +272,7 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     )
 
 
-def _run_converge(cfg: RunConfig, out_dir: Path, threads: int) -> None:
+def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
     study = cfg.study
     spec = _validated(
         "study", StudySpec,
@@ -305,7 +284,6 @@ def _run_converge(cfg: RunConfig, out_dir: Path, threads: int) -> None:
         metrics=tuple(study.get("metrics", DEFAULT_METRICS)),
         tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON),
         fit_range=tuple(study["fit_range"]) if study.get("fit_range") else None,
-        threads=threads,
     )
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
@@ -322,7 +300,7 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
     )
     summary = dict(vars(pred))
     if "pmf_csv" in cfg.input:
-        pmf = pmf1d_from_csv(cfg.input["pmf_csv"])
+        pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=cfg.input["pmf_csv"])
         fit_range = tuple(cfg.input.get("fit_range", (10, pmf.support_max)))
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope
@@ -332,9 +310,7 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
     _manifest(cfg, out_dir, ["tail_prediction.json"], {})
 
 
-def dispatch(cfg: RunConfig, out_dir, seed_override=None, threads: int = 1) -> None:
-    if threads < 1:
-        raise ConfigError("--threads", f"must be >= 1, got {threads}")
+def dispatch(cfg: RunConfig, out_dir, seed_override=None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if seed_override is not None:
@@ -343,13 +319,13 @@ def dispatch(cfg: RunConfig, out_dir, seed_override=None, threads: int = 1) -> N
         elif cfg.command == "converge":
             cfg.study["seed"] = seed_override
     if cfg.command == "generate":
-        _run_generate(cfg, out_dir, threads)
+        _run_generate(cfg, out_dir)
     elif cfg.command == "empirical":
         _run_empirical(cfg, out_dir)
     elif cfg.command == "theory":
         _run_theory(cfg, out_dir)
     elif cfg.command == "converge":
-        _run_converge(cfg, out_dir, threads)
+        _run_converge(cfg, out_dir)
     elif cfg.command == "tailfit":
         _run_tailfit(cfg, out_dir)
 
@@ -367,7 +343,7 @@ def main(argv=None) -> int:
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument(
             "--threads", type=int, default=1,
-            help="accepted for compatibility; must be >= 1 and does not change results",
+            help="accepted for compatibility; must be >= 1 and changes nothing",
         )
     args = parser.parse_args(argv)
 
@@ -376,11 +352,13 @@ def main(argv=None) -> int:
         return code
 
     try:
+        if args.threads < 1:
+            raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         cfg = parse_config(args.config, command=args.command)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     try:
-        dispatch(cfg, args.out, seed_override=args.seed, threads=args.threads)
+        dispatch(cfg, args.out, seed_override=args.seed)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except (DegenerateMarginal, InsufficientSupport) as exc:

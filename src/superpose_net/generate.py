@@ -187,19 +187,11 @@ def _sample_chunk(n, count, dist, rng, keep_records):
     return codes, records
 
 
-def generate_graph(
-    config: GenConfig,
-    dist: LayerTypeDistribution,
-    threads: int = 1,
-) -> GraphSample:
+def generate_graph(config: GenConfig, dist: LayerTypeDistribution) -> GraphSample:
     """Sample the full superposition graph.
 
-    Output is a pure function of (seed, config, dist).  threads is
-    accepted for compatibility and must be >= 1; sampling runs on the
-    calling thread whatever its value.
+    Output is a pure function of (seed, config, dist).
     """
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     n, m = config.n, config.m
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     codes = []

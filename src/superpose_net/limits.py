@@ -29,7 +29,7 @@ from .layers import (
     cross_moment,
     edge_biased_distribution,
 )
-from .stats import Pmf1D, Pmf2D
+from .pmf import Pmf1D, Pmf2D
 
 _MAX_SUPPORT = 1 << 20
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
@@ -239,8 +239,7 @@ def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D
     for row in u:  # direct convolution keeps every entry non-negative
         row[1:] = np.convolve(f1.probs, row[1 : top + 2])
     joint = u.T @ u
-    defect = max(0.0, 1.0 - math.fsum(joint.ravel().tolist()))
-    return Pmf2D(joint, mass_defect=defect)
+    return Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 
 def limiting_assortativity(params: LimitParams) -> float:

@@ -27,16 +27,8 @@ from .limits import (
     limiting_degree_pmf,
     tail_prediction,
 )
-from .stats import (
-    Pmf1D,
-    Pmf2D,
-    bidegree_distribution,
-    degree_distribution,
-    kendall,
-    pearson_correlation,
-    size_biased,
-    spearman,
-)
+from .pmf import FUNCTIONALS, Pmf1D, Pmf2D, size_biased
+from .stats import bidegree_distribution, degree_distribution, layer_subgraph_counts
 
 ALL_METRICS = (
     "tv1", "tv2", "assortativity", "kendall", "spearman",
@@ -48,25 +40,23 @@ _MIN_TAIL_OBS = 50
 _DEFAULT_T_LO = 10
 
 
+def _padded(*arrays) -> np.ndarray:
+    """The arrays, zero-padded at the end of each axis to one common shape,
+    stacked along a new first axis."""
+    out = np.zeros((len(arrays), *np.max([a.shape for a in arrays], axis=0)))
+    for dst, a in zip(out, arrays):
+        dst[tuple(slice(k) for k in a.shape)] = a
+    return out
+
+
 def tv_distance_1d(f: Pmf1D, g: Pmf1D) -> float:
     """Half L1 distance; each law's mass defect counts as mass the other
-    lacks."""
-    width = max(len(f.probs), len(g.probs))
-    a = np.zeros(width)
-    b = np.zeros(width)
-    a[: len(f.probs)] = f.probs
-    b[: len(g.probs)] = g.probs
+    lacks.  Takes two 2-D laws alike, as tv_distance_2d."""
+    a, b = _padded(f.probs, g.probs)
     return 0.5 * (float(np.abs(a - b).sum()) + f.mass_defect + g.mass_defect)
 
 
-def tv_distance_2d(f: Pmf2D, g: Pmf2D) -> float:
-    rows = max(f.probs.shape[0], g.probs.shape[0])
-    cols = max(f.probs.shape[1], g.probs.shape[1])
-    a = np.zeros((rows, cols))
-    b = np.zeros((rows, cols))
-    a[: f.probs.shape[0], : f.probs.shape[1]] = f.probs
-    b[: g.probs.shape[0], : g.probs.shape[1]] = g.probs
-    return 0.5 * (float(np.abs(a - b).sum()) + f.mass_defect + g.mass_defect)
+tv_distance_2d = tv_distance_1d
 
 
 def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
@@ -101,15 +91,12 @@ class StudySpec:
     metrics: tuple = DEFAULT_METRICS
     tail_epsilon: float = 1e-10
     fit_range: Optional[tuple] = None
-    threads: int = 1
 
     def __post_init__(self):
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be sorted ascending")
         for n in self.n_grid:
             GenConfig(n=n, mu=self.mu)  # raises for n < 2 or round(mu * n) < 1
-        if self.threads < 1:
-            raise ValueError(f"threads must be >= 1, got {self.threads}")
         if self.replications < 1:
             raise ValueError("need at least one replication")
         unknown = set(self.metrics) - set(ALL_METRICS)
@@ -170,15 +157,6 @@ def _cell_seed(master: int, n_index: int, rep: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _pool_matrices(mats):
-    rows = max(m.shape[0] for m in mats)
-    cols = max(m.shape[1] for m in mats)
-    out = np.zeros((rows, cols))
-    for m in mats:
-        out[: m.shape[0], : m.shape[1]] += m
-    return out
-
-
 def _theory_values(spec: StudySpec):
     params = LimitParams(spec.mu, spec.dist, spec.tail_epsilon)
     theory = {}
@@ -191,8 +169,10 @@ def _theory_values(spec: StudySpec):
         theory["_f2"] = limiting_bidegree_pmf(params, theory["_f1"])
         theory["bidegree_mass_defect"] = theory["_f2"].mass_defect
     if {"kendall", "spearman"} & set(spec.metrics):
-        theory["kendall"] = kendall(theory["_f2"])
-        theory["spearman"] = spearman(theory["_f2"])
+        # the limit's assortativity has a closed form, below
+        for name, fn in FUNCTIONALS.items():
+            if name != "assortativity":
+                theory[name] = fn(theory["_f2"])
     if "assortativity" in spec.metrics:
         theory["assortativity"] = limiting_assortativity(params)
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":
@@ -224,7 +204,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
 
     for ni, n in enumerate(spec.n_grid):
         per_metric: dict[str, list] = {}
-        bideg_counts = []
+        bideg_counts = np.zeros((1, 1))
         bideg_edges = 0
         degree_counts = np.zeros(1)
 
@@ -240,13 +220,9 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                 n=n, mu=spec.mu, seed=_cell_seed(spec.seed, ni, rep),
                 keep_layer_records=keep_records,
             )
-            g = generate_graph(cfg, spec.dist, threads=spec.threads)
+            g = generate_graph(cfg, spec.dist)
             f_deg = degree_distribution(g)
-            counts = f_deg.probs * n
-            pooled = np.zeros(max(len(degree_counts), len(counts)))
-            pooled[: len(degree_counts)] += degree_counts
-            pooled[: len(counts)] += counts
-            degree_counts = pooled
+            degree_counts = _padded(degree_counts, f_deg.probs * n).sum(axis=0)
 
             if "tv1" in spec.metrics:
                 note("tv1", rep, tv_distance_1d(f_deg, theory["_f1"]))
@@ -257,15 +233,11 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                         note(metric, rep, None, "degenerate: no edges")
                 else:
                     f2 = bidegree_distribution(g)
-                    bideg_counts.append(f2.probs * (2.0 * g.edge_count))
+                    bideg_counts = _padded(bideg_counts, f2.probs * (2.0 * g.edge_count)).sum(axis=0)
                     bideg_edges += g.edge_count
                     if "tv2" in spec.metrics:
                         note("tv2", rep, tv_distance_2d(f2, theory["_f2"]))
-                    for metric, fn in (
-                        ("assortativity", pearson_correlation),
-                        ("kendall", kendall),
-                        ("spearman", spearman),
-                    ):
+                    for metric, fn in FUNCTIONALS.items():
                         if metric in spec.metrics:
                             try:
                                 note(metric, rep, fn(f2))
@@ -281,8 +253,6 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                     note("tail_slope", rep, None, f"degenerate: {exc}")
 
             if "subgraph_counts" in spec.metrics:
-                from .stats import layer_subgraph_counts
-
                 sc = layer_subgraph_counts(g.layer_records)
                 note("links", rep, sc.links)
                 note("two_stars", rep, sc.two_stars)
@@ -300,15 +270,11 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             agg[metric] = entry
 
         # pooled-bidegree statistics across replications
-        if bideg_counts:
-            pooled2 = Pmf2D(_pool_matrices(bideg_counts) / (2.0 * bideg_edges))
+        if bideg_edges:
+            pooled2 = Pmf2D(bideg_counts / (2.0 * bideg_edges))
             if "tv2" in spec.metrics:
                 agg["tv2_pooled"] = tv_distance_2d(pooled2, theory["_f2"])
-            for metric, fn in (
-                ("assortativity", pearson_correlation),
-                ("kendall", kendall),
-                ("spearman", spearman),
-            ):
+            for metric, fn in FUNCTIONALS.items():
                 if metric in spec.metrics:
                     try:
                         agg[f"{metric}_pooled"] = fn(pooled2)

@@ -7,6 +7,7 @@ Run with ``pytest -v tests/test_acceptance.py`` to get one pass/fail
 line per criterion.
 """
 
+import json
 import math
 
 import numpy as np
@@ -33,9 +34,9 @@ from superpose_net import (
     size_biased,
     spearman,
     tail_prediction,
-    write_edge_list,
 )
-from superpose_net.stats import Pmf1D
+from superpose_net.cli import main
+from superpose_net.pmf import Pmf1D
 
 from conftest import random_tabular
 
@@ -276,24 +277,22 @@ def test_criterion_09_per_layer_subgraph_counts():
 
 def test_criterion_10_determinism_across_thread_counts(tmp_path):
     """Identical seeds give byte-identical edge lists and convergence
-    reports for thread counts 1, 4, and 8."""
-    dist = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (6, 0.3, 0.5)])
+    reports for thread counts 1, 4, and 8 (the CLI's --threads)."""
+    dist = {"family": "tabular", "atoms": [[3, 0.7, 0.5], [6, 0.3, 0.5]]}
+    generate = {"layer_distribution": dist, "model": {"n": 5_000, "mu": 1.0, "seed": 100}}
+    converge = {"layer_distribution": dist, "study": {
+        "mu": 1.0, "n_grid": [500, 1_000], "replications": 3, "seed": 101,
+        "metrics": ["tv1", "tv2", "assortativity"],
+    }}
     edge_bytes = []
     report_bytes = []
-    for threads in (1, 4, 8):
-        g = generate_graph(GenConfig(n=5_000, mu=1.0, seed=100), dist,
-                           threads=threads)
-        path = tmp_path / f"edges_t{threads}.txt"
-        write_edge_list(g, path)
-        edge_bytes.append(path.read_bytes())
-
-        report = run_study(StudySpec(
-            dist=dist, mu=1.0, n_grid=(500, 1_000), replications=3,
-            seed=101, metrics=("tv1", "tv2", "assortativity"),
-            threads=threads,
-        ))
-        rpath = tmp_path / f"report_t{threads}.csv"
-        report.to_csv(rpath)
-        report_bytes.append(rpath.read_bytes())
+    for threads in ("1", "4", "8"):
+        for command, doc in (("generate", generate), ("converge", converge)):
+            out = tmp_path / f"{command}_t{threads}"
+            assert main([command, "--config", json.dumps(doc), "--out", str(out),
+                         "--threads", threads]) == 0
+        edge_bytes.append((tmp_path / f"generate_t{threads}" / "graph.edgelist").read_bytes())
+        (report,) = (tmp_path / f"converge_t{threads}").glob("study_*.csv")
+        report_bytes.append(report.read_bytes())
     assert edge_bytes[0] == edge_bytes[1] == edge_bytes[2]
     assert report_bytes[0] == report_bytes[1] == report_bytes[2]

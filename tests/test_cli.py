@@ -29,8 +29,26 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(MINIMAL_GENERATE))
         assert cfg.command == "generate"
         assert cfg.model["n"] == 100
-        assert cfg.output["formats"] == ["csv"]
         assert cfg.theory["tail_epsilon"] == 1e-10
+
+    def test_output_section_rejected(self):
+        doc = {**MINIMAL_GENERATE, "output": {"formats": ["json"], "directory": "/nonexistent"}}
+        with pytest.raises(ConfigError) as exc:
+            parse_config(json.dumps(doc))
+        assert "<top>.output: unknown key" in str(exc.value)
+
+    def test_config_file_path(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(MINIMAL_GENERATE))
+        assert parse_config(str(path)).model["seed"] == 7
+        assert parse_config(path).model["seed"] == 7
+
+    @pytest.mark.parametrize("source", ["missing.json", "x" * 300, "nul\0byte", "[1, 2]"],
+                             ids=["missing", "name_too_long", "nul_byte", "not_an_object"])
+    def test_unreadable_path_is_config_error(self, source):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(source)
+        assert str(exc.value).startswith("<document>: cannot read config file")
 
     def test_bad_strength(self):
         doc = json.loads(json.dumps(MINIMAL_GENERATE))
@@ -174,6 +192,28 @@ class TestMainExitCodes:
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", ""],
+                             ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows"])
+    def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, rows):
+        pmf_csv = tmp_path / "pmf.csv"
+        pmf_csv.write_text("s,prob\n" + rows)
+        doc = {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                      "b": 1, "x_min": 1, "x_max": 100},
+               "theory": {"mu": 1.0}, "input": {"pmf_csv": str(pmf_csv)}}
+        code = main(["tailfit", "--config", json.dumps(doc), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and err["message"].startswith("input.pmf_csv:")
+        assert not (tmp_path / "out" / "tail_prediction.json").exists()
+
+    def test_long_inline_config_runs(self, tmp_path):
+        atoms = [[k, 0.5, 0.01] for k in range(2, 102)]
+        doc = "\n " + json.dumps({"layer_distribution": {"family": "tabular", "atoms": atoms},
+                                 "model": {"n": 200, "mu": 1, "seed": 7}})
+        assert len(doc) > 255  # longer than a file name may be
+        assert main(["generate", "--config", doc, "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "graph.edgelist").exists()
 
     @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 2 3\n"])
     def test_invalid_edge_list_is_4(self, tmp_path, capsys, body):

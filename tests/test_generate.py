@@ -160,19 +160,6 @@ class TestGenerateGraph:
         assert {r.layer_type.size for r in g.layer_records} == set(range(n + 1))
         assert union == set(map(tuple, g.edges.tolist()))
 
-    @pytest.mark.parametrize("threads", [1, 4, 8])
-    def test_determinism_across_threads(self, threads):
-        d = LayerTypeDistribution.tabular([(3, 0.6, 0.7), (10, 0.1, 0.3)])
-        cfg = GenConfig(n=500, mu=1.0, seed=42)
-        base = generate_graph(cfg, d, threads=1)
-        other = generate_graph(cfg, d, threads=threads)
-        assert np.array_equal(base.edges, other.edges)
-
-    @pytest.mark.parametrize("threads", [0, -3])
-    def test_threads_below_one_rejected(self, threads):
-        with pytest.raises(ValueError):
-            generate_graph(GenConfig(n=10, layers=1), LayerTypeDistribution.constant(2, 1.0), threads)
-
     def test_mu_resolution(self):
         cfg = GenConfig(n=100, mu=1.0, seed=7)
         assert cfg.m == 100

@@ -27,7 +27,7 @@ from superpose_net import (
     pearson_correlation,
     spearman,
 )
-from superpose_net.stats import Pmf1D, Pmf2D, pmf1d_to_csv, pmf2d_to_csv
+from superpose_net.pmf import Pmf1D, Pmf2D, pmf1d_to_csv, pmf2d_to_csv
 
 from conftest import random_tabular
 

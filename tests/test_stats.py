@@ -24,13 +24,7 @@ from superpose_net import (
 )
 from superpose_net.generate import LayerRecord, degrees
 from superpose_net.layers import LayerType
-from superpose_net.stats import (
-    pmf1d_from_csv,
-    pmf1d_to_csv,
-    pmf2d_from_csv,
-    pmf2d_to_csv,
-    product_pmf,
-)
+from superpose_net.pmf import pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv
 
 
 def path3():
@@ -49,6 +43,32 @@ def pmf2(entries):
     for (s, t), p in entries.items():
         probs[s, t] = p
     return Pmf2D(probs)
+
+
+def product_pmf(f, g):
+    joint = np.outer(f.probs, g.probs)
+    defect = 1.0 - (1.0 - f.mass_defect) * (1.0 - g.mass_defect)
+    return Pmf2D(joint, defect)
+
+
+def pmf2d_from_csv(path):
+    entries = {}
+    defect = 0.0
+    with open(path) as fh:
+        next(fh)
+        for line in fh:
+            line = line.strip()
+            if line.startswith("# mass_defect="):
+                defect = float(line.split("=", 1)[1])
+            elif line:
+                s, t, p = line.split(",")
+                entries[(int(s), int(t))] = float(p)
+    s_max = max(k[0] for k in entries) if entries else 0
+    t_max = max(k[1] for k in entries) if entries else 0
+    probs = np.zeros((s_max + 1, t_max + 1))
+    for (s, t), p in entries.items():
+        probs[s, t] = p
+    return Pmf2D(probs, defect)
 
 
 def joint_pmfs(max_val=4):

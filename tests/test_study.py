@@ -86,12 +86,6 @@ class TestRunStudy:
         assert a.summary == b.summary
         assert a.theory == b.theory
 
-    def test_threads_do_not_change_results(self):
-        a = run_study(StudySpec(**self.SPEC))
-        b = run_study(StudySpec(**self.SPEC, threads=4))
-        assert a.rows == b.rows
-        assert a.summary == b.summary
-
     def test_theory_row_matches_limit_module_bitwise(self):
         report = run_study(StudySpec(**self.SPEC))
         params = LimitParams(self.SPEC["mu"], self.SPEC["dist"], 1e-10)
@@ -155,8 +149,8 @@ class TestRunStudy:
                       replications=1, seed=0, metrics=("bogus",))
 
     @pytest.mark.parametrize("changes", [
-        {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"threads": 0},
-    ], ids=["n_is_1", "mu_0", "no_layers_at_n", "threads_0"])
+        {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001},
+    ], ids=["n_is_1", "mu_0", "no_layers_at_n"])
     def test_spec_rejects_values_that_fail_in_a_cell(self, changes):
         # each of these used to pass the spec and fail inside run_study
         with pytest.raises(ValueError):
