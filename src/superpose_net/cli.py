@@ -38,7 +38,7 @@ from .limits import (
 )
 from .pmf import FUNCTIONALS, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
 from .stats import bidegree_distribution, degree_distribution
-from .study import DEFAULT_METRICS, StudySpec, run_study, tail_slope_fit
+from .study import DEFAULT_METRICS, StudySpec, checked_fit_range, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -281,9 +281,9 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
         n_grid=tuple(study["n_grid"]),
         replications=study["replications"],
         seed=study["seed"],
-        metrics=tuple(study.get("metrics", DEFAULT_METRICS)),
+        metrics=study.get("metrics", DEFAULT_METRICS),
         tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON),
-        fit_range=tuple(study["fit_range"]) if study.get("fit_range") else None,
+        fit_range=study.get("fit_range"),
     )
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
@@ -299,9 +299,12 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
         mu=cfg.theory["mu"], dist=cfg.layer_distribution,
     )
     summary = dict(vars(pred))
+    fit_range = cfg.input.get("fit_range")
+    if fit_range is not None:
+        fit_range = _validated("input", checked_fit_range, fit_range=fit_range)
     if "pmf_csv" in cfg.input:
         pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=cfg.input["pmf_csv"])
-        fit_range = tuple(cfg.input.get("fit_range", (10, pmf.support_max)))
+        fit_range = fit_range or (10, pmf.support_max)
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope
         summary["fitted_slope_stderr"] = stderr

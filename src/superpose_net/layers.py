@@ -32,8 +32,8 @@ class LayerType:
     strength: float
 
     def __post_init__(self):
-        if self.size < 0:
-            raise ValueError(f"layer size must be >= 0, got {self.size}")
+        if not float(self.size).is_integer() or self.size < 0:
+            raise ValueError(f"layer size must be an integer >= 0, got {self.size}")
         if not 0.0 <= self.strength <= 1.0:
             raise ValueError(f"layer strength must be in [0,1], got {self.strength}")
 
@@ -108,8 +108,8 @@ class LayerTypeDistribution:
             raise ValueError(f"beta must be in [0,1), got {beta}")
         if b <= 0:
             raise ValueError(f"b must be positive, got {b}")
-        if x_min < 1 or x_max < x_min:
-            raise ValueError(f"need 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
+        if not (float(x_min).is_integer() and float(x_max).is_integer() and 1 <= x_min <= x_max):
+            raise ValueError(f"need integers 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
         sizes = np.arange(x_min, x_max + 1, dtype=np.int64)
         weights = sizes.astype(float) ** (-alpha)
         probs = weights / math.fsum(weights.tolist())

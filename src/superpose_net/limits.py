@@ -29,9 +29,8 @@ from .layers import (
     cross_moment,
     edge_biased_distribution,
 )
-from .pmf import Pmf1D, Pmf2D
+from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D
 
-_MAX_SUPPORT = 1 << 20
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
 _MAX_BIDEGREE_BYTES = 1 << 30
 
@@ -106,13 +105,19 @@ def _binom_pmf(k, trials, p):
     return out
 
 
-def _binomial_windows(trials, strengths, weights):
-    """Yield (row, k, weights[row] * P(Bin(trials[row], strengths[row]) = k))
-    arrays over each atom's 10-sigma window, whose omitted mass is below
-    double precision, in row-major blocks of about _BLOCK_ENTRIES values."""
+def _windows(trials, strengths):
+    """First index and length of each Bin(trials, strengths) row's 10-sigma
+    window, whose omitted mass is below double precision."""
     sd = np.sqrt(trials * strengths * (1.0 - strengths))
     lo = np.maximum(0, (trials * strengths - 10 * sd - 5).astype(np.int64))
     length = np.minimum(trials, (trials * strengths + 10 * sd + 5).astype(np.int64)) - lo + 1
+    return lo, length
+
+
+def _binomial_windows(trials, strengths, weights):
+    """Yield (row, k, weights[row] * P(Bin(trials[row], strengths[row]) = k))
+    arrays over each atom's window, in row-major blocks of about _BLOCK_ENTRIES values."""
+    lo, length = _windows(trials, strengths)
     shift = lo + length - np.cumsum(length)  # k minus the flat position of its value
     step = max(1, _BLOCK_ENTRIES // int(length.max(initial=1)))
     for first in range(0, len(length), step):
@@ -181,64 +186,58 @@ def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
     return compound_poisson_pmf(params.mu * p10, g, params.tail_epsilon)
 
 
-def _edge_layer_rows(biased: LayerTypeDistribution, width: int, shift: int) -> np.ndarray:
-    """Row a is sqrt(p_a) * Bin(x_a - 2, y_a) over the edge-biased atoms,
-    placed from column shift of a zero (atoms x width) matrix."""
-    rows = np.zeros((len(biased.probs), width))
-    windows = _binomial_windows(biased.sizes - 2, biased.strengths, np.sqrt(biased.probs))
-    for row, k, value in windows:
-        rows[row, shift + k] = value
-    return rows
-
-
-def fprime2_pmf(params: LimitParams) -> Pmf2D:
-    """Joint law of the two extra degrees produced by an edge's own layer.
-
-    Mixture of Bin(x-2, y) x Bin(x-2, y) products over the edge-biased
-    layer law, R^T diag(p) R; exact and symmetric.
-    """
-    biased = edge_biased_distribution(params.dist)
-    r = _edge_layer_rows(biased, max(biased.max_size - 2, 0) + 1, 0)
-    return Pmf2D(r.T @ r)
-
-
-def _check_bidegree_budget(atoms: int, width: int) -> None:
-    need = 8 * (atoms + width) * width  # bytes of U and of the joint law
+def _check_budget(k: int, width: int) -> None:
+    need = 8 * (k + width) ** 2  # bytes of F'_2, T, T^T F'_2 and the width x width joint law
     if need > _MAX_BIDEGREE_BYTES:
         raise MemoryBudgetExceeded(
             f"bidegree law needs {need / 2**30:.1f} GiB, over the {_MAX_BIDEGREE_BYTES / 2**30:g} GiB budget"
         )
 
 
-def check_bidegree_budget(params: LimitParams) -> None:
+def check_bidegree_budget(params: LimitParams) -> tuple[LayerTypeDistribution, int]:
     """Raise MemoryBudgetExceeded if the bidegree law would not fit even
     with a one-point degree law: the cheap check to run before
-    limiting_degree_pmf."""
+    limiting_degree_pmf.  Return the edge-biased layer law and K, one past
+    the largest index of its windowed Bin(x-2, y) rows."""
     biased = edge_biased_distribution(params.dist)
-    _check_bidegree_budget(len(biased.probs), max(biased.max_size - 2, 0) + 2)
+    lo, length = _windows(biased.sizes - 2, biased.strengths)
+    k = int((lo + length).max())
+    _check_budget(k, k + 1)
+    return biased, k
+
+
+def fprime2_pmf(params: LimitParams) -> Pmf2D:
+    """Joint law of the two extra degrees produced by an edge's own layer.
+
+    Mixture of Bin(x-2, y) x Bin(x-2, y) products over the edge-biased layer
+    law on the K x K windowed support, a block of rows at a time; exact and symmetric.
+    """
+    biased, k = check_bidegree_budget(params)
+    out = np.zeros((k, k))
+    for row, kk, value in _binomial_windows(biased.sizes - 2, biased.strengths, np.sqrt(biased.probs)):
+        lo, hi = kk.min(), kk.max() + 1
+        slab = np.zeros((row[-1] - row[0] + 1, hi - lo))
+        slab[row - row[0], kk - lo] = value
+        out[lo:hi, lo:hi] += slab.T @ slab
+    return Pmf2D(out)
 
 
 def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D:
     """Joint degree law of the endpoints of a random edge, in the limit.
 
-    (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair, iid
-    Bin(X-2, Y) given the edge-biased layer type: shift_11 sum_a p_a
-    (f1 * r_a) x (f1 * r_a) = U^T U, row a of U being sqrt(p_a) (f1 * r_a)
-    after a zero column that makes the shift.  Pass f1 =
-    limiting_degree_pmf(params) when it is already at hand.
+    (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2 =
+    fprime2_pmf(params), i.e. T^T F'_2 T with T the K x (len(f1) + K)
+    Toeplitz matrix T[u, 1 + u + j] = f1(j); its zero first column is the
+    (1,1) shift.  Pass f1 = limiting_degree_pmf(params) when it is at hand.
     """
+    fp2 = fprime2_pmf(params).probs  # checks the budget before the degree law
     if f1 is None:
-        check_bidegree_budget(params)
         f1 = limiting_degree_pmf(params)
-    biased = edge_biased_distribution(params.dist)
-    atoms = len(biased.probs)
-    top = max(biased.max_size - 2, 0)
-    width = len(f1.probs) + top + 1
-    _check_bidegree_budget(atoms, width)
-    u = _edge_layer_rows(biased, width, 1)
-    for row in u:  # direct convolution keeps every entry non-negative
-        row[1:] = np.convolve(f1.probs, row[1 : top + 2])
-    joint = u.T @ u
+    k = len(fp2)
+    width = len(f1.probs) + k
+    _check_budget(k, width)
+    t = np.lib.stride_tricks.sliding_window_view(np.pad(f1.probs, (k, k - 1)), width)[::-1].copy()
+    joint = t.T @ fp2 @ t
     return Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 

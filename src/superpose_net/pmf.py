@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DegenerateMarginal, ZeroMean
 
 _MASS_TOL = 1e-9
+_MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
 
 
 @dataclass(frozen=True)
@@ -164,7 +165,7 @@ def pmf2d_to_csv(f: Pmf2D, path) -> None:
 
 def pmf1d_from_csv(path) -> Pmf1D:
     """Read a pmf1d_to_csv file.  ValueError if a line after the header is
-    not `s,prob` with s >= 0, or if the mass is not 1."""
+    not `s,prob` with 0 <= s <= _MAX_SUPPORT, or if the mass is not 1."""
     entries = {}
     defect = 0.0
     with open(path) as fh:
@@ -178,6 +179,8 @@ def pmf1d_from_csv(path) -> Pmf1D:
                 entries[int(s)] = float(p)
     if min(entries, default=0) < 0:
         raise ValueError(f"negative support point {min(entries)}")
+    if max(entries, default=0) > _MAX_SUPPORT:
+        raise ValueError(f"support point {max(entries)} is beyond the longest law, {_MAX_SUPPORT}")
     probs = np.zeros(max(entries, default=0) + 1)
     for s, p in entries.items():
         probs[s] = p

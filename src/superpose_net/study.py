@@ -59,6 +59,15 @@ def tv_distance_1d(f: Pmf1D, g: Pmf1D) -> float:
 tv_distance_2d = tv_distance_1d
 
 
+def checked_fit_range(fit_range) -> tuple:
+    """fit_range as a (lo, hi) tuple.  ValueError unless it is two numbers
+    with lo < hi."""
+    pair = isinstance(fit_range, (list, tuple)) and len(fit_range) == 2
+    if not (pair and all(isinstance(v, (int, float)) for v in fit_range) and fit_range[0] < fit_range[1]):
+        raise ValueError(f"fit_range must be two numbers [lo, hi] with lo < hi, got {fit_range!r}")
+    return tuple(fit_range)
+
+
 def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
     """Least-squares slope magnitude of log pmf against log support.
 
@@ -99,9 +108,14 @@ class StudySpec:
             GenConfig(n=n, mu=self.mu)  # raises for n < 2 or round(mu * n) < 1
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if not (isinstance(self.metrics, (list, tuple)) and all(isinstance(m, str) for m in self.metrics)):
+            raise ValueError(f"metrics must be a list of metric names, got {self.metrics!r}")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
+        object.__setattr__(self, "metrics", tuple(self.metrics))
+        if self.fit_range is not None:
+            object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 
     def content_hash(self) -> str:
         payload = {

@@ -186,15 +186,41 @@ class TestMainExitCodes:
         ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                             "b": 1, "x_min": 1, "x_max": 100},
                      "theory": {"mu": -1}}, []),
-    ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative"])
+        ("generate", {**MINIMAL_GENERATE,
+                      "layer_distribution": {"family": "constant", "size": 3.5, "strength": 0.5}}, []),
+        ("theory", {"layer_distribution": {"family": "tabular", "atoms": [[3.5, 0.5, 1]]},
+                    "theory": {"mu": 1.0}}, []),
+        ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                           "b": 1, "x_min": 1, "x_max": 10.5},
+                    "theory": {"mu": 1.0}}, []),
+        ("converge", {"command": "converge",
+                      "layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "fit_range": [10]}}, []),
+        ("converge", {"command": "converge",
+                      "layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": "tv1"}}, []),
+        ("converge", {"command": "converge",
+                      "layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["tv1", ["tv2"]]}}, []),
+        ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                            "b": 1, "x_min": 1, "x_max": 100},
+                     "theory": {"mu": 1.0}, "input": {"fit_range": [10]}}, []),
+    ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
+            "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
+            "metrics_string", "metrics_not_names", "input_fit_range_one_number"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", ""],
-                             ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows"])
+    @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", "",
+                                      "10000000000000,1.0\n"],
+                             ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows",
+                                  "s_beyond_longest_law"])
     def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, rows):
         pmf_csv = tmp_path / "pmf.csv"
         pmf_csv.write_text("s,prob\n" + rows)
@@ -206,6 +232,12 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"].startswith("input.pmf_csv:")
         assert not (tmp_path / "out" / "tail_prediction.json").exists()
+
+    def test_metrics_string_is_not_read_as_letters(self, tmp_path, capsys):
+        doc = {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+               "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0, "metrics": "tv1"}}
+        assert main(["converge", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 1
+        assert "metrics must be a list" in json.loads(capsys.readouterr().err)["message"]
 
     def test_long_inline_config_runs(self, tmp_path):
         atoms = [[k, 0.5, 0.01] for k in range(2, 102)]
@@ -233,8 +265,8 @@ class TestMainExitCodes:
 
         monkeypatch.setattr(cli_mod, "limiting_degree_pmf", never)
         code = main(["theory", "--config", json.dumps({
-            "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
-                                   "b": 1.0, "x_min": 1, "x_max": 100_000},
+            "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.0,
+                                   "b": 0.5, "x_min": 1, "x_max": 20_000},
             "theory": {"mu": 1.0},
         }), "--out", str(tmp_path)])
         assert code == 2

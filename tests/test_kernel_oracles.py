@@ -3,8 +3,9 @@
 The references below evaluate the increment law with one binom.pmf call
 per atom, and the limiting bidegree law from dense outer products of
 full-support Bin(x-2, y) rows plus a shift-and-add 2-D convolution.  The
-pmf CSV writers are checked byte for byte against a writer that emits one
-line per entry.
+own-layer law fprime2_pmf, the core of the bidegree law, is checked
+against the closed-form moments of limiting_moments.  The pmf CSV writers
+are checked byte for byte against a writer that emits one line per entry.
 """
 
 import math
@@ -20,10 +21,12 @@ from superpose_net import (
     compound_poisson_pmf,
     cross_moment,
     edge_biased_distribution,
+    fprime2_pmf,
     increment_pmf,
     kendall,
     limiting_bidegree_pmf,
     limiting_degree_pmf,
+    limiting_moments,
     pearson_correlation,
     spearman,
 )
@@ -96,9 +99,13 @@ def test_kernel_matches_direct_route(params):
 
     got = limiting_bidegree_pmf(params)
     want = reference_bidegree(params)
-    assert got.probs.shape == want.probs.shape
+    n = len(got.probs)
+    assert n <= len(want.probs)
+    assert want.probs[n:, :].sum() + want.probs[:n, n:].sum() <= 1e-15
+    padded = np.zeros_like(want.probs)
+    padded[:n, :n] = got.probs
     assert np.all(got.probs >= 0)
-    assert np.max(np.abs(got.probs - want.probs)) <= 1e-15
+    assert np.max(np.abs(padded - want.probs)) <= 1e-15
     assert got.mass_defect == pytest.approx(want.mass_defect, abs=1e-14)
 
     a, b = _functionals(got), _functionals(want)
@@ -107,6 +114,22 @@ def test_kernel_matches_direct_route(params):
             assert a[name] is None
         else:
             assert a[name] == pytest.approx(b[name], abs=1e-11)
+
+
+@pytest.mark.parametrize(
+    "params",
+    _laws()[:20] + [LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))],
+    ids=[f"law{i}" for i in range(20)] + ["power_law_1e4"],
+)
+def test_fprime2_moments_match_closed_form(params):
+    f = fprime2_pmf(params).probs
+    u = np.arange(len(f), dtype=float)
+    marginal = f.sum(axis=1)
+    mean = u @ marginal
+    want = limiting_moments(params)
+    assert mean == pytest.approx(want.e_dprime, rel=1e-10)
+    assert u**2 @ marginal == pytest.approx(want.e_dprime2, rel=1e-10)
+    assert u @ f @ u - mean**2 == pytest.approx(want.cov_dprime, rel=1e-10)
 
 
 def test_passing_the_degree_law_changes_nothing():

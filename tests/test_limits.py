@@ -208,10 +208,20 @@ class TestLimitingBidegree:
             # truncation error from both routes, not just f2's defect
             assert np.max(np.abs(a - b)) <= f2.mass_defect + 100 * params.tail_epsilon
 
+    def test_windowed_law_at_x_max_1e4(self):
+        params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))
+        f1 = limiting_degree_pmf(params)
+        f2 = limiting_bidegree_pmf(params, f1)
+        assert f2.probs.shape == (408, 408)
+        marg = f2.marginal(0).probs
+        sb = np.zeros(len(marg))
+        sb[: len(f1.probs)] = size_biased(f1).probs
+        assert np.max(np.abs(sb - marg)) <= f2.mass_defect + 100 * params.tail_epsilon
+
 
 class TestBidegreeMemoryBudget:
     def test_oversized_law_raises_before_allocating(self):
-        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100_000)
+        d = LayerTypeDistribution.power_law(3.0, 0.0, 0.5, 1, 20_000)
         start = time.perf_counter()
         with pytest.raises(MemoryBudgetExceeded):
             limiting_bidegree_pmf(LimitParams(1.0, d))
