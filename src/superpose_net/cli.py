@@ -3,7 +3,7 @@
 Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
 come from a JSON config; every run writes a manifest sufficient to
 reproduce it.  Exit codes: 1 config error, 2 degenerate statistic or
-any other typed error (a rate underflow, an over-budget limit law),
+any other typed error (a rate underflow, an array over the memory budget),
 3 hypothesis violation, 4 I/O error or an invalid edge-list file.
 """
 
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -56,37 +57,100 @@ class RunConfig:
     input: dict = field(default_factory=dict)
 
 
-def _reject_unknown(section: dict, allowed: set, path: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"{path}.{sorted(unknown)[0]}", "unknown key")
+def _is_int(value) -> bool:
+    return type(value) is int and -(2**63) <= value < 2**63
 
 
-def _parse_distribution(section, path="layer_distribution") -> LayerTypeDistribution:
-    if not isinstance(section, dict):
+def _is_number(value) -> bool:
+    return _is_int(value) or type(value) is float and math.isfinite(value)
+
+
+def _is_atom(value) -> bool:
+    return type(value) is list and len(value) == 3 and _is_int(value[0]) and all(map(_is_number, value[1:]))
+
+
+# each JSON kind a config field may take: what it must be, and its test
+_KINDS = {
+    "int": ("an integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "bool": ("true or false", lambda v: type(v) is bool),
+    "path": ("a path string", lambda v: type(v) is str),
+    "ints": ("a list of integers", lambda v: type(v) is list and all(map(_is_int, v))),
+    "metrics": ("a list of metric names", lambda v: type(v) is list and all(type(m) is str for m in v)),
+    "pair": ("a [lo, hi] pair of numbers", lambda v: type(v) is list and len(v) == 2 and all(map(_is_number, v))),
+    "atoms": ("a list of [size, strength, prob] atoms", lambda v: type(v) is list and all(map(_is_atom, v))),
+}
+
+# every allowed field of each section and of each layer_distribution
+# family, with its kind; the value ranges are checked by the constructors
+_FIELDS = {
+    "model": {"n": "int", "m": "int", "mu": "number", "seed": "int", "keep_layer_records": "bool"},
+    "theory": {"mu": "number", "tail_epsilon": "number"},
+    "study": {"mu": "number", "n_grid": "ints", "replications": "int", "seed": "int",
+              "metrics": "metrics", "tail_epsilon": "number", "fit_range": "pair"},
+    "input": {"edge_list": "path", "pmf_csv": "path", "fit_range": "pair"},
+    "layer_distribution": {
+        "constant": {"size": "int", "strength": "number"},
+        "tabular": {"atoms": "atoms"},
+        "power_law": {"alpha": "number", "beta": "number", "b": "number", "x_min": "int", "x_max": "int"},
+    },
+}
+_SECTIONS = ("model", "theory", "study", "input")
+
+# the fields each command needs ("a|b": one of the two); a
+# layer_distribution needs every field of its family
+_REQUIRED = {
+    "generate": ("layer_distribution", "model.n", "model.m|mu", "model.seed"),
+    "empirical": ("input.edge_list",),
+    "theory": ("layer_distribution", "theory.mu"),
+    "converge": ("layer_distribution", "study.mu", "study.n_grid", "study.replications", "study.seed"),
+    "tailfit": ("layer_distribution", "theory.mu"),
+}
+
+
+def _check_fields(section, fields: dict, path: str) -> None:
+    """ConfigError unless section is an object of known fields, each of its kind."""
+    if type(section) is not dict:
         raise ConfigError(path, "must be an object")
-    family = section.get("family")
-    try:
-        if family == "constant":
-            _reject_unknown(section, {"family", "size", "strength"}, path)
-            return LayerTypeDistribution.constant(section["size"], section["strength"])
-        if family == "tabular":
-            _reject_unknown(section, {"family", "atoms"}, path)
-            return LayerTypeDistribution.tabular(section["atoms"])
-        if family == "power_law":
-            _reject_unknown(
-                section, {"family", "alpha", "beta", "b", "x_min", "x_max"}, path
-            )
-            return LayerTypeDistribution.power_law(
-                section["alpha"], section["beta"], section["b"],
-                section["x_min"], section["x_max"],
-            )
-    except KeyError as exc:
-        raise ConfigError(f"{path}.{exc.args[0]}", "missing required field")
-    except ValueError as exc:
-        field_name = "strength" if "strength" in str(exc) else "size" if "size" in str(exc) else family or path
-        raise ConfigError(f"{path}.{field_name}", str(exc))
-    raise ConfigError(f"{path}.family", f"must be one of constant/tabular/power_law, got {family!r}")
+    for key, value in section.items():
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}", "unknown key")
+        what, test = _KINDS[fields[key]]
+        if not test(value):
+            shown = json.dumps(value)
+            shown = shown if len(shown) <= 40 else shown[:37] + "..."
+            raise ConfigError(f"{path}.{key}", f"{key} must be {what}, got {shown}")
+
+
+def _check_document(raw: dict, cmd: str) -> None:
+    """Check every section of raw against _FIELDS and the needs of cmd
+    against _REQUIRED."""
+    unknown = raw.keys() - {"command", *_FIELDS}
+    if unknown:
+        raise ConfigError(f"<top>.{sorted(unknown)[0]}", "unknown key")
+    for name in _SECTIONS:
+        _check_fields(raw.get(name, {}), _FIELDS[name], name)
+    if "layer_distribution" in raw:
+        dist = raw["layer_distribution"]
+        if type(dist) is not dict:
+            raise ConfigError("layer_distribution", "must be an object")
+        families = _FIELDS["layer_distribution"]
+        family = dist.get("family")
+        if type(family) is not str or family not in families:
+            raise ConfigError("layer_distribution.family", f"must be one of constant/tabular/power_law, got {family!r}")
+        fields = {k: v for k, v in dist.items() if k != "family"}
+        _check_fields(fields, families[family], "layer_distribution")
+        missing = sorted(families[family].keys() - fields.keys())
+        if missing:
+            raise ConfigError(f"layer_distribution.{missing[0]}", "missing required field")
+    for need in _REQUIRED[cmd]:
+        section, _, names = need.rpartition(".")
+        if not any(name in (raw.get(section, {}) if section else raw) for name in names.split("|")):
+            raise ConfigError(need, f"required for command {cmd!r}")
+    if "m" in raw.get("model", {}) and "mu" in raw.get("model", {}):
+        raise ConfigError("model.m", "give either m or mu, not both")
+    if cmd == "tailfit" and raw["layer_distribution"]["family"] != "power_law":
+        raise ConfigError("layer_distribution.family", "tailfit needs a power_law distribution")
 
 
 def parse_config(source, command: Optional[str] = None) -> RunConfig:
@@ -100,90 +164,38 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
             raise ConfigError("<document>", f"cannot read config file: {exc}")
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError("<document>", f"invalid JSON: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("<document>", "top level must be an object")
 
-    _reject_unknown(
-        raw,
-        {"command", "layer_distribution", "model", "theory", "study", "input"},
-        "<top>",
-    )
     cmd = command or raw.get("command")
     if cmd not in COMMANDS:
         raise ConfigError("command", f"must be one of {COMMANDS}, got {cmd!r}")
     if command and "command" in raw and raw["command"] != command:
         raise ConfigError("command", f"config says {raw['command']!r} but {command!r} was invoked")
-
-    cfg = RunConfig(command=cmd)
-
-    if "layer_distribution" in raw:
-        cfg.layer_distribution = _parse_distribution(raw["layer_distribution"])
-
-    model = dict(raw.get("model", {}))
-    _reject_unknown(model, {"n", "m", "mu", "seed", "keep_layer_records"}, "model")
-    if "m" in model and "mu" in model:
-        raise ConfigError("model.m", "give either m or mu, not both")
-    cfg.model = model
+    _check_document(raw, cmd)
 
     theory = dict(raw.get("theory", {}))
-    _reject_unknown(theory, {"mu", "tail_epsilon"}, "theory")
     theory.setdefault("tail_epsilon", _DEFAULT_TAIL_EPSILON)
-    cfg.theory = theory
-
-    study = dict(raw.get("study", {}))
-    _reject_unknown(
-        study,
-        {"mu", "n_grid", "replications", "seed", "metrics", "tail_epsilon", "fit_range"},
-        "study",
-    )
-    cfg.study = study
-
-    inp = dict(raw.get("input", {}))
-    _reject_unknown(inp, {"edge_list", "pmf_csv", "fit_range"}, "input")
-    cfg.input = inp
-
-    _check_required(cfg)
+    cfg = RunConfig(command=cmd, model=dict(raw.get("model", {})), theory=theory,
+                    study=dict(raw.get("study", {})), input=dict(raw.get("input", {})))
+    if "layer_distribution" in raw:
+        args = dict(raw["layer_distribution"])
+        build = getattr(LayerTypeDistribution, args.pop("family"))
+        cfg.layer_distribution = _validated("layer_distribution", build, **args)
     return cfg
-
-
-def _check_required(cfg: RunConfig) -> None:
-    need_dist = cfg.command in ("generate", "theory", "converge", "tailfit")
-    if need_dist and cfg.layer_distribution is None:
-        raise ConfigError("layer_distribution", f"required for command {cfg.command!r}")
-    if cfg.command == "generate":
-        for key in ("n", "seed"):
-            if key not in cfg.model:
-                raise ConfigError(f"model.{key}", "required for command 'generate'")
-        if "m" not in cfg.model and "mu" not in cfg.model:
-            raise ConfigError("model.m", "one of m / mu required")
-    if cfg.command in ("theory", "tailfit") and "mu" not in cfg.theory:
-        raise ConfigError("theory.mu", f"required for command {cfg.command!r}")
-    if cfg.command == "converge":
-        for key in ("mu", "n_grid", "replications", "seed"):
-            if key not in cfg.study:
-                raise ConfigError(f"study.{key}", "required for command 'converge'")
-    if cfg.command == "empirical" and "edge_list" not in cfg.input:
-        raise ConfigError("input.edge_list", "required for command 'empirical'")
-    if cfg.command == "tailfit" and cfg.layer_distribution.family != "power_law":
-        raise ConfigError("layer_distribution.family", "tailfit needs a power_law distribution")
 
 
 def serialize_config(cfg: RunConfig) -> dict:
     doc: dict = {"command": cfg.command}
     if cfg.layer_distribution is not None:
         d = cfg.layer_distribution
-        if d.family == "constant":
-            doc["layer_distribution"] = {"family": "constant", **d.params}
-        elif d.family == "power_law":
-            doc["layer_distribution"] = {"family": "power_law", **d.params}
+        if d.family == "tabular":
+            doc["layer_distribution"] = {"family": "tabular", "atoms": [[x, y, p] for x, y, p in d.atoms()]}
         else:
-            doc["layer_distribution"] = {
-                "family": "tabular",
-                "atoms": [[x, y, p] for x, y, p in d.atoms()],
-            }
-    for key in ("model", "theory", "study", "input"):
+            doc["layer_distribution"] = {"family": d.family, **d.params}
+    for key in _SECTIONS:
         section = getattr(cfg, key)
         if section:
             doc[key] = section
@@ -202,12 +214,7 @@ def _validated(section: str, build, **kwargs):
 
 
 def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None:
-    doc = {
-        "config": serialize_config(cfg),
-        "version": __version__,
-        "outputs": outputs,
-        **extra,
-    }
+    doc = {"config": serialize_config(cfg), "version": __version__, "outputs": outputs, **extra}
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
@@ -275,15 +282,9 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
 def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
     study = cfg.study
     spec = _validated(
-        "study", StudySpec,
-        dist=cfg.layer_distribution,
-        mu=study["mu"],
-        n_grid=tuple(study["n_grid"]),
-        replications=study["replications"],
-        seed=study["seed"],
-        metrics=study.get("metrics", DEFAULT_METRICS),
-        tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON),
-        fit_range=study.get("fit_range"),
+        "study", StudySpec, dist=cfg.layer_distribution, mu=study["mu"], n_grid=tuple(study["n_grid"]),
+        replications=study["replications"], seed=study["seed"], metrics=study.get("metrics", DEFAULT_METRICS),
+        tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON), fit_range=study.get("fit_range"),
     )
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
@@ -313,24 +314,16 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
     _manifest(cfg, out_dir, ["tail_prediction.json"], {})
 
 
+_RUNNERS = {"generate": _run_generate, "empirical": _run_empirical, "theory": _run_theory,
+            "converge": _run_converge, "tailfit": _run_tailfit}
+
+
 def dispatch(cfg: RunConfig, out_dir, seed_override=None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if seed_override is not None:
-        if cfg.command == "generate":
-            cfg.model["seed"] = seed_override
-        elif cfg.command == "converge":
-            cfg.study["seed"] = seed_override
-    if cfg.command == "generate":
-        _run_generate(cfg, out_dir)
-    elif cfg.command == "empirical":
-        _run_empirical(cfg, out_dir)
-    elif cfg.command == "theory":
-        _run_theory(cfg, out_dir)
-    elif cfg.command == "converge":
-        _run_converge(cfg, out_dir)
-    elif cfg.command == "tailfit":
-        _run_tailfit(cfg, out_dir)
+    if seed_override is not None and cfg.command in ("generate", "converge"):
+        (cfg.model if cfg.command == "generate" else cfg.study)["seed"] = seed_override
+    _RUNNERS[cfg.command](cfg, out_dir)
 
 
 def main(argv=None) -> int:
@@ -357,11 +350,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
-        cfg = parse_config(args.config, command=args.command)
-    except ConfigError as exc:
-        return fail(EXIT_CONFIG, "config", str(exc))
-    try:
-        dispatch(cfg, args.out, seed_override=args.seed)
+        dispatch(parse_config(args.config, command=args.command), args.out, seed_override=args.seed)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except (DegenerateMarginal, InsufficientSupport) as exc:

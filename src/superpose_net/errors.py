@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one memory budget
+that every array a config sizes is checked against."""
 
 
 class SuperposeError(Exception):
@@ -26,7 +27,19 @@ class RateUnderflow(SuperposeError):
 
 
 class MemoryBudgetExceeded(SuperposeError):
-    """A dense limit law would not fit the fixed memory budget."""
+    """An array that a config sizes would not fit the fixed memory budget."""
+
+
+MEMORY_BUDGET = 1 << 30  # bytes; one budget for every array a config sizes
+
+
+def check_memory(need: float, what: str) -> None:
+    """Raise MemoryBudgetExceeded, before allocating, if what needs more
+    than MEMORY_BUDGET bytes."""
+    if need > MEMORY_BUDGET:
+        raise MemoryBudgetExceeded(
+            f"{what} would take {need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+        )
 
 
 class EmptyGraph(SuperposeError):

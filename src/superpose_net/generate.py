@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidEdgeList, MissingRecords
+from .errors import InvalidEdgeList, MissingRecords, check_memory
 from .layers import LayerType, LayerTypeDistribution, sample_atoms
 
 _CHUNK = 1 << 16  # layers per random stream
@@ -31,6 +31,10 @@ _DRAW_BUDGET = 1 << 22  # random draws per block of a size group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
 _WRITE_ROWS = 1 << 16  # edges formatted per write; bounds the text held at once
+# largest n whose edge codes i * n + j fit in an int64
+_MAX_NODES = math.isqrt(2**63 - 1)
+# bytes a kept LayerRecord holds beyond its node and edge arrays
+_RECORD_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -42,10 +46,12 @@ class GenConfig:
     keep_layer_records: bool = False
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"need n >= 2, got {self.n}")
+        if not 2 <= self.n <= _MAX_NODES:
+            raise ValueError(f"need 2 <= n <= {_MAX_NODES}, got {self.n}")
         if (self.layers is None) == (self.mu is None):
             raise ValueError("exactly one of layers / mu must be given")
+        if self.mu is not None and not math.isfinite(self.mu * self.n):
+            raise ValueError(f"mu * n must be finite, got mu = {self.mu}")
         if self.m < 1:
             raise ValueError("derived layer count must be >= 1")
 
@@ -92,7 +98,9 @@ def _pair_indices(x: int, y: float, rng: np.random.Generator) -> np.ndarray:
     pos = -1
     est = max(8, int(npairs * y * 1.3) + 4)
     while True:
-        skips = rng.geometric(y, size=est)
+        # a skip past the end stops the walk alike at any length; capping it
+        # keeps the cumulative sum from overflowing at tiny y
+        skips = np.minimum(rng.geometric(y, size=est), npairs + 1)
         steps = pos + np.cumsum(skips)
         over = np.searchsorted(steps, npairs)
         hits.append(steps[:over])
@@ -187,11 +195,27 @@ def _sample_chunk(n, count, dist, rng, keep_records):
     return codes, records
 
 
+def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None:
+    """Raise MemoryBudgetExceeded if sampling the graph would not fit."""
+    x = np.minimum(dist.sizes, config.n).astype(float)  # the sampler clamps sizes to n
+    pairs = x * (x - 1) / 2
+    draws = float(dist.probs @ (pairs * dist.strengths))  # expected edge codes per layer
+    # the codes are all held at once, and one layer at a time holds its
+    # nodes and, at a dense strength, a draw per pair; the word per layer
+    # also bounds the work of a law whose layers draw no edges
+    dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
+    need = 8 * config.m * (1 + draws) + float(np.max(8 * x + 9 * pairs * dense, initial=0))
+    if config.keep_layer_records:
+        need += config.m * (_RECORD_BYTES + 8 * float(dist.probs @ x) + 16 * draws)
+    check_memory(need, "sampled layers")
+
+
 def generate_graph(config: GenConfig, dist: LayerTypeDistribution) -> GraphSample:
     """Sample the full superposition graph.
 
     Output is a pure function of (seed, config, dist).
     """
+    check_sampler_budget(config, dist)
     n, m = config.n, config.m
     seed = config.seed & 0xFFFFFFFFFFFFFFFF
     codes = []
@@ -218,6 +242,7 @@ def _edges_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
 
 def degrees(g: GraphSample) -> np.ndarray:
     """Distinct-neighbor counts per node; sums to twice the edge count."""
+    check_memory(16 * g.n, "degree arrays")
     d = np.bincount(g.edges[:, 0] - 1, minlength=g.n)
     d += np.bincount(g.edges[:, 1] - 1, minlength=g.n)
     return d
@@ -264,6 +289,8 @@ def read_edge_list(path) -> GraphSample:
     lo, hi = ids.min(axis=1), ids.max(axis=1)
     if n is None:
         n = int(hi.max(initial=0))
+    if not 0 <= n <= _MAX_NODES:
+        raise InvalidEdgeList(f"{path}: n = {n} is outside 0..{_MAX_NODES}")
     if len(ids) and (lo.min() < 1 or hi.max() > n):
         raise InvalidEdgeList(f"{path}: a node id lies outside 1..{n}")
     if np.any(lo == hi):

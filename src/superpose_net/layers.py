@@ -13,16 +13,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ZeroEdgeMass
+from .errors import ZeroEdgeMass, check_memory
 
 _PROB_TOL = 1e-12
+# bytes per power-law atom while it is built: sizes, weights and their
+# powers, probs, strengths and the cdf, plus a Python float for fsum
+_ATOM_BYTES = 80
 
 
-def falling_factorial(x: int, r: int) -> int:
-    """(x)_r = x (x-1) ... (x-r+1), zero when x < r."""
-    out = 1
-    for i in range(r):
-        out *= x - i
+def _falling_factorial(x: np.ndarray, r: int) -> np.ndarray:
+    """(x)_r = x (x-1) ... (x-r+1) as floats; zero when x < r.
+
+    Multiplies the factor pairs (x-i)(x-i-1), each exact in a double
+    below x = 9.4e7, so for r <= 4 the one product left is correctly
+    rounded, like float() of the exact integer.
+    """
+    x = x.astype(float)
+    out = np.ones(len(x))
+    for i in range(0, r - 1, 2):
+        out = out * ((x - i) * (x - i - 1))
+    if r % 2:
+        out = out * (x - (r - 1))
     return out
 
 
@@ -58,11 +69,11 @@ class LayerTypeDistribution:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not np.all((self.probs >= 0) & (self.probs <= 1)):
+            raise ValueError("atom probability outside [0,1]")
         total = math.fsum(self.probs.tolist())
         if abs(total - 1.0) > _PROB_TOL:
             raise ValueError(f"atom probabilities sum to {total}, not 1")
-        if np.any(self.probs < 0):
-            raise ValueError("negative atom probability")
         if np.any(self.sizes < 0):
             raise ValueError("negative layer size")
         if np.any((self.strengths < 0) | (self.strengths > 1)):
@@ -110,6 +121,7 @@ class LayerTypeDistribution:
             raise ValueError(f"b must be positive, got {b}")
         if not (float(x_min).is_integer() and float(x_max).is_integer() and 1 <= x_min <= x_max):
             raise ValueError(f"need integers 1 <= x_min <= x_max, got [{x_min}, {x_max}]")
+        check_memory(_ATOM_BYTES * (x_max - x_min + 1), "power-law atoms")
         sizes = np.arange(x_min, x_max + 1, dtype=np.int64)
         weights = sizes.astype(float) ** (-alpha)
         probs = weights / math.fsum(weights.tolist())
@@ -155,12 +167,10 @@ def cross_moment(dist: LayerTypeDistribution, r: int, s: int) -> float:
     """
     if r < 1 or s < 0:
         raise ValueError(f"need r >= 1, s >= 0, got r={r}, s={s}")
-    terms = [
-        falling_factorial(x, r) * y**s * p
-        for x, y, p in dist.atoms()
-        if x >= r and p > 0
-    ]
-    return math.fsum(terms)
+    keep = (dist.sizes >= r) & (dist.probs > 0)
+    # Python's float pow: numpy's power differs in the last bit for some cubes
+    ys = np.array([y**s for y in dist.strengths[keep].tolist()])
+    return math.fsum((_falling_factorial(dist.sizes[keep], r) * ys * dist.probs[keep]).tolist())
 
 
 @dataclass(frozen=True)
@@ -199,9 +209,13 @@ def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistributi
     p21 = cross_moment(dist, 2, 1)
     if p21 <= 0.0:
         raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
-    atoms = [
-        (x, y, falling_factorial(x, 2) * y * p / p21)
-        for x, y, p in dist.atoms()
-        if x >= 2 and y > 0 and p > 0
-    ]
-    return LayerTypeDistribution.tabular(atoms)
+    keep = (dist.sizes >= 2) & (dist.strengths > 0) & (dist.probs > 0)
+    x, y = dist.sizes[keep], dist.strengths[keep]
+    order = np.lexsort((y, x))  # the atom order of the tabular family
+    x, y = x[order], y[order]
+    return LayerTypeDistribution(
+        family="tabular",
+        sizes=x,
+        strengths=y,
+        probs=_falling_factorial(x, 2) * y * dist.probs[keep][order] / p21,
+    )

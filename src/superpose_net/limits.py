@@ -17,11 +17,11 @@ import numpy as np
 from .errors import (
     HypothesisViolation,
     InvalidLambda,
-    MemoryBudgetExceeded,
     RateUnderflow,
     ZeroDenominator,
     ZeroEdgeMass,
     ZeroP10,
+    check_memory,
 )
 from .layers import (
     CrossMoments,
@@ -32,7 +32,6 @@ from .layers import (
 from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D
 
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
-_MAX_BIDEGREE_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -137,7 +136,9 @@ def increment_pmf(params: LimitParams) -> Pmf1D:
         raise ZeroP10("increment law undefined: mean layer size is zero")
     keep = (dist.sizes > 0) & (dist.probs > 0)
     x = dist.sizes[keep]
-    out = np.zeros(max(dist.max_size - 1, 0) + 1)
+    length = max(dist.max_size - 1, 0) + 1
+    check_memory(8 * length, "increment law")
+    out = np.zeros(length)
     for _, k, value in _binomial_windows(x - 1, dist.strengths[keep], x * dist.probs[keep] / p10):
         out += np.bincount(k, weights=value, minlength=len(out))
     return Pmf1D(out)
@@ -187,11 +188,8 @@ def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
 
 
 def _check_budget(k: int, width: int) -> None:
-    need = 8 * (k + width) ** 2  # bytes of F'_2, T, T^T F'_2 and the width x width joint law
-    if need > _MAX_BIDEGREE_BYTES:
-        raise MemoryBudgetExceeded(
-            f"bidegree law needs {need / 2**30:.1f} GiB, over the {_MAX_BIDEGREE_BYTES / 2**30:g} GiB budget"
-        )
+    # bytes of F'_2, T, T^T F'_2 and the width x width joint law
+    check_memory(8 * (k + width) ** 2, "bidegree law")
 
 
 def check_bidegree_budget(params: LimitParams) -> tuple[LayerTypeDistribution, int]:
@@ -335,11 +333,16 @@ def tail_prediction(
         violations.append(f"b < 1 required when beta = 0 (b = {b})")
     if violations:
         raise HypothesisViolation(violations)
-    a = dist.normalization_amplitude()
     p21 = cross_moment(dist, 2, 1)
+    if p21 <= 0.0:
+        raise ZeroEdgeMass("tail constants undefined: P_21 = 0")
     exponent = (alpha - 2) / (1 - beta)
-    return TailPrediction(
-        marginal_exponent=exponent,
-        c_prime=a * b**exponent / ((1 - beta) * p21),
-        c_double_prime=mu * a**2 * b ** (2 * exponent) / ((1 - beta) ** 2 * p21),
-    )
+    try:
+        a = dist.normalization_amplitude()
+        return TailPrediction(
+            marginal_exponent=exponent,
+            c_prime=a * b**exponent / ((1 - beta) * p21),
+            c_double_prime=mu * a**2 * b ** (2 * exponent) / ((1 - beta) ** 2 * p21),
+        )
+    except OverflowError:
+        raise ValueError(f"tail constants overflow a double at alpha = {alpha}, b = {b}") from None

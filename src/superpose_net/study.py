@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DegenerateMarginal, InsufficientSupport
-from .generate import GenConfig, generate_graph
+from .generate import GenConfig, check_sampler_budget, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import (
     LimitParams,
@@ -104,16 +104,22 @@ class StudySpec:
     def __post_init__(self):
         if list(self.n_grid) != sorted(self.n_grid):
             raise ValueError("n_grid must be sorted ascending")
-        for n in self.n_grid:
-            GenConfig(n=n, mu=self.mu)  # raises for n < 2 or round(mu * n) < 1
+        LimitParams(self.mu, self.dist, self.tail_epsilon)  # raises for tail_epsilon outside (0, 1)
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (isinstance(self.metrics, (list, tuple)) and all(isinstance(m, str) for m in self.metrics)):
             raise ValueError(f"metrics must be a list of metric names, got {self.metrics!r}")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
+        for n in self.n_grid:
+            # raises for n < 2 or round(mu * n) < 1, and before the theory
+            # values for a grid that would not fit
+            cfg = GenConfig(n=n, mu=self.mu, keep_layer_records="subgraph_counts" in self.metrics)
+            check_sampler_budget(cfg, self.dist)
         if self.fit_range is not None:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from superpose_net import LayerTypeDistribution
+
+# the same examples on every run, so that the suite is deterministic
+settings.register_profile("deterministic", derandomize=True)
+settings.load_profile("deterministic")
 
 
 def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges=True):

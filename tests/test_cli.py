@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -55,7 +56,8 @@ class TestParseConfig:
         doc["layer_distribution"]["strength"] = 1.5
         with pytest.raises(ConfigError) as exc:
             parse_config(json.dumps(doc))
-        assert "layer_distribution.strength" in str(exc.value)
+        message = str(exc.value)
+        assert message.startswith("layer_distribution: ") and "strength" in message
 
     def test_both_m_and_mu(self):
         doc = json.loads(json.dumps(MINIMAL_GENERATE))
@@ -208,9 +210,39 @@ class TestMainExitCodes:
         ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                             "b": 1, "x_min": 1, "x_max": 100},
                      "theory": {"mu": 1.0}, "input": {"fit_range": [10]}}, []),
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": "100", "mu": 1, "seed": 7}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 2.5, "seed": 0}}, []),
+        ("generate", {**MINIMAL_GENERATE, "model": [1, 2]}, []),
+        ("theory", {"layer_distribution": {"family": "tabular", "atoms": 5}, "theory": {"mu": 1.0}}, []),
+        ("theory", {"layer_distribution": {"family": "tabular", "atoms": [[10**19, 0.5, 1]]},
+                    "theory": {"mu": 1.0}}, []),
+        ("theory", {"layer_distribution": {"family": "constant", "size": "3", "strength": 0.5},
+                    "theory": {"mu": 1.0}}, []),
+        ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                    "theory": {"mu": "1"}}, []),
+        ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": "3", "beta": 0.5,
+                                            "b": 1, "x_min": 1, "x_max": 100},
+                     "theory": {"mu": 1.0}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": ["100"], "replications": 1, "seed": 0}}, []),
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": 10**19, "mu": 1, "seed": 7}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": -1}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "tail_epsilon": 0}}, []),
+        ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                    "theory": {"mu": True}}, []),
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": 4_000_000_000, "m": 3, "seed": 7}}, []),
+        ("empirical", {"input": {"edge_list": 3}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
-            "metrics_string", "metrics_not_names", "input_fit_range_one_number"])
+            "metrics_string", "metrics_not_names", "input_fit_range_one_number",
+            "n_string", "replications_2_5", "model_a_list", "atoms_a_number", "tabular_size_1e19",
+            "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
+            "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
+            "edge_list_a_number"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -247,7 +279,7 @@ class TestMainExitCodes:
         assert main(["generate", "--config", doc, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "graph.edgelist").exists()
 
-    @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 2 3\n"])
+    @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 2 3\n", "# n=4000000000\n1 2\n"])
     def test_invalid_edge_list_is_4(self, tmp_path, capsys, body):
         edge_file = tmp_path / "bad.edgelist"
         edge_file.write_text("# superpose-net n=3 m=1 seed=0\n" + body)
@@ -273,6 +305,37 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
+
+    @pytest.mark.parametrize("command, doc, header", [
+        ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                           "b": 1, "x_min": 1, "x_max": 10**9},
+                    "theory": {"mu": 1.0}}, None),
+        ("converge", {"layer_distribution": {"family": "constant", "size": 10**11, "strength": 0.5},
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["tv1"]}}, None),
+        ("empirical", {}, "# n=1000000000\n"),
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": 100, "m": 10**13, "seed": 7}}, None),
+        ("generate", {"layer_distribution": {"family": "constant", "size": 0, "strength": 0.5},
+                      "model": {"n": 100, "m": 10**13, "seed": 7}}, None),
+        ("generate", {**MINIMAL_GENERATE,
+                      "model": {"n": 100, "m": 10**7, "seed": 7, "keep_layer_records": True}}, None),
+        ("generate", {"layer_distribution": {"family": "constant", "size": 10**9, "strength": 1e-18},
+                      "model": {"n": 2 * 10**9, "m": 1, "seed": 7}}, None),
+        ("converge", {"layer_distribution": {"family": "constant", "size": 20_000, "strength": 0.5},
+                      "study": {"mu": 1e-5, "n_grid": [200_000], "replications": 1, "seed": 1,
+                                "metrics": ["tv1"]}}, None),
+    ], ids=["power_law_x_max_1e9", "tv1_size_1e11", "empirical_n_1e9", "m_1e13", "m_1e13_edgeless",
+            "records_of_1e7_layers", "one_layer_of_1e9_nodes", "study_grid_before_theory"])
+    def test_unbounded_allocation_is_2(self, tmp_path, capsys, command, doc, header):
+        if header is not None:
+            (tmp_path / "g.edgelist").write_text(header + "1 2\n2 3\n")
+            doc = {"input": {"edge_list": str(tmp_path / "g.edgelist")}}
+        start = time.perf_counter()
+        code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 2.0
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "MemoryBudgetExceeded"
+        assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
 
     def test_theory_evaluates_each_law_once(self, tmp_path, monkeypatch):
         import superpose_net.cli as cli_mod

@@ -102,6 +102,11 @@ class TestGenerateGraph:
         g = generate_graph(GenConfig(n=50, layers=100, seed=1), d)
         assert g.edge_count == 0
 
+    def test_tiny_strength_draws_no_edges(self):
+        # a geometric skip of 2^63 - 1 once overflowed the walk over the pairs
+        d = LayerTypeDistribution.constant(100, 1e-300)
+        assert generate_graph(GenConfig(n=100, layers=100, seed=7), d).edge_count == 0
+
     def test_per_layer_link_draw_mean(self):
         # mean raw (multiplicity) edge draws per layer -> P_21 / 2
         d = LayerTypeDistribution.constant(3, 0.5)

@@ -30,6 +30,31 @@ def tabular_dists():
     return st.lists(atom, min_size=1, max_size=6).map(normalize)
 
 
+def loop_cross_moment(dist, r, s):
+    """cross_moment as a loop over the atoms with exact integer (x)_r."""
+    return math.fsum(math.prod(range(x - r + 1, x + 1)) * y**s * p
+                     for x, y, p in dist.atoms() if x >= r and p > 0)
+
+
+def loop_edge_biased(dist):
+    """edge_biased_distribution as a loop through the tabular family."""
+    p21 = loop_cross_moment(dist, 2, 1)
+    return LayerTypeDistribution.tabular(
+        (x, y, x * (x - 1) * y * p / p21) for x, y, p in dist.atoms() if x >= 2 and y > 0 and p > 0)
+
+
+def wide_dists():
+    """Tabular laws with sizes up to 9.4e7, where (x)_2 is still exact in a
+    double, and power laws."""
+    atom = st.tuples(st.integers(0, 94_000_000), st.floats(0.0, 1.0), st.floats(1e-3, 1.0))
+    tabular = st.lists(atom, min_size=1, max_size=40).map(
+        lambda atoms: LayerTypeDistribution.tabular(
+            (x, y, w / math.fsum(a[2] for a in atoms)) for x, y, w in atoms))
+    power_law = st.builds(LayerTypeDistribution.power_law, st.floats(2.1, 4.0), st.floats(0.0, 0.9),
+                          st.floats(0.1, 2.0), st.just(1), st.integers(1, 3000))
+    return st.one_of(tabular, power_law)
+
+
 class TestLayerType:
     def test_rejects_bad_strength(self):
         with pytest.raises(ValueError):
@@ -139,6 +164,17 @@ class TestConstruction:
             LayerTypeDistribution.power_law(2.5, 1.0, 1.0, 1, 100)
         with pytest.raises(ValueError):
             LayerTypeDistribution.power_law(2.5, 0.5, 1.0, 5, 4)
+
+    @given(wide_dists())
+    @settings(max_examples=150, deadline=None)
+    def test_vectorised_moments_equal_the_atom_loop(self, d):
+        for r in range(1, 5):
+            for s in range(4):
+                assert cross_moment(d, r, s) == loop_cross_moment(d, r, s)
+        if loop_cross_moment(d, 2, 1) > 0:
+            biased, reference = edge_biased_distribution(d), loop_edge_biased(d)
+            for name in ("sizes", "strengths", "probs"):
+                assert np.array_equal(getattr(biased, name), getattr(reference, name))
 
     def test_cross_moments_quintuple(self, rng):
         d = random_tabular(rng)

@@ -329,6 +329,16 @@ class TestTailPrediction:
         with pytest.raises(ValueError, match="mu must be positive"):
             tail_prediction(3.0, 0.5, 1.0, mu, d)
 
+    def test_edgeless_law_is_zero_edge_mass(self):
+        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 1)  # every layer has one node
+        with pytest.raises(ZeroEdgeMass):
+            tail_prediction(3.0, 0.5, 1.0, 1.0, d)
+
+    def test_overflowing_constants_rejected(self):
+        d = LayerTypeDistribution.power_law(3.0, 0.5, 1e308, 1, 100)
+        with pytest.raises(ValueError, match="overflow"):
+            tail_prediction(3.0, 0.5, 1e308, 1.0, d)
+
 
 class TestTailValidityWindow:
     """The power-law slope of the limiting size-biased degree law matches

@@ -149,8 +149,9 @@ class TestRunStudy:
                       replications=1, seed=0, metrics=("bogus",))
 
     @pytest.mark.parametrize("changes", [
-        {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001},
-    ], ids=["n_is_1", "mu_0", "no_layers_at_n"])
+        {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"seed": -1}, {"tail_epsilon": 0.0},
+        {"n_grid": (200, 4_000_000_000)},
+    ], ids=["n_is_1", "mu_0", "no_layers_at_n", "seed_negative", "tail_epsilon_0", "n_overflows_edge_codes"])
     def test_spec_rejects_values_that_fail_in_a_cell(self, changes):
         # each of these used to pass the spec and fail inside run_study
         with pytest.raises(ValueError):
