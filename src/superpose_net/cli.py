@@ -218,6 +218,19 @@ def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
+def _functionals(f2, names) -> dict:
+    """The named FUNCTIONALS of f2; one whose marginal is degenerate is
+    null, with the reason under <name>_degenerate."""
+    out = {}
+    for name in names:
+        try:
+            out[name] = FUNCTIONALS[name](f2)
+        except DegenerateMarginal as exc:
+            out[name] = None
+            out[f"{name}_degenerate"] = str(exc)
+    return out
+
+
 def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
     model = cfg.model
     gen = _validated(
@@ -245,13 +258,7 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
     pmf1d_to_csv(size_biased(f1), out_dir / "size_biased_pmf.csv")
     pmf2d_to_csv(f2, out_dir / "bidegree_pmf.csv")
     outputs += ["degree_pmf.csv", "size_biased_pmf.csv", "bidegree_pmf.csv"]
-    summary = {"n": g.n, "edges": g.edge_count}
-    for name, fn in FUNCTIONALS.items():
-        try:
-            summary[name] = fn(f2)
-        except DegenerateMarginal as exc:
-            summary[name] = None
-            summary[f"{name}_degenerate"] = str(exc)
+    summary = {"n": g.n, "edges": g.edge_count, **_functionals(f2, FUNCTIONALS)}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     outputs.append("summary.json")
     _manifest(cfg, out_dir, outputs, {"mass_defects": {"degree_pmf": 0.0, "bidegree_pmf": 0.0}})
@@ -265,12 +272,12 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     check_bidegree_budget(params)  # before the degree law, which can take seconds
     f1 = limiting_degree_pmf(params)
     f2 = limiting_bidegree_pmf(params, f1)
-    pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
-    pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
     # the limit's assortativity in closed form, its rank functionals from f2
     summary = {"assortativity": limiting_assortativity(params)}
-    summary.update((name, fn(f2)) for name, fn in FUNCTIONALS.items() if name != "assortativity")
+    summary.update(_functionals(f2, [name for name in FUNCTIONALS if name != "assortativity"]))
     summary["moments"] = vars(limiting_moments(params))
+    pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
+    pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     _manifest(
         cfg, out_dir,

@@ -47,100 +47,59 @@ class LimitParams:
             raise ValueError(f"tail_epsilon must be in (0,1), got {self.tail_epsilon}")
 
 
-# stirlerr(n) = log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15; 0 at n = 0
-_STIRLERR = np.array([
-    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
-    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
-    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
-    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
-    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
-])
-
-
-def _stirlerr(n):
-    """Error of Stirling's formula for log(n!): the table up to 15, the
-    series 1/12n - 1/360n^3 + 1/1260n^5 - 1/1680n^7 + 1/1188n^9 above."""
-    r = 1.0 / n
-    rr = r * r
-    out = r * (1 / 12 - rr * (1 / 360 - rr * (1 / 1260 - rr * (1 / 1680 - rr / 1188))))
-    small = n <= 15
-    out[small] = _STIRLERR[n[small]]
-    return out
-
-
-def _bd0(x, m):
-    """x log(x/m) + m - x.  Where |v| < 0.1, v = (x-m)/(x+m), it is summed
-    as (x-m) v + 2x (v^3/3 + v^5/5 + ... + v^17/17), which is free of the
-    closed form's cancellation near x = m; the omitted terms are below
-    2e-18 of the sum."""
-    d = x - m
-    v = d / (x + m)
-    w = v * v
-    tail = 1 / 17
-    for j in range(7, 0, -1):
-        tail = 1 / (2 * j + 1) + w * tail
-    series = d * v + 2 * x * v * w * tail
-    return np.where(np.abs(v) < 0.1, series, x * np.log(x / m) + m - x)
-
-
-def _binom_pmf(k, trials, p):
-    """P(Bin(trials, p) = k) elementwise for 0 <= k <= trials, in Loader's
-    saddle-point form ("Fast and accurate computation of binomial
-    probabilities", 2000), the one R's dbinom uses: for 0 < k < n and
-    0 < p < 1, exp(stirlerr(n) - stirlerr(k) - stirlerr(n-k) - bd0(k, np)
-    - bd0(n-k, nq)) / sqrt(2 pi k (n-k) / n); q^n at k = 0, p^n at k = n."""
-    out = np.zeros(len(k))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        low = k == 0
-        out[low] = np.exp(trials[low] * np.log1p(-p[low]))
-        high = (k == trials) & ~low
-        out[high] = np.exp(trials[high] * np.log(p[high]))
-    out[trials == 0] = 1.0
-    mid = (0 < k) & (k < trials) & (0 < p) & (p < 1)
-    k, n, p = k[mid], trials[mid], p[mid]
-    x, nf = k.astype(float), n.astype(float)
-    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(x, nf * p) - _bd0(nf - x, nf * (1 - p))
-    out[mid] = np.exp(lc) / np.sqrt(2 * np.pi * x * (1 - x / nf))
-    return out
-
-
 def _windows(trials, strengths):
-    """First index and length of each Bin(trials, strengths) row's 10-sigma
-    window, whose omitted mass is below double precision."""
+    """First index and length of each Bin(trials, strengths) row's window,
+    10 sd plus 8 either side of the mean.  For trials <= 1e7 and strengths
+    in [1e-9, 1 - 1e-9] it leaves out at most 3.2e-18 of the row's mass."""
     sd = np.sqrt(trials * strengths * (1.0 - strengths))
-    lo = np.maximum(0, (trials * strengths - 10 * sd - 5).astype(np.int64))
-    length = np.minimum(trials, (trials * strengths + 10 * sd + 5).astype(np.int64)) - lo + 1
+    lo = np.maximum(0, (trials * strengths - 10 * sd - 8).astype(np.int64))
+    length = np.minimum(trials, (trials * strengths + 10 * sd + 8).astype(np.int64)) - lo + 1
     return lo, length
 
 
 def _binomial_windows(trials, strengths, weights):
     """Yield (row, k, weights[row] * P(Bin(trials[row], strengths[row]) = k))
-    arrays over each atom's window, in row-major blocks of about _BLOCK_ENTRIES values."""
+    arrays over each atom's window, in row-major blocks of about _BLOCK_ENTRIES values.
+
+    A block is padded to its longest window.  Along each row the pmf is the
+    running product of P(k)/P(k-1) = (n-k+1)p / (kq) from 1 at the
+    window's first index, divided by its sum, which is exact because the
+    window holds all the row's mass.  A row with p = 1 is a point mass at k = n."""
     lo, length = _windows(trials, strengths)
-    shift = lo + length - np.cumsum(length)  # k minus the flat position of its value
     step = max(1, _BLOCK_ENTRIES // int(length.max(initial=1)))
     for first in range(0, len(length), step):
-        row = np.repeat(np.arange(first, min(first + step, len(length))), length[first : first + step])
-        k = shift[row] - shift[first] + lo[first] + np.arange(len(row))
-        yield row, k, weights[row] * _binom_pmf(k, trials[row], strengths[row])
+        part = slice(first, first + step)
+        n, p = trials[part, None], strengths[part, None]
+        j = np.arange(int(length[part].max()))
+        k = lo[part, None] + j
+        inside = j < length[part, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(inside, (n + 1.0 - k) * (p / (1.0 - p)) / k, 0.0)  # P(k) / P(k-1)
+            ratio[:, 0] = 1.0
+            pmf = np.where(p == 1.0, k == n, np.cumprod(ratio, axis=1))
+        pmf /= pmf.sum(axis=1, keepdims=True)
+        row = np.repeat(np.arange(first, first + len(n)), length[part])
+        yield row, k[inside], weights[row] * pmf[inside]
 
 
 def increment_pmf(params: LimitParams) -> Pmf1D:
     """Size of one layer's degree contribution at a node it contains.
 
-    A finite mixture of Bin(x-1, y) laws weighted by x * P(x, y); exact.
+    A finite mixture of Bin(x-1, y) laws weighted by x * P(x, y); exact,
+    on the support up to the largest window end.
     """
     dist = params.dist
     p10 = cross_moment(dist, 1, 0)
     if p10 <= 0.0:
         raise ZeroP10("increment law undefined: mean layer size is zero")
     keep = (dist.sizes > 0) & (dist.probs > 0)
-    x = dist.sizes[keep]
-    length = max(dist.max_size - 1, 0) + 1
-    check_memory(8 * length, "increment law")
-    out = np.zeros(length)
-    for _, k, value in _binomial_windows(x - 1, dist.strengths[keep], x * dist.probs[keep] / p10):
-        out += np.bincount(k, weights=value, minlength=len(out))
+    x, y = dist.sizes[keep], dist.strengths[keep]
+    lo, length = _windows(x - 1, y)
+    size = int((lo + length).max())
+    check_memory(8 * size, "increment law")
+    out = np.zeros(size)
+    for _, k, value in _binomial_windows(x - 1, y, x * dist.probs[keep] / p10):
+        out += np.bincount(k, weights=value, minlength=size)
     return Pmf1D(out)
 
 
@@ -162,20 +121,23 @@ def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = 1e-10) -> P
     if len(gk) == 1:
         return Pmf1D(np.array([1.0]))  # all increments are zero
     kk = np.arange(len(gk)) * gk
-    f = [math.exp(-lam * (1.0 - gk[0]))]
-    if f[0] == 0.0:
+    acc = math.exp(-lam * (1.0 - gk[0]))
+    if acc == 0.0:
         raise RateUnderflow(f"f(0) = exp(-lam (1 - g(0))) underflows to 0 at rate {lam:g}")
-    acc = f[0]
+    f = np.zeros(1024)  # doubled when full
+    f[0] = acc
     s = 0
     while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT:
         s += 1
+        if s == len(f):
+            f = np.concatenate([f, np.zeros(len(f))])
         lo = max(0, s - len(gk) + 1)
-        window = np.asarray(f[lo:s][::-1])
-        val = (lam / s) * float(kk[1 : s - lo + 1] @ window)
-        f.append(val)
+        # a contiguous reversed copy: a strided view changes the dot's last bits
+        val = (lam / s) * float(kk[1 : s - lo + 1] @ f[lo:s][::-1].copy())
+        f[s] = val
         acc += val
-    probs = np.array(f)
-    return Pmf1D(probs, mass_defect=max(0.0, 1.0 - math.fsum(f)))
+    probs = f[: s + 1]
+    return Pmf1D(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
 
 
 def limiting_degree_pmf(params: LimitParams) -> Pmf1D:

@@ -165,7 +165,8 @@ def pmf2d_to_csv(f: Pmf2D, path) -> None:
 
 def pmf1d_from_csv(path) -> Pmf1D:
     """Read a pmf1d_to_csv file.  ValueError if a line after the header is
-    not `s,prob` with 0 <= s <= _MAX_SUPPORT, or if the mass is not 1."""
+    not `s,prob` with 0 <= s <= _MAX_SUPPORT, if a support point appears
+    twice, or if the mass is not 1."""
     entries = {}
     defect = 0.0
     with open(path) as fh:
@@ -176,6 +177,8 @@ def pmf1d_from_csv(path) -> Pmf1D:
                 defect = float(line.split("=", 1)[1])
             elif line:
                 s, p = line.split(",")
+                if int(s) in entries:
+                    raise ValueError(f"support point {int(s)} appears twice")
                 entries[int(s)] = float(p)
     if min(entries, default=0) < 0:
         raise ValueError(f"negative support point {min(entries)}")

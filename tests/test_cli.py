@@ -250,9 +250,9 @@ class TestMainExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", "",
-                                      "10000000000000,1.0\n"],
+                                      "10000000000000,1.0\n", "1,0.0019\n1,1.0\n"],
                              ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows",
-                                  "s_beyond_longest_law"])
+                                  "s_beyond_longest_law", "s_twice"])
     def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, rows):
         pmf_csv = tmp_path / "pmf.csv"
         pmf_csv.write_text("s,prob\n" + rows)
@@ -336,6 +336,28 @@ class TestMainExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_degenerate_theory_writes_every_file(self, tmp_path):
+        """A point-mass limit has null rank functionals, as in empirical."""
+        assert main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "tabular", "atoms": [[3, 1.0, 1.0]]},
+            "theory": {"mu": 1e-12},
+        }), "--out", str(tmp_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "limiting_bidegree_pmf.csv", "limiting_degree_pmf.csv", "manifest.json", "summary.json"]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        for name in ("kendall", "spearman"):
+            assert summary[name] is None
+            assert summary[f"{name}_degenerate"] == "a marginal is a point mass"
+
+    def test_increment_law_is_sized_by_its_window(self, tmp_path):
+        """A layer of 10^9 nodes at strength 1e-8 has a short increment law."""
+        start = time.perf_counter()
+        assert main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "constant", "size": 10**9, "strength": 1e-8},
+            "theory": {"mu": 1e-9},
+        }), "--out", str(tmp_path)]) == 0
+        assert time.perf_counter() - start < 2.0
 
     def test_theory_evaluates_each_law_once(self, tmp_path, monkeypatch):
         import superpose_net.cli as cli_mod

@@ -1,11 +1,12 @@
 """The binomial-mixture kernel of limits.py against the direct route.
 
 The references below evaluate the increment law with one binom.pmf call
-per atom, and the limiting bidegree law from dense outer products of
-full-support Bin(x-2, y) rows plus a shift-and-add 2-D convolution.  The
-own-layer law fprime2_pmf, the core of the bidegree law, is checked
-against the closed-form moments of limiting_moments.  The pmf CSV writers
-are checked byte for byte against a writer that emits one line per entry.
+per atom over its full support, and the limiting bidegree law from dense
+outer products of full-support Bin(x-2, y) rows plus a shift-and-add 2-D
+convolution.  The own-layer law fprime2_pmf, the core of the bidegree law,
+is checked against the closed-form moments of limiting_moments.  The pmf
+CSV writers are checked byte for byte against a writer that emits one line
+per entry.
 """
 
 import math
@@ -30,6 +31,7 @@ from superpose_net import (
     pearson_correlation,
     spearman,
 )
+from superpose_net.limits import _windows
 from superpose_net.pmf import Pmf1D, Pmf2D, pmf1d_to_csv, pmf2d_to_csv
 
 from conftest import random_tabular
@@ -41,16 +43,7 @@ def reference_increment(dist):
     for x, y, p in dist.atoms():
         if x == 0 or p == 0:
             continue
-        trials = x - 1
-        weight = x * p / p10
-        if trials == 0:
-            out[0] += weight
-            continue
-        sd = math.sqrt(trials * y * (1.0 - y))
-        lo = max(0, int(trials * y - 10 * sd - 5))
-        hi = min(trials, int(trials * y + 10 * sd + 5))
-        ks = np.arange(lo, hi + 1)
-        out[lo : hi + 1] += weight * binom.pmf(ks, trials, y)
+        out[:x] += x * p / p10 * binom.pmf(np.arange(x), x - 1, y)
     return out
 
 
@@ -95,7 +88,10 @@ def _laws():
 
 @pytest.mark.parametrize("params", _laws(), ids=[f"law{i}" for i in range(20)] + ["power_law_300"])
 def test_kernel_matches_direct_route(params):
-    assert np.max(np.abs(increment_pmf(params).probs - reference_increment(params.dist))) <= 1e-15
+    g, want_g = increment_pmf(params).probs, reference_increment(params.dist)
+    assert len(g) <= len(want_g)
+    assert want_g[len(g):].sum() <= 1e-15
+    assert np.max(np.abs(np.pad(g, (0, len(want_g) - len(g))) - want_g)) <= 1e-15
 
     got = limiting_bidegree_pmf(params)
     want = reference_bidegree(params)
@@ -130,6 +126,20 @@ def test_fprime2_moments_match_closed_form(params):
     assert mean == pytest.approx(want.e_dprime, rel=1e-10)
     assert u**2 @ marginal == pytest.approx(want.e_dprime2, rel=1e-10)
     assert u @ f @ u - mean**2 == pytest.approx(want.cov_dprime, rel=1e-10)
+
+
+def test_windows_hold_all_the_mass():
+    """Each binomial window leaves out at most 2^-53 of its row's mass, also
+    at the two points where a pad of 5 left out 8.2e-14 and 8.4e-14."""
+    grid_n, grid_y = np.meshgrid(
+        np.unique(np.geomspace(1, 1e7, 60).astype(np.int64)),
+        np.concatenate([np.geomspace(1e-9, 0.5, 40), 1 - np.geomspace(1e-9, 0.5, 40)]),
+    )
+    trials = np.concatenate([[1483, 212_288], grid_n.ravel()])
+    strengths = np.concatenate([[1e-4, 1.07e-6], grid_y.ravel()])
+    lo, length = _windows(trials, strengths)
+    left_out = binom.sf(lo + length - 1, trials, strengths) + binom.cdf(lo - 1, trials, strengths)
+    assert left_out.max() <= 2.0**-53
 
 
 def test_passing_the_degree_law_changes_nothing():

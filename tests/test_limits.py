@@ -1,6 +1,5 @@
 import math
 import time
-from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from superpose_net import (
     spearman,
     tail_prediction,
 )
-from superpose_net.limits import _binom_pmf, _stirlerr
+from superpose_net.limits import _binomial_windows
 
 from conftest import random_tabular
 
@@ -47,11 +46,45 @@ def brute_force_cpoi(lam, g, j_max=None):
     return out
 
 
+def list_cpoi(lam, g, tail_epsilon=1e-10):
+    """Reference: the compound Poisson recursion with f kept in a list."""
+    gk = np.trim_zeros(g, "b")
+    kk = np.arange(len(gk)) * gk
+    f = [math.exp(-lam * (1.0 - gk[0]))]
+    acc = f[0]
+    s = 0
+    while 1.0 - acc >= tail_epsilon:
+        s += 1
+        lo = max(0, s - len(gk) + 1)
+        val = (lam / s) * float(kk[1 : s - lo + 1] @ np.asarray(f[lo:s][::-1]))
+        f.append(val)
+        acc += val
+    return np.array(f), max(0.0, 1.0 - math.fsum(f))
+
+
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
 
 
+def dense_rows(trials, y):
+    """Rows of P(Bin(trials[i], y) = k) over k = 0..trials[i] from the windowed
+    kernel, zero outside each window."""
+    out = np.zeros((len(trials), int(trials.max()) + 1))
+    for row, k, value in _binomial_windows(trials, np.full(len(trials), y), np.ones(len(trials))):
+        out[row, k] = value
+    return out
+
+
+def kernel_at(trials, y, k):
+    """The windowed kernel's P(Bin(trials[i], y) = k[i]), zero outside the window."""
+    out = np.zeros(len(trials))
+    for row, kk, value in _binomial_windows(trials, np.full(len(trials), y), np.ones(len(trials))):
+        hit = kk == k[row]
+        out[row[hit]] = value[hit]
+    return out
+
+
 class TestBinomialKernel:
-    """The numpy binomial pmf of the limit engine against scipy's."""
+    """The windowed binomial pmf of the limit engine against scipy's."""
 
     STRENGTHS = (0.0, 1e-9, 1e-4, 0.01, 0.3, 0.5, 0.99, 1.0)
 
@@ -59,31 +92,15 @@ class TestBinomialKernel:
     def test_every_k_up_to_2000_trials(self, y):
         for first in range(0, 2001, 500):
             trials = np.arange(first, min(first + 500, 2001))
-            n = np.repeat(trials, trials + 1)
-            k = np.arange(len(n)) - np.repeat(np.cumsum(trials + 1) - trials - 1, trials + 1)
-            p = np.full(len(n), y)
-            assert np.abs(_binom_pmf(k, n, p) - binom.pmf(k, n, y)).max() <= 1e-14
+            got = dense_rows(trials, y)
+            k = np.arange(got.shape[1])
+            assert np.abs(got - binom.pmf(k, trials[:, None], y)).max() <= 1e-14
 
     def test_relative_accuracy_at_the_mode(self):
-        n = np.array([1, 2, 3, 7, 16, 100, 1000, 10**4, 10**5, 10**6])
+        n = np.array([1, 2, 3, 7, 16, 100, 1000, 10**4, 10**5, 10**6, 10**7, 10**8, 10**9])
         for y in self.STRENGTHS:
             k = np.minimum(((n + 1) * y).astype(np.int64), n)
-            got = _binom_pmf(k, n, np.full(len(n), y))
-            assert np.abs(got / binom.pmf(k, n, y) - 1).max() <= 1e-12
-
-    def test_stirlerr_against_exact_log_factorials(self):
-        """Table entries to double precision; above 15 the series is off by
-        at most its first omitted term, 691/360360 n^-11 (1.1e-16 at 16)."""
-        pi = Decimal("3.14159265358979323846264338327950288419716939937510")
-        n = np.arange(1, 201)
-        with localcontext() as ctx:
-            ctx.prec = 50
-            exact = [
-                float(Decimal(math.factorial(i)).ln() - (i + Decimal("0.5")) * Decimal(i).ln()
-                      + i - (2 * pi).ln() / 2)
-                for i in n.tolist()
-            ]
-        assert np.abs(_stirlerr(n) - exact).max() <= 2e-16
+            assert np.abs(kernel_at(n, y, k) / binom.pmf(k, n, y) - 1).max() <= 1e-12
 
 
 class TestIncrementPmf:
@@ -125,6 +142,26 @@ class TestCompoundPoisson:
             oracle = brute_force_cpoi(lam, g)
             width = min(len(f.probs), len(oracle))
             assert np.max(np.abs(f.probs[:width] - oracle[:width])) < 1e-10
+
+    @pytest.mark.parametrize("mu, dist", [
+        (1.3, TWO_FOUR),
+        (1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 1000)),
+        (1e-5, LayerTypeDistribution.constant(2000, 0.5)),
+    ], ids=["two_four", "power_law_1000", "long_constant_2000"])
+    def test_equals_the_list_recursion(self, mu, dist):
+        params = LimitParams(mu, dist)
+        g = increment_pmf(params)
+        lam = mu * dist.sizes @ dist.probs
+        f = compound_poisson_pmf(lam, g)
+        want, defect = list_cpoi(lam, g.probs)
+        assert np.array_equal(f.probs, want)
+        assert f.mass_defect == defect
+
+    def test_long_increment_law_is_fast(self):
+        params = LimitParams(1e-5, LayerTypeDistribution.constant(10_000, 0.5))
+        start = time.perf_counter()
+        limiting_degree_pmf(params)
+        assert time.perf_counter() - start < 1.0
 
     def test_invalid_lambda(self):
         with pytest.raises(InvalidLambda):
@@ -212,7 +249,7 @@ class TestLimitingBidegree:
         params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))
         f1 = limiting_degree_pmf(params)
         f2 = limiting_bidegree_pmf(params, f1)
-        assert f2.probs.shape == (408, 408)
+        assert f2.probs.shape == (411, 411)
         marg = f2.marginal(0).probs
         sb = np.zeros(len(marg))
         sb[: len(f1.probs)] = size_biased(f1).probs
