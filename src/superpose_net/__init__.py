@@ -45,8 +45,8 @@ from .limits import (
     fprime2_pmf,
     increment_pmf,
     limiting_assortativity,
-    limiting_bidegree_pmf,
     limiting_degree_pmf,
+    limiting_laws,
     limiting_moments,
     tail_prediction,
 )

@@ -29,22 +29,19 @@ from .errors import (
 from .generate import GenConfig, generate_graph, read_edge_list, write_edge_list, write_layer_records
 from .layers import LayerTypeDistribution
 from .limits import (
+    DEFAULT_TAIL_EPSILON,
     LimitParams,
-    check_bidegree_budget,
     limiting_assortativity,
-    limiting_bidegree_pmf,
-    limiting_degree_pmf,
+    limiting_laws,
     limiting_moments,
     tail_prediction,
 )
-from .pmf import FUNCTIONALS, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
+from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
 from .stats import bidegree_distribution, degree_distribution
 from .study import DEFAULT_METRICS, StudySpec, checked_fit_range, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
-
-_DEFAULT_TAIL_EPSILON = 1e-10
 
 
 @dataclass
@@ -177,7 +174,7 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
     _check_document(raw, cmd)
 
     theory = dict(raw.get("theory", {}))
-    theory.setdefault("tail_epsilon", _DEFAULT_TAIL_EPSILON)
+    theory.setdefault("tail_epsilon", DEFAULT_TAIL_EPSILON)
     cfg = RunConfig(command=cmd, model=dict(raw.get("model", {})), theory=theory,
                     study=dict(raw.get("study", {})), input=dict(raw.get("input", {})))
     if "layer_distribution" in raw:
@@ -218,19 +215,6 @@ def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
-def _functionals(f2, names) -> dict:
-    """The named FUNCTIONALS of f2; one whose marginal is degenerate is
-    null, with the reason under <name>_degenerate."""
-    out = {}
-    for name in names:
-        try:
-            out[name] = FUNCTIONALS[name](f2)
-        except DegenerateMarginal as exc:
-            out[name] = None
-            out[f"{name}_degenerate"] = str(exc)
-    return out
-
-
 def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
     model = cfg.model
     gen = _validated(
@@ -258,7 +242,7 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
     pmf1d_to_csv(size_biased(f1), out_dir / "size_biased_pmf.csv")
     pmf2d_to_csv(f2, out_dir / "bidegree_pmf.csv")
     outputs += ["degree_pmf.csv", "size_biased_pmf.csv", "bidegree_pmf.csv"]
-    summary = {"n": g.n, "edges": g.edge_count, **_functionals(f2, FUNCTIONALS)}
+    summary = {"n": g.n, "edges": g.edge_count, **functionals(f2, FUNCTIONALS)}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     outputs.append("summary.json")
     _manifest(cfg, out_dir, outputs, {"mass_defects": {"degree_pmf": 0.0, "bidegree_pmf": 0.0}})
@@ -269,12 +253,10 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
         "theory", LimitParams, mu=cfg.theory["mu"], dist=cfg.layer_distribution,
         tail_epsilon=cfg.theory["tail_epsilon"],
     )
-    check_bidegree_budget(params)  # before the degree law, which can take seconds
-    f1 = limiting_degree_pmf(params)
-    f2 = limiting_bidegree_pmf(params, f1)
+    f1, f2 = limiting_laws(params)
     # the limit's assortativity in closed form, its rank functionals from f2
     summary = {"assortativity": limiting_assortativity(params)}
-    summary.update(_functionals(f2, [name for name in FUNCTIONALS if name != "assortativity"]))
+    summary.update(functionals(f2, ("kendall", "spearman")))
     summary["moments"] = vars(limiting_moments(params))
     pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
     pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
@@ -291,7 +273,7 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
     spec = _validated(
         "study", StudySpec, dist=cfg.layer_distribution, mu=study["mu"], n_grid=tuple(study["n_grid"]),
         replications=study["replications"], seed=study["seed"], metrics=study.get("metrics", DEFAULT_METRICS),
-        tail_epsilon=study.get("tail_epsilon", _DEFAULT_TAIL_EPSILON), fit_range=study.get("fit_range"),
+        tail_epsilon=study.get("tail_epsilon", DEFAULT_TAIL_EPSILON), fit_range=study.get("fit_range"),
     )
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"

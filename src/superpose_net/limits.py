@@ -32,13 +32,14 @@ from .layers import (
 from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D
 
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
+DEFAULT_TAIL_EPSILON = 1e-10  # tail mass a truncated degree law may leave out
 
 
 @dataclass(frozen=True)
 class LimitParams:
     mu: float
     dist: LayerTypeDistribution
-    tail_epsilon: float = 1e-10
+    tail_epsilon: float = DEFAULT_TAIL_EPSILON
 
     def __post_init__(self):
         if self.mu <= 0:
@@ -103,7 +104,7 @@ def increment_pmf(params: LimitParams) -> Pmf1D:
     return Pmf1D(out)
 
 
-def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = 1e-10) -> Pmf1D:
+def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> Pmf1D:
     """Law of a Poisson(lam)-indexed sum of iid g-distributed increments.
 
     Evaluated by the standard recursion
@@ -154,25 +155,19 @@ def _check_budget(k: int, width: int) -> None:
     check_memory(8 * (k + width) ** 2, "bidegree law")
 
 
-def check_bidegree_budget(params: LimitParams) -> tuple[LayerTypeDistribution, int]:
-    """Raise MemoryBudgetExceeded if the bidegree law would not fit even
-    with a one-point degree law: the cheap check to run before
-    limiting_degree_pmf.  Return the edge-biased layer law and K, one past
-    the largest index of its windowed Bin(x-2, y) rows."""
-    biased = edge_biased_distribution(params.dist)
-    lo, length = _windows(biased.sizes - 2, biased.strengths)
-    k = int((lo + length).max())
-    _check_budget(k, k + 1)
-    return biased, k
-
-
 def fprime2_pmf(params: LimitParams) -> Pmf2D:
     """Joint law of the two extra degrees produced by an edge's own layer.
 
     Mixture of Bin(x-2, y) x Bin(x-2, y) products over the edge-biased layer
-    law on the K x K windowed support, a block of rows at a time; exact and symmetric.
+    law on the K x K windowed support, a block of rows at a time; exact and
+    symmetric.  K is one past the largest window end.  Raises
+    MemoryBudgetExceeded first if the bidegree law would not fit even with
+    a one-point degree law.
     """
-    biased, k = check_bidegree_budget(params)
+    biased = edge_biased_distribution(params.dist)
+    lo, length = _windows(biased.sizes - 2, biased.strengths)
+    k = int((lo + length).max())
+    _check_budget(k, k + 1)
     out = np.zeros((k, k))
     for row, kk, value in _binomial_windows(biased.sizes - 2, biased.strengths, np.sqrt(biased.probs)):
         lo, hi = kk.min(), kk.max() + 1
@@ -182,23 +177,24 @@ def fprime2_pmf(params: LimitParams) -> Pmf2D:
     return Pmf2D(out)
 
 
-def limiting_bidegree_pmf(params: LimitParams, f1: Pmf1D | None = None) -> Pmf2D:
-    """Joint degree law of the endpoints of a random edge, in the limit.
+def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
+    """The limiting degree law f1 and the joint degree law f2 of the
+    endpoints of a random edge.
 
-    (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2 =
+    f2 is (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2 =
     fprime2_pmf(params), i.e. T^T F'_2 T with T the K x (len(f1) + K)
     Toeplitz matrix T[u, 1 + u + j] = f1(j); its zero first column is the
-    (1,1) shift.  Pass f1 = limiting_degree_pmf(params) when it is at hand.
+    (1,1) shift.  F'_2 comes first: its budget check is cheap, and the
+    degree law can take seconds.
     """
-    fp2 = fprime2_pmf(params).probs  # checks the budget before the degree law
-    if f1 is None:
-        f1 = limiting_degree_pmf(params)
+    fp2 = fprime2_pmf(params).probs
+    f1 = limiting_degree_pmf(params)
     k = len(fp2)
     width = len(f1.probs) + k
     _check_budget(k, width)
     t = np.lib.stride_tricks.sliding_window_view(np.pad(f1.probs, (k, k - 1)), width)[::-1].copy()
     joint = t.T @ fp2 @ t
-    return Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
+    return f1, Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 
 def limiting_assortativity(params: LimitParams) -> float:

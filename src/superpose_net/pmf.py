@@ -145,6 +145,19 @@ def spearman(f: Pmf2D) -> float:
 FUNCTIONALS = {"assortativity": pearson_correlation, "kendall": kendall, "spearman": spearman}
 
 
+def functionals(f: Pmf2D, names) -> dict:
+    """The named FUNCTIONALS of f; one whose marginal is degenerate is
+    None, with the reason under <name>_degenerate."""
+    out = {}
+    for name in names:
+        try:
+            out[name] = FUNCTIONALS[name](f)
+        except DegenerateMarginal as exc:
+            out[name] = None
+            out[f"{name}_degenerate"] = str(exc)
+    return out
+
+
 # -- CSV serialization ----------------------------------------------------
 
 def pmf1d_to_csv(f: Pmf1D, path) -> None:

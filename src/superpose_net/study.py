@@ -16,18 +16,18 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DegenerateMarginal, InsufficientSupport
+from .errors import InsufficientSupport
 from .generate import GenConfig, check_sampler_budget, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import (
+    DEFAULT_TAIL_EPSILON,
     LimitParams,
-    check_bidegree_budget,
     limiting_assortativity,
-    limiting_bidegree_pmf,
     limiting_degree_pmf,
+    limiting_laws,
     tail_prediction,
 )
-from .pmf import FUNCTIONALS, Pmf1D, Pmf2D, size_biased
+from .pmf import FUNCTIONALS, Pmf1D, Pmf2D, functionals, size_biased
 from .stats import bidegree_distribution, degree_distribution, layer_subgraph_counts
 
 ALL_METRICS = (
@@ -98,12 +98,12 @@ class StudySpec:
     replications: int
     seed: int
     metrics: tuple = DEFAULT_METRICS
-    tail_epsilon: float = 1e-10
+    tail_epsilon: float = DEFAULT_TAIL_EPSILON
     fit_range: Optional[tuple] = None
 
     def __post_init__(self):
-        if list(self.n_grid) != sorted(self.n_grid):
-            raise ValueError("n_grid must be sorted ascending")
+        if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
+            raise ValueError(f"n_grid must be strictly ascending, got {list(self.n_grid)}")
         LimitParams(self.mu, self.dist, self.tail_epsilon)  # raises for tail_epsilon outside (0, 1)
         if self.replications < 1:
             raise ValueError("need at least one replication")
@@ -178,21 +178,19 @@ def _cell_seed(master: int, n_index: int, rep: int) -> int:
 
 
 def _theory_values(spec: StudySpec):
+    """The theory row, and the limiting laws f1 and f2 the metrics need
+    (None where they need none)."""
     params = LimitParams(spec.mu, spec.dist, spec.tail_epsilon)
     theory = {}
-    need_bideg = {"tv2", "kendall", "spearman"} & set(spec.metrics)
-    if need_bideg:
-        check_bidegree_budget(params)  # before the degree law, which can take seconds
-    if "tv1" in spec.metrics or need_bideg:
-        theory["_f1"] = limiting_degree_pmf(params)
-    if need_bideg:
-        theory["_f2"] = limiting_bidegree_pmf(params, theory["_f1"])
-        theory["bidegree_mass_defect"] = theory["_f2"].mass_defect
+    f1 = f2 = None
+    if {"tv2", "kendall", "spearman"} & set(spec.metrics):
+        f1, f2 = limiting_laws(params)
+        theory["bidegree_mass_defect"] = f2.mass_defect
+    elif "tv1" in spec.metrics:
+        f1 = limiting_degree_pmf(params)
     if {"kendall", "spearman"} & set(spec.metrics):
         # the limit's assortativity has a closed form, below
-        for name, fn in FUNCTIONALS.items():
-            if name != "assortativity":
-                theory[name] = fn(theory["_f2"])
+        theory.update(functionals(f2, ("kendall", "spearman")))
     if "assortativity" in spec.metrics:
         theory["assortativity"] = limiting_assortativity(params)
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":
@@ -205,7 +203,7 @@ def _theory_values(spec: StudySpec):
         theory["links"] = cross_moment(spec.dist, 2, 1) / 2
         theory["two_stars"] = cross_moment(spec.dist, 3, 2) / 2
         theory["three_stars"] = cross_moment(spec.dist, 4, 3) / 6
-    return theory
+    return theory, f1, f2
 
 
 def _default_fit_range(pooled_degree_counts: np.ndarray):
@@ -215,12 +213,12 @@ def _default_fit_range(pooled_degree_counts: np.ndarray):
 
 
 def run_study(spec: StudySpec) -> ConvergenceReport:
-    theory = _theory_values(spec)
-    report = ConvergenceReport(spec_hash=spec.content_hash())
-    report.theory = {k: v for k, v in theory.items() if not k.startswith("_")}
+    theory, f1, f2 = _theory_values(spec)
+    report = ConvergenceReport(spec_hash=spec.content_hash(), theory=theory)
 
     keep_records = "subgraph_counts" in spec.metrics
     need_bideg = {"tv2", "assortativity", "kendall", "spearman"} & set(spec.metrics)
+    correlations = [metric for metric in FUNCTIONALS if metric in spec.metrics]
 
     for ni, n in enumerate(spec.n_grid):
         per_metric: dict[str, list] = {}
@@ -245,24 +243,22 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             degree_counts = _padded(degree_counts, f_deg.probs * n).sum(axis=0)
 
             if "tv1" in spec.metrics:
-                note("tv1", rep, tv_distance_1d(f_deg, theory["_f1"]))
+                note("tv1", rep, tv_distance_1d(f_deg, f1))
 
             if need_bideg:
                 if g.edge_count == 0:
                     for metric in need_bideg:
                         note(metric, rep, None, "degenerate: no edges")
                 else:
-                    f2 = bidegree_distribution(g)
-                    bideg_counts = _padded(bideg_counts, f2.probs * (2.0 * g.edge_count)).sum(axis=0)
+                    f_bideg = bidegree_distribution(g)
+                    bideg_counts = _padded(bideg_counts, f_bideg.probs * (2.0 * g.edge_count)).sum(axis=0)
                     bideg_edges += g.edge_count
                     if "tv2" in spec.metrics:
-                        note("tv2", rep, tv_distance_2d(f2, theory["_f2"]))
-                    for metric, fn in FUNCTIONALS.items():
-                        if metric in spec.metrics:
-                            try:
-                                note(metric, rep, fn(f2))
-                            except DegenerateMarginal as exc:
-                                note(metric, rep, None, f"degenerate: {exc}")
+                        note("tv2", rep, tv_distance_2d(f_bideg, f2))
+                    values = functionals(f_bideg, correlations)
+                    for metric in correlations:
+                        reason = values.get(f"{metric}_degenerate")
+                        note(metric, rep, values[metric], f"degenerate: {reason}" if reason else "")
 
             if "tail_slope" in spec.metrics:
                 fit_range = spec.fit_range or _default_fit_range(f_deg.probs * n)
@@ -293,13 +289,8 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
         if bideg_edges:
             pooled2 = Pmf2D(bideg_counts / (2.0 * bideg_edges))
             if "tv2" in spec.metrics:
-                agg["tv2_pooled"] = tv_distance_2d(pooled2, theory["_f2"])
-            for metric, fn in FUNCTIONALS.items():
-                if metric in spec.metrics:
-                    try:
-                        agg[f"{metric}_pooled"] = fn(pooled2)
-                    except DegenerateMarginal:
-                        agg[f"{metric}_pooled"] = None
+                agg["tv2_pooled"] = tv_distance_2d(pooled2, f2)
+            agg.update({f"{k}_pooled": v for k, v in functionals(pooled2, correlations).items()})
         if "tail_slope" in spec.metrics:
             fit_range = spec.fit_range or _default_fit_range(degree_counts)
             try:

@@ -27,8 +27,8 @@ from superpose_net import (
     kendall,
     layer_subgraph_counts,
     limiting_assortativity,
-    limiting_bidegree_pmf,
     limiting_degree_pmf,
+    limiting_laws,
     pearson_correlation,
     run_study,
     size_biased,
@@ -38,7 +38,7 @@ from superpose_net import (
 from superpose_net.cli import main
 from superpose_net.pmf import Pmf1D
 
-from conftest import random_tabular
+from laws import random_tabular
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
 TWO_FOUR_ASSORT = 24 / 955
@@ -56,7 +56,7 @@ def test_criterion_01_bidegree_marginals_are_size_biased_degrees():
     for _ in range(20):
         d = random_tabular(rng, max_size=7)
         params = LimitParams(float(rng.uniform(0.3, 2.0)), d)
-        f2 = limiting_bidegree_pmf(params)
+        f2 = limiting_laws(params)[1]
         assert f2.mass_defect < 1e-8
         sb = size_biased(limiting_degree_pmf(params))
         for axis in (0, 1):
@@ -84,7 +84,7 @@ def test_criterion_02_assortativity_matches_closed_form():
         for mu in (0.5, 1.0, 2.0):
             params = LimitParams(mu, d)
             try:
-                rho = pearson_correlation(limiting_bidegree_pmf(params))
+                rho = pearson_correlation(limiting_laws(params)[1])
             except DegenerateMarginal:
                 ok = False
                 break
@@ -180,7 +180,7 @@ def test_criterion_07_empirical_rank_correlations(two_four_study):
     3 standard errors of their limiting values; for the product case
     constant (2, 1) the limits are exactly zero and the empirical values
     are within 3 standard errors of zero."""
-    f2 = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR))
+    f2 = limiting_laws(LimitParams(1.0, TWO_FOUR))[1]
     theory = {"kendall": kendall(f2), "spearman": spearman(f2)}
     for metric in ("kendall", "spearman"):
         agg = two_four_study.summary["100000"][metric]
@@ -188,7 +188,7 @@ def test_criterion_07_empirical_rank_correlations(two_four_study):
         assert abs(agg["mean"] - theory[metric]) <= 3 * agg["se"]
 
     product = LayerTypeDistribution.constant(2, 1.0)
-    f0 = limiting_bidegree_pmf(LimitParams(1.0, product))
+    f0 = limiting_laws(LimitParams(1.0, product))[1]
     assert abs(kendall(f0)) < 1e-12
     assert abs(spearman(f0)) < 1e-12
     study0 = run_study(StudySpec(

@@ -236,13 +236,15 @@ class TestMainExitCodes:
                     "theory": {"mu": True}}, []),
         ("generate", {**MINIMAL_GENERATE, "model": {"n": 4_000_000_000, "m": 3, "seed": 7}}, []),
         ("empirical", {"input": {"edge_list": 3}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [200, 200], "replications": 1, "seed": 0}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
             "n_string", "replications_2_5", "model_a_list", "atoms_a_number", "tabular_size_1e19",
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
-            "edge_list_a_number"])
+            "edge_list_a_number", "repeated_n_grid"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -290,12 +292,12 @@ class TestMainExitCodes:
         assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_memory_budget_is_2(self, tmp_path, capsys, monkeypatch):
-        import superpose_net.cli as cli_mod
+        import superpose_net.limits as limits_mod
 
         def never(*args, **kwargs):
             raise AssertionError("the degree law was evaluated before the budget check")
 
-        monkeypatch.setattr(cli_mod, "limiting_degree_pmf", never)
+        monkeypatch.setattr(limits_mod, "limiting_degree_pmf", never)
         code = main(["theory", "--config", json.dumps({
             "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.0,
                                    "b": 0.5, "x_min": 1, "x_max": 20_000},
@@ -350,6 +352,29 @@ class TestMainExitCodes:
             assert summary[name] is None
             assert summary[f"{name}_degenerate"] == "a marginal is a point mass"
 
+    def test_degenerate_converge_writes_null_with_reasons(self, tmp_path):
+        """A point-mass limit is reported as in theory: null and a reason,
+        in the theory row, the replication rows and the pooled law."""
+        assert main(["converge", "--config", json.dumps({
+            "layer_distribution": {"family": "constant", "size": 3, "strength": 1.0},
+            "study": {"mu": 0.01, "n_grid": [100], "replications": 2, "seed": 0,
+                      "tail_epsilon": 0.5, "metrics": ["kendall", "assortativity"]},
+        }), "--out", str(tmp_path)]) == 0
+        (report,) = tmp_path.glob("study_*.json")
+        doc = json.loads(report.read_text())
+        assert doc["theory"]["kendall"] is None
+        assert doc["theory"]["kendall_degenerate"] == "a marginal is a point mass"
+        pooled = doc["summary"]["100"]
+        assert pooled["kendall_pooled"] is None
+        assert pooled["kendall_degenerate_pooled"] == "a marginal is a point mass"
+        rows = report.with_suffix(".csv").read_text().splitlines()[1:]
+        assert sorted(rows) == [
+            "100,0,assortativity,,degenerate: marginal variance is zero",
+            "100,0,kendall,,degenerate: a marginal is a point mass",
+            "100,1,assortativity,,degenerate: marginal variance is zero",
+            "100,1,kendall,,degenerate: a marginal is a point mass",
+        ]
+
     def test_increment_law_is_sized_by_its_window(self, tmp_path):
         """A layer of 10^9 nodes at strength 1e-8 has a short increment law."""
         start = time.perf_counter()
@@ -364,7 +389,7 @@ class TestMainExitCodes:
         import superpose_net.limits as limits_mod
 
         calls = []
-        for name in ("limiting_degree_pmf", "limiting_bidegree_pmf"):
+        for name in ("limiting_degree_pmf", "limiting_laws"):
             real = getattr(limits_mod, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -372,12 +397,12 @@ class TestMainExitCodes:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(limits_mod, name, counted)
-            monkeypatch.setattr(cli_mod, name, counted)
+        monkeypatch.setattr(cli_mod, "limiting_laws", limits_mod.limiting_laws)
         assert main(["theory", "--config", json.dumps({
             "layer_distribution": {"family": "tabular", "atoms": [[2, 1.0, 0.5], [4, 1.0, 0.5]]},
             "theory": {"mu": 1.0},
         }), "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["limiting_bidegree_pmf", "limiting_degree_pmf"]
+        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws"]
 
     def test_threads_flag_does_not_change_output(self, tmp_path):
         doc = json.dumps({

@@ -25,8 +25,7 @@ from superpose_net import (
     fprime2_pmf,
     increment_pmf,
     kendall,
-    limiting_bidegree_pmf,
-    limiting_degree_pmf,
+    limiting_laws,
     limiting_moments,
     pearson_correlation,
     spearman,
@@ -34,7 +33,7 @@ from superpose_net import (
 from superpose_net.limits import _windows
 from superpose_net.pmf import Pmf1D, Pmf2D, pmf1d_to_csv, pmf2d_to_csv
 
-from conftest import random_tabular
+from laws import random_tabular
 
 
 def reference_increment(dist):
@@ -93,7 +92,7 @@ def test_kernel_matches_direct_route(params):
     assert want_g[len(g):].sum() <= 1e-15
     assert np.max(np.abs(np.pad(g, (0, len(want_g) - len(g))) - want_g)) <= 1e-15
 
-    got = limiting_bidegree_pmf(params)
+    got = limiting_laws(params)[1]
     want = reference_bidegree(params)
     n = len(got.probs)
     assert n <= len(want.probs)
@@ -142,12 +141,6 @@ def test_windows_hold_all_the_mass():
     assert left_out.max() <= 2.0**-53
 
 
-def test_passing_the_degree_law_changes_nothing():
-    params = _laws()[-1]
-    f1 = limiting_degree_pmf(params)
-    assert np.array_equal(limiting_bidegree_pmf(params, f1).probs, limiting_bidegree_pmf(params).probs)
-
-
 # -- CSV writers ------------------------------------------------------------
 
 def reference_pmf1d_to_csv(f, path):
@@ -169,8 +162,7 @@ def reference_pmf2d_to_csv(f, path):
 
 def test_csv_writers_match_the_line_by_line_writer(tmp_path):
     params = _laws()[-1]
-    f1 = limiting_degree_pmf(params)
-    f2 = limiting_bidegree_pmf(params, f1)
+    f1, f2 = limiting_laws(params)
     for law, write, reference in (
         (f1, pmf1d_to_csv, reference_pmf1d_to_csv),
         (f2, pmf2d_to_csv, reference_pmf2d_to_csv),

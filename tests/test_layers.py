@@ -15,7 +15,7 @@ from superpose_net import (
     sample_atoms,
 )
 
-from conftest import random_tabular
+from laws import random_tabular
 
 
 def tabular_dists():

@@ -19,8 +19,8 @@ from superpose_net import (
     increment_pmf,
     kendall,
     limiting_assortativity,
-    limiting_bidegree_pmf,
     limiting_degree_pmf,
+    limiting_laws,
     limiting_moments,
     pearson_correlation,
     size_biased,
@@ -29,7 +29,7 @@ from superpose_net import (
 )
 from superpose_net.limits import _binomial_windows
 
-from conftest import random_tabular
+from laws import random_tabular
 
 
 def brute_force_cpoi(lam, g, j_max=None):
@@ -222,12 +222,12 @@ class TestFprime2:
 
 class TestLimitingBidegree:
     def test_poisson_product_case(self):
-        f = limiting_bidegree_pmf(LimitParams(0.5, LayerTypeDistribution.constant(2, 1.0)))
+        f = limiting_laws(LimitParams(0.5, LayerTypeDistribution.constant(2, 1.0)))[1]
         assert f.probs[1, 1] == pytest.approx(math.exp(-2), abs=1e-10)
 
     def test_support_minimum_is_one_one(self, rng):
         d = random_tabular(rng)
-        f = limiting_bidegree_pmf(LimitParams(1.0, d))
+        f = limiting_laws(LimitParams(1.0, d))[1]
         assert np.all(f.probs[0, :] == 0)
         assert np.all(f.probs[:, 0] == 0)
 
@@ -235,7 +235,7 @@ class TestLimitingBidegree:
         for _ in range(5):
             d = random_tabular(rng, max_size=6)
             params = LimitParams(float(rng.uniform(0.3, 2.0)), d, tail_epsilon=1e-12)
-            f2 = limiting_bidegree_pmf(params)
+            f2 = limiting_laws(params)[1]
             sb = size_biased(limiting_degree_pmf(params))
             marg = f2.marginal(0)
             width = max(len(sb.probs), len(marg.probs))
@@ -247,8 +247,7 @@ class TestLimitingBidegree:
 
     def test_windowed_law_at_x_max_1e4(self):
         params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))
-        f1 = limiting_degree_pmf(params)
-        f2 = limiting_bidegree_pmf(params, f1)
+        f1, f2 = limiting_laws(params)
         assert f2.probs.shape == (411, 411)
         marg = f2.marginal(0).probs
         sb = np.zeros(len(marg))
@@ -261,7 +260,7 @@ class TestBidegreeMemoryBudget:
         d = LayerTypeDistribution.power_law(3.0, 0.0, 0.5, 1, 20_000)
         start = time.perf_counter()
         with pytest.raises(MemoryBudgetExceeded):
-            limiting_bidegree_pmf(LimitParams(1.0, d))
+            limiting_laws(LimitParams(1.0, d))
         assert time.perf_counter() - start < 2.0
 
 
@@ -285,7 +284,7 @@ class TestAssortativity:
 
     def test_pearson_consistency(self):
         params = LimitParams(1.0, TWO_FOUR, tail_epsilon=1e-12)
-        f2 = limiting_bidegree_pmf(params)
+        f2 = limiting_laws(params)[1]
         assert pearson_correlation(f2) == pytest.approx(limiting_assortativity(params), abs=1e-6)
 
 
@@ -320,19 +319,19 @@ class TestMoments:
 
 class TestRankCorrelations:
     def test_product_case_is_zero(self):
-        f2 = limiting_bidegree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(2, 1.0)))
+        f2 = limiting_laws(LimitParams(1.0, LayerTypeDistribution.constant(2, 1.0)))[1]
         assert kendall(f2) == pytest.approx(0.0, abs=1e-9)
         assert spearman(f2) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_atom_positive(self):
-        f2 = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR))
+        f2 = limiting_laws(LimitParams(1.0, TWO_FOUR))[1]
         assert 0 < kendall(f2) < 1
         assert 0 < spearman(f2) < 1
 
     def test_truncation_stability(self):
         eps = 1e-10
-        a = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps))
-        b = limiting_bidegree_pmf(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps / 2))
+        a = limiting_laws(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps))[1]
+        b = limiting_laws(LimitParams(1.0, TWO_FOUR, tail_epsilon=eps / 2))[1]
         assert abs(kendall(a) - kendall(b)) < 10 * eps
         assert abs(spearman(a) - spearman(b)) < 10 * eps
 

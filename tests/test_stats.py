@@ -24,7 +24,7 @@ from superpose_net import (
 )
 from superpose_net.generate import LayerRecord, degrees
 from superpose_net.layers import LayerType
-from superpose_net.pmf import pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv
+from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv
 
 
 def path3():
@@ -216,6 +216,20 @@ class TestSpearman:
     def test_degenerate(self):
         with pytest.raises(DegenerateMarginal):
             spearman(pmf2({(1, 0): 0.5, (1, 1): 0.5}))
+
+
+class TestFunctionals:
+    def test_point_mass_is_none_with_a_reason(self):
+        got = functionals(pmf2({(2, 2): 1.0}), FUNCTIONALS)
+        assert got == {
+            "assortativity": None, "assortativity_degenerate": "marginal variance is zero",
+            "kendall": None, "kendall_degenerate": "a marginal is a point mass",
+            "spearman": None, "spearman_degenerate": "a marginal is a point mass",
+        }
+
+    def test_regular_law_is_bit_equal_to_the_table(self):
+        f = pmf2({(0, 0): 0.2, (1, 1): 0.3, (1, 2): 0.1, (2, 1): 0.1, (3, 3): 0.3})
+        assert functionals(f, FUNCTIONALS) == {name: fn(f) for name, fn in FUNCTIONALS.items()}
 
 
 def pair_functionals(s, t):

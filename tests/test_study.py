@@ -10,7 +10,7 @@ from superpose_net import (
     StudySpec,
     kendall,
     limiting_assortativity,
-    limiting_bidegree_pmf,
+    limiting_laws,
     run_study,
     spearman,
     tail_slope_fit,
@@ -89,7 +89,7 @@ class TestRunStudy:
     def test_theory_row_matches_limit_module_bitwise(self):
         report = run_study(StudySpec(**self.SPEC))
         params = LimitParams(self.SPEC["mu"], self.SPEC["dist"], 1e-10)
-        f2 = limiting_bidegree_pmf(params)
+        f2 = limiting_laws(params)[1]
         assert report.theory["assortativity"] == limiting_assortativity(params)
         assert report.theory["kendall"] == kendall(f2)
         assert report.theory["spearman"] == spearman(f2)
@@ -99,19 +99,20 @@ class TestRunStudy:
         import superpose_net.study as study_mod
 
         calls = []
-        real = limits_mod.limiting_bidegree_pmf
+        for name in ("limiting_degree_pmf", "limiting_laws"):
+            real = getattr(limits_mod, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(limits_mod, "limiting_bidegree_pmf", counted)
-        monkeypatch.setattr(study_mod, "limiting_bidegree_pmf", counted)
+            monkeypatch.setattr(limits_mod, name, counted)
+            monkeypatch.setattr(study_mod, name, counted)
         report = run_study(StudySpec(
             dist=LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), mu=1.0,
             n_grid=(200,), replications=1, seed=5, metrics=("kendall", "spearman"),
         ))
-        assert len(calls) == 1
+        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws"]
         assert 0 < report.theory["kendall"] < 1
 
     def test_rows_have_standard_errors(self):
@@ -150,8 +151,9 @@ class TestRunStudy:
 
     @pytest.mark.parametrize("changes", [
         {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"seed": -1}, {"tail_epsilon": 0.0},
-        {"n_grid": (200, 4_000_000_000)},
-    ], ids=["n_is_1", "mu_0", "no_layers_at_n", "seed_negative", "tail_epsilon_0", "n_overflows_edge_codes"])
+        {"n_grid": (200, 4_000_000_000)}, {"n_grid": (200, 200)},
+    ], ids=["n_is_1", "mu_0", "no_layers_at_n", "seed_negative", "tail_epsilon_0", "n_overflows_edge_codes",
+            "n_repeated"])
     def test_spec_rejects_values_that_fail_in_a_cell(self, changes):
         # each of these used to pass the spec and fail inside run_study
         with pytest.raises(ValueError):
