@@ -28,17 +28,10 @@ from .errors import (
 )
 from .generate import GenConfig, generate_graph, read_edge_list, write_edge_list, write_layer_records
 from .layers import LayerTypeDistribution
-from .limits import (
-    DEFAULT_TAIL_EPSILON,
-    LimitParams,
-    limiting_assortativity,
-    limiting_laws,
-    limiting_moments,
-    tail_prediction,
-)
+from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
 from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
 from .stats import bidegree_distribution, degree_distribution
-from .study import DEFAULT_METRICS, StudySpec, checked_fit_range, run_study, tail_slope_fit
+from .study import StudySpec, checked_fit_range, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -79,7 +72,8 @@ _KINDS = {
 }
 
 # every allowed field of each section and of each layer_distribution
-# family, with its kind; the value ranges are checked by the constructors
+# family, with its kind; the theory and study fields are the keywords of
+# LimitParams and StudySpec, which hold their defaults and check the ranges
 _FIELDS = {
     "model": {"n": "int", "m": "int", "mu": "number", "seed": "int", "keep_layer_records": "bool"},
     "theory": {"mu": "number", "tail_epsilon": "number"},
@@ -173,9 +167,7 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
         raise ConfigError("command", f"config says {raw['command']!r} but {command!r} was invoked")
     _check_document(raw, cmd)
 
-    theory = dict(raw.get("theory", {}))
-    theory.setdefault("tail_epsilon", DEFAULT_TAIL_EPSILON)
-    cfg = RunConfig(command=cmd, model=dict(raw.get("model", {})), theory=theory,
+    cfg = RunConfig(command=cmd, model=dict(raw.get("model", {})), theory=dict(raw.get("theory", {})),
                     study=dict(raw.get("study", {})), input=dict(raw.get("input", {})))
     if "layer_distribution" in raw:
         args = dict(raw["layer_distribution"])
@@ -249,10 +241,7 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
-    params = _validated(
-        "theory", LimitParams, mu=cfg.theory["mu"], dist=cfg.layer_distribution,
-        tail_epsilon=cfg.theory["tail_epsilon"],
-    )
+    params = _validated("theory", LimitParams, dist=cfg.layer_distribution, **cfg.theory)
     f1, f2 = limiting_laws(params)
     # the limit's assortativity in closed form, its rank functionals from f2
     summary = {"assortativity": limiting_assortativity(params)}
@@ -264,17 +253,13 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     _manifest(
         cfg, out_dir,
         ["limiting_degree_pmf.csv", "limiting_bidegree_pmf.csv", "summary.json"],
-        {"mass_defects": {"degree_pmf": f1.mass_defect, "bidegree_pmf": f2.mass_defect}},
+        {"mass_defects": {"degree_pmf": f1.mass_defect, "bidegree_pmf": f2.mass_defect},
+         "tail_epsilon": params.tail_epsilon},
     )
 
 
 def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
-    study = cfg.study
-    spec = _validated(
-        "study", StudySpec, dist=cfg.layer_distribution, mu=study["mu"], n_grid=tuple(study["n_grid"]),
-        replications=study["replications"], seed=study["seed"], metrics=study.get("metrics", DEFAULT_METRICS),
-        tail_epsilon=study.get("tail_epsilon", DEFAULT_TAIL_EPSILON), fit_range=study.get("fit_range"),
-    )
+    spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.study)
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
     report.to_csv(out_dir / f"{stem}.csv")
@@ -283,11 +268,7 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
-    p = cfg.layer_distribution.params
-    pred = _validated(
-        "theory", tail_prediction, alpha=p["alpha"], beta=p["beta"], b=p["b"],
-        mu=cfg.theory["mu"], dist=cfg.layer_distribution,
-    )
+    pred = _validated("theory", tail_prediction, mu=cfg.theory["mu"], dist=cfg.layer_distribution)
     summary = dict(vars(pred))
     fit_range = cfg.input.get("fit_range")
     if fit_range is not None:

@@ -43,7 +43,7 @@ def check_memory(need: float, what: str) -> None:
 
 
 class EmptyGraph(SuperposeError):
-    """Operation requires at least one edge."""
+    """The graph has no nodes, or no edges where an operation needs one."""
 
 
 class DegenerateMarginal(SuperposeError):

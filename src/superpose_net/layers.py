@@ -136,10 +136,6 @@ class LayerTypeDistribution:
 
     # -- queries ----------------------------------------------------------
 
-    @property
-    def max_size(self) -> int:
-        return int(self.sizes.max(initial=0))
-
     def atoms(self):
         """Iterate (size, strength, probability) triples."""
         for x, y, p in zip(self.sizes.tolist(), self.strengths.tolist(), self.probs.tolist()):

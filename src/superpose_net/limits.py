@@ -265,26 +265,20 @@ class TailPrediction:
     c_double_prime: float
 
 
-def tail_prediction(
-    alpha: float,
-    beta: float,
-    b: float,
-    mu: float,
-    dist: LayerTypeDistribution,
-) -> TailPrediction:
-    """Power-law tail exponent and constants of the limiting bidegree law.
+def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
+    """Power-law tail exponent and constants of the limiting bidegree law
+    of the power_law layer law dist, read from its alpha, beta and b.
 
     The amplitude of the size pmf is taken from the exact normalization of
-    the concrete truncated distribution.  All violated hypotheses are
-    reported together.
+    the concrete truncated distribution.  power_law itself holds alpha > 2
+    and 0 <= beta < 1; the other violated hypotheses are reported together.
     """
+    if dist.family != "power_law":
+        raise ValueError(f"tail predictions need a power_law layer law, got {dist.family}")
     if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
+    alpha, beta, b = dist.params["alpha"], dist.params["beta"], dist.params["b"]
     violations = []
-    if not alpha > 2:
-        violations.append(f"alpha > 2 fails (alpha = {alpha})")
-    if not 0.0 <= beta < 1.0:
-        violations.append(f"beta in [0, 1) fails (beta = {beta})")
     if not alpha + beta > 3:
         violations.append(f"alpha + beta > 3 fails (alpha + beta = {alpha + beta})")
     if beta == 0.0 and not b < 1.0:

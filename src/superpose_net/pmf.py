@@ -39,16 +39,6 @@ class Pmf1D(_Pmf):
     def support_max(self) -> int:
         return len(self.probs) - 1
 
-    def mean(self) -> float:
-        return float(np.arange(len(self.probs)) @ self.probs)
-
-    def moment(self, k: int) -> float:
-        return float(np.arange(len(self.probs), dtype=float) ** k @ self.probs)
-
-    def variance(self) -> float:
-        m = self.mean()
-        return self.moment(2) - m * m
-
 
 class Pmf2D(_Pmf):
     """probs has shape (S1+1, S2+1)."""
@@ -75,21 +65,28 @@ def _normalized(f: Pmf2D) -> np.ndarray:
     return f.probs / total
 
 
-def pearson_correlation(f: Pmf2D) -> float:
-    """Pearson correlation of the joint law; the assortativity of a
-    bidegree pmf."""
+def _scored_correlation(f: Pmf2D, score, message: str) -> float:
+    """Pearson correlation of score(m1)[Z1] and score(m2)[Z2] for (Z1, Z2)
+    ~ f with marginals m1, m2; DegenerateMarginal(message) if a score has
+    zero variance."""
     joint = _normalized(f)
     m1 = joint.sum(axis=1)
     m2 = joint.sum(axis=0)
-    s = np.arange(len(m1), dtype=float)
-    t = np.arange(len(m2), dtype=float)
-    e1, e2 = m1 @ s, m2 @ t
-    v1 = m1 @ s**2 - e1 * e1
-    v2 = m2 @ t**2 - e2 * e2
+    r1 = score(m1)
+    r2 = score(m2)
+    e1, e2 = m1 @ r1, m2 @ r2
+    v1 = m1 @ r1**2 - e1 * e1
+    v2 = m2 @ r2**2 - e2 * e2
     if v1 <= 1e-30 or v2 <= 1e-30:
-        raise DegenerateMarginal("marginal variance is zero")
-    cov = s @ joint @ t - e1 * e2
+        raise DegenerateMarginal(message)
+    cov = r1 @ joint @ r2 - e1 * e2
     return float(cov / math.sqrt(v1 * v2))
+
+
+def pearson_correlation(f: Pmf2D) -> float:
+    """Pearson correlation of the joint law; the assortativity of a
+    bidegree pmf."""
+    return _scored_correlation(f, lambda m: np.arange(len(m), dtype=float), "marginal variance is zero")
 
 
 def kendall(f: Pmf2D) -> float:
@@ -120,25 +117,9 @@ def kendall(f: Pmf2D) -> float:
     return e_sign / math.sqrt(d1 * d2)
 
 
-def _midranks(m: np.ndarray) -> np.ndarray:
-    cdf = np.cumsum(m)
-    return cdf - 0.5 * m
-
-
 def spearman(f: Pmf2D) -> float:
     """Pearson correlation of the mid-rank transforms of the two margins."""
-    joint = _normalized(f)
-    m1 = joint.sum(axis=1)
-    m2 = joint.sum(axis=0)
-    r1 = _midranks(m1)
-    r2 = _midranks(m2)
-    e1, e2 = m1 @ r1, m2 @ r2
-    v1 = m1 @ r1**2 - e1 * e1
-    v2 = m2 @ r2**2 - e2 * e2
-    if v1 <= 1e-30 or v2 <= 1e-30:
-        raise DegenerateMarginal("a marginal is a point mass")
-    cov = r1 @ joint @ r2 - e1 * e2
-    return float(cov / math.sqrt(v1 * v2))
+    return _scored_correlation(f, lambda m: np.cumsum(m) - 0.5 * m, "a marginal is a point mass")
 
 
 # the functionals reported for a bidegree law, by metric name, in report order

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyGraph, MissingRecords
+from .errors import EmptyGraph, MissingRecords, check_memory
 from .generate import GraphSample, degrees
 from .pmf import Pmf1D, Pmf2D
 
@@ -18,7 +18,7 @@ from .pmf import Pmf1D, Pmf2D
 def degree_distribution(g: GraphSample) -> Pmf1D:
     """Fraction of nodes at each degree."""
     if g.n < 1:
-        raise ValueError("graph must have at least one node")
+        raise EmptyGraph("degree distribution needs at least one node")
     counts = np.bincount(degrees(g))
     return Pmf1D(counts / g.n)
 
@@ -32,6 +32,7 @@ def bidegree_distribution(g: GraphSample) -> Pmf2D:
     t = deg[g.edges[:, 1] - 1]
     top = int(deg.max())
     width = top + 1
+    check_memory(16 * width * width, "empirical bidegree law")
     flat = np.bincount(s * width + t, minlength=width * width)
     flat += np.bincount(t * width + s, minlength=width * width)
     joint = flat.reshape(width, width) / (2.0 * g.edge_count)

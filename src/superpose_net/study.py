@@ -102,6 +102,7 @@ class StudySpec:
     fit_range: Optional[tuple] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n_grid", tuple(self.n_grid))
         if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n_grid must be strictly ascending, got {list(self.n_grid)}")
         LimitParams(self.mu, self.dist, self.tail_epsilon)  # raises for tail_epsilon outside (0, 1)
@@ -194,8 +195,7 @@ def _theory_values(spec: StudySpec):
     if "assortativity" in spec.metrics:
         theory["assortativity"] = limiting_assortativity(params)
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":
-        p = spec.dist.params
-        tp = tail_prediction(p["alpha"], p["beta"], p["b"], spec.mu, spec.dist)
+        tp = tail_prediction(spec.mu, spec.dist)
         theory["tail_slope"] = tp.marginal_exponent
         theory["c_prime"] = tp.c_prime
         theory["c_double_prime"] = tp.c_double_prime

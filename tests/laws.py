@@ -1,4 +1,5 @@
-"""Random layer-type distributions shared by the property and acceptance tests."""
+"""Random layer-type distributions and pmf moments shared by the property
+and acceptance tests."""
 
 import numpy as np
 
@@ -18,3 +19,8 @@ def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges
             return dist
         if np.any((dist.sizes >= 2) & (dist.strengths > 0)):
             return dist
+
+
+def moment(f, k):
+    """E[D^k] for D ~ the 1-D pmf f."""
+    return float(np.arange(len(f.probs), dtype=float) ** k @ f.probs)

@@ -227,17 +227,21 @@ def test_criterion_08_tail_prediction_closed_form_and_hypotheses():
     every hypothesis violation is rejected."""
     dist = LayerTypeDistribution.power_law(alpha=3.0, beta=0.5, b=1.0,
                                            x_min=1, x_max=2000)
-    pred = tail_prediction(3.0, 0.5, 1.0, 1.0, dist)
+    pred = tail_prediction(1.0, dist)
     a = dist.normalization_amplitude()
     p21 = cross_moment(dist, 2, 1)
     assert pred.marginal_exponent == pytest.approx(2.0, abs=1e-12)
     assert pred.c_prime == pytest.approx(2.0 * a / p21, rel=1e-12)
     assert pred.c_double_prime == pytest.approx(4.0 * a * a / p21, rel=1e-12)
 
-    for alpha, beta, b in [(2.0, 0.5, 1.0), (3.0, 1.0, 1.0),
-                           (2.4, 0.5, 1.0), (3.5, 0.0, 1.0)]:
+    # alpha <= 2 and beta outside [0, 1) are refused by the power_law law itself
+    for alpha, beta in [(2.0, 0.5), (3.0, 1.0)]:
+        with pytest.raises(ValueError):
+            LayerTypeDistribution.power_law(alpha=alpha, beta=beta, b=1.0, x_min=1, x_max=2000)
+    for alpha, beta in [(2.4, 0.5), (3.5, 0.0)]:
+        violating = LayerTypeDistribution.power_law(alpha=alpha, beta=beta, b=1.0, x_min=1, x_max=2000)
         with pytest.raises(HypothesisViolation):
-            tail_prediction(alpha, beta, b, 1.0, dist)
+            tail_prediction(1.0, violating)
 
 
 def _per_layer_counts(records):

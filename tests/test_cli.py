@@ -30,7 +30,7 @@ class TestParseConfig:
         cfg = parse_config(json.dumps(MINIMAL_GENERATE))
         assert cfg.command == "generate"
         assert cfg.model["n"] == 100
-        assert cfg.theory["tail_epsilon"] == 1e-10
+        assert cfg.theory == {}
 
     def test_output_section_rejected(self):
         doc = {**MINIMAL_GENERATE, "output": {"formats": ["json"], "directory": "/nonexistent"}}
@@ -143,6 +143,30 @@ class TestDispatch:
         dispatch(cfg, tmp_path)
         pred = json.loads((tmp_path / "tail_prediction.json").read_text())
         assert pred["marginal_exponent"] == pytest.approx(2.0)
+
+    def test_manifests_record_only_what_the_run_reads(self, tmp_path):
+        """Only theory records a theory section, with the tail tolerance it
+        ran with; converge records its own tolerance and no other."""
+        edge_file = tmp_path / "path.edgelist"
+        edge_file.write_text("# superpose-net n=3 m=2 seed=0\n1 2\n2 3\n")
+        runs = {
+            "generate": MINIMAL_GENERATE,
+            "empirical": {"input": {"edge_list": str(edge_file)}},
+            "converge": {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                         "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 3,
+                                   "metrics": ["tv1"], "tail_epsilon": 0.5}},
+            "theory": {"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "theory": {"mu": 1.0}},
+        }
+        manifests = {}
+        for command, doc in runs.items():
+            assert main([command, "--config", json.dumps(doc), "--out", str(tmp_path / command)]) == 0
+            manifests[command] = json.loads((tmp_path / command / "manifest.json").read_text())
+        for command in ("generate", "empirical", "converge"):
+            assert "theory" not in manifests[command]["config"]
+        assert json.dumps(manifests["converge"]).count("tail_epsilon") == 1
+        assert manifests["converge"]["config"]["study"]["tail_epsilon"] == 0.5
+        assert manifests["theory"]["config"]["theory"] == {"mu": 1.0}
+        assert manifests["theory"]["tail_epsilon"] == 1e-10
 
 
 class TestMainExitCodes:
@@ -308,14 +332,15 @@ class TestMainExitCodes:
         assert err["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
 
-    @pytest.mark.parametrize("command, doc, header", [
+    @pytest.mark.parametrize("command, doc, edges", [
         ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                            "b": 1, "x_min": 1, "x_max": 10**9},
                     "theory": {"mu": 1.0}}, None),
         ("converge", {"layer_distribution": {"family": "constant", "size": 10**11, "strength": 0.5},
                       "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
                                 "metrics": ["tv1"]}}, None),
-        ("empirical", {}, "# n=1000000000\n"),
+        ("empirical", {}, "# n=1000000000\n1 2\n2 3\n"),
+        ("empirical", {}, "".join(f"1 {leaf}\n" for leaf in range(2, 40_002))),
         ("generate", {**MINIMAL_GENERATE, "model": {"n": 100, "m": 10**13, "seed": 7}}, None),
         ("generate", {"layer_distribution": {"family": "constant", "size": 0, "strength": 0.5},
                       "model": {"n": 100, "m": 10**13, "seed": 7}}, None),
@@ -326,11 +351,12 @@ class TestMainExitCodes:
         ("converge", {"layer_distribution": {"family": "constant", "size": 20_000, "strength": 0.5},
                       "study": {"mu": 1e-5, "n_grid": [200_000], "replications": 1, "seed": 1,
                                 "metrics": ["tv1"]}}, None),
-    ], ids=["power_law_x_max_1e9", "tv1_size_1e11", "empirical_n_1e9", "m_1e13", "m_1e13_edgeless",
-            "records_of_1e7_layers", "one_layer_of_1e9_nodes", "study_grid_before_theory"])
-    def test_unbounded_allocation_is_2(self, tmp_path, capsys, command, doc, header):
-        if header is not None:
-            (tmp_path / "g.edgelist").write_text(header + "1 2\n2 3\n")
+    ], ids=["power_law_x_max_1e9", "tv1_size_1e11", "empirical_n_1e9", "empirical_star_of_40000",
+            "m_1e13", "m_1e13_edgeless", "records_of_1e7_layers", "one_layer_of_1e9_nodes",
+            "study_grid_before_theory"])
+    def test_unbounded_allocation_is_2(self, tmp_path, capsys, command, doc, edges):
+        if edges is not None:
+            (tmp_path / "g.edgelist").write_text(edges)
             doc = {"input": {"edge_list": str(tmp_path / "g.edgelist")}}
         start = time.perf_counter()
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path / "out")])
@@ -338,6 +364,16 @@ class TestMainExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("edges", ["", "# superpose-net n=0 m=0 seed=0\n"],
+                             ids=["empty_file", "header_n_0"])
+    def test_edge_list_without_nodes_is_2(self, tmp_path, capsys, edges):
+        (tmp_path / "g.edgelist").write_text(edges)
+        code = main(["empirical", "--config", json.dumps({"input": {"edge_list": str(tmp_path / "g.edgelist")}}),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "EmptyGraph"
+        assert not list((tmp_path / "out").iterdir())
 
     def test_degenerate_theory_writes_every_file(self, tmp_path):
         """A point-mass limit has null rank functionals, as in empirical."""

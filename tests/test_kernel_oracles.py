@@ -38,7 +38,7 @@ from laws import random_tabular
 
 def reference_increment(dist):
     p10 = cross_moment(dist, 1, 0)
-    out = np.zeros(max(dist.max_size - 1, 0) + 1)
+    out = np.zeros(max(int(dist.sizes.max(initial=0)) - 1, 0) + 1)
     for x, y, p in dist.atoms():
         if x == 0 or p == 0:
             continue
@@ -48,7 +48,7 @@ def reference_increment(dist):
 
 def reference_bidegree(params):
     biased = edge_biased_distribution(params.dist)
-    top = max(biased.max_size - 2, 0)
+    top = max(int(biased.sizes.max(initial=0)) - 2, 0)
     fp2 = np.zeros((top + 1, top + 1))
     support = np.arange(top + 1)
     for x, y, p in biased.atoms():

@@ -29,7 +29,7 @@ from superpose_net import (
 )
 from superpose_net.limits import _binomial_windows
 
-from laws import random_tabular
+from laws import moment, random_tabular
 
 
 def brute_force_cpoi(lam, g, j_max=None):
@@ -183,7 +183,7 @@ class TestLimitingDegree:
 
     def test_mean_is_mu_p21(self):
         f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5)))
-        assert f.mean() == pytest.approx(3.0, abs=1e-8)
+        assert moment(f, 1) == pytest.approx(3.0, abs=1e-8)
 
 
 class TestRateUnderflow:
@@ -198,7 +198,7 @@ class TestRateUnderflow:
     def test_largest_representable_rate_still_works(self):
         f = compound_poisson_pmf(700.0, Pmf1D(np.array([0.0, 1.0])))
         assert f.probs[0] > 0
-        assert f.mean() == pytest.approx(700.0, rel=1e-8)
+        assert moment(f, 1) == pytest.approx(700.0, rel=1e-8)
 
 
 class TestFprime2:
@@ -306,15 +306,15 @@ class TestMoments:
         params = LimitParams(1.3, d, tail_epsilon=1e-13)
         m = limiting_moments(params)
         f = limiting_degree_pmf(params)
-        assert f.mean() == pytest.approx(m.e_d, abs=1e-7)
-        assert f.variance() == pytest.approx(m.var_d, abs=1e-6)
-        assert f.moment(3) == pytest.approx(m.e_dstar3, rel=1e-6)
+        assert moment(f, 1) == pytest.approx(m.e_d, abs=1e-7)
+        assert moment(f, 2) - moment(f, 1) ** 2 == pytest.approx(m.var_d, abs=1e-6)
+        assert moment(f, 3) == pytest.approx(m.e_dstar3, rel=1e-6)
 
     def test_size_biased_second_moment_identity(self):
         params = LimitParams(1.0, TWO_FOUR, tail_epsilon=1e-13)
         f = limiting_degree_pmf(params)
         sb = size_biased(f)
-        assert sb.moment(2) == pytest.approx(f.moment(3) / f.mean(), rel=1e-9)
+        assert moment(sb, 2) == pytest.approx(moment(f, 3) / moment(f, 1), rel=1e-9)
 
 
 class TestRankCorrelations:
@@ -339,41 +339,45 @@ class TestRankCorrelations:
 class TestTailPrediction:
     def test_exponent_examples(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100)
-        assert tail_prediction(3.0, 0.5, 1.0, 1.0, d).marginal_exponent == pytest.approx(2.0)
+        assert tail_prediction(1.0, d).marginal_exponent == pytest.approx(2.0)
         d2 = LayerTypeDistribution.power_law(2.5, 0.6, 1.0, 1, 100)
-        assert tail_prediction(2.5, 0.6, 1.0, 1.0, d2).marginal_exponent == pytest.approx(1.25)
+        assert tail_prediction(1.0, d2).marginal_exponent == pytest.approx(1.25)
 
     def test_hypothesis_violation(self):
         d = LayerTypeDistribution.power_law(2.5, 0.4, 1.0, 1, 100)
         with pytest.raises(HypothesisViolation):
-            tail_prediction(2.5, 0.4, 1.0, 1.0, d)
+            tail_prediction(1.0, d)
 
     def test_all_violations_reported(self):
-        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100)
+        d = LayerTypeDistribution.power_law(2.5, 0.0, 2.0, 1, 100)
         with pytest.raises(HypothesisViolation) as exc:
-            tail_prediction(1.5, 0.0, 2.0, 1.0, d)
-        assert len(exc.value.violations) == 3  # alpha, alpha+beta, b
+            tail_prediction(1.0, d)
+        assert len(exc.value.violations) == 2  # alpha+beta, b
 
     def test_constants_positive(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 2000)
-        pred = tail_prediction(3.0, 0.5, 1.0, 1.0, d)
+        pred = tail_prediction(1.0, d)
         assert pred.c_prime > 0 and pred.c_double_prime > 0
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_nonpositive_mu_rejected(self, mu):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100)
         with pytest.raises(ValueError, match="mu must be positive"):
-            tail_prediction(3.0, 0.5, 1.0, mu, d)
+            tail_prediction(mu, d)
 
     def test_edgeless_law_is_zero_edge_mass(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 1)  # every layer has one node
         with pytest.raises(ZeroEdgeMass):
-            tail_prediction(3.0, 0.5, 1.0, 1.0, d)
+            tail_prediction(1.0, d)
 
     def test_overflowing_constants_rejected(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1e308, 1, 100)
         with pytest.raises(ValueError, match="overflow"):
-            tail_prediction(3.0, 0.5, 1e308, 1.0, d)
+            tail_prediction(1.0, d)
+
+    def test_tabular_law_rejected(self):
+        with pytest.raises(ValueError, match="power_law"):
+            tail_prediction(1.0, TWO_FOUR)
 
 
 class TestTailValidityWindow:
@@ -389,5 +393,5 @@ class TestTailValidityWindow:
         f1 = limiting_degree_pmf(params)
         sb = size_biased(Pmf1D(f1.probs / f1.probs.sum()))
         slope, _ = tail_slope_fit(sb, (20, 200))
-        pred = tail_prediction(3.0, 0.5, 1.0, 1.0, d)
+        pred = tail_prediction(1.0, d)
         assert abs(slope - pred.marginal_exponent) < 0.15

@@ -149,6 +149,11 @@ class TestRunStudy:
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(200,),
                       replications=1, seed=0, metrics=("bogus",))
 
+    def test_list_n_grid_is_stored_as_the_tuple(self):
+        listed = StudySpec(**{**self.SPEC, "n_grid": [200, 500]})
+        assert listed.n_grid == (200, 500)
+        assert listed.content_hash() == StudySpec(**self.SPEC).content_hash()
+
     @pytest.mark.parametrize("changes", [
         {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"seed": -1}, {"tail_epsilon": 0.0},
         {"n_grid": (200, 4_000_000_000)}, {"n_grid": (200, 200)},
