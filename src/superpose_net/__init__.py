@@ -1,7 +1,7 @@
 """Simulator and exact-limit analytics for multilayer Bernoulli graph
 superpositions."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (
     ConfigError,
@@ -25,7 +25,6 @@ from .generate import (
     GraphSample,
     degrees,
     generate_graph,
-    generate_layer,
     read_edge_list,
     write_edge_list,
 )

@@ -87,6 +87,11 @@ _FIELDS = {
     },
 }
 _SECTIONS = ("model", "theory", "study", "input")
+# the parts of a config each command reads; the others are checked for
+# their fields, then dropped, so a manifest records only what a run read
+_READS = {"generate": ("layer_distribution", "model"), "empirical": ("input",),
+          "theory": ("layer_distribution", "theory"), "converge": ("layer_distribution", "study"),
+          "tailfit": ("layer_distribution", "theory", "input")}
 
 # the fields each command needs ("a|b": one of the two); a
 # layer_distribution needs every field of its family
@@ -167,9 +172,9 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
         raise ConfigError("command", f"config says {raw['command']!r} but {command!r} was invoked")
     _check_document(raw, cmd)
 
-    cfg = RunConfig(command=cmd, model=dict(raw.get("model", {})), theory=dict(raw.get("theory", {})),
-                    study=dict(raw.get("study", {})), input=dict(raw.get("input", {})))
-    if "layer_distribution" in raw:
+    reads = _READS[cmd]
+    cfg = RunConfig(command=cmd, **{name: dict(raw.get(name, {})) for name in _SECTIONS if name in reads})
+    if "layer_distribution" in raw and "layer_distribution" in reads:
         args = dict(raw["layer_distribution"])
         build = getattr(LayerTypeDistribution, args.pop("family"))
         cfg.layer_distribution = _validated("layer_distribution", build, **args)

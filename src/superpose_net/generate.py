@@ -5,8 +5,8 @@ pairs independently with its sampled strength; the graph is the union of
 all layer edge sets.  The layers are cut into fixed-size chunks, each
 drawing from its own Philox stream keyed by (seed, chunk index), so the
 output depends only on (seed, config, distribution).  Within a chunk the
-layers are grouped by size: small sizes are sampled a whole group at a
-time, larger ones one layer at a time by generate_layer.
+layers of one atom (one size, one strength) are sampled a block at a time:
+node subsets as rows, and edges by one walk over the block's pairs.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ from .errors import InvalidEdgeList, MissingRecords, check_memory
 from .layers import LayerType, LayerTypeDistribution, sample_atoms
 
 _CHUNK = 1 << 16  # layers per random stream
-_SMALL = 48  # largest layer size sampled a group at a time
-# the group path redraws subsets holding a repeated node; below this
-# chance of drawing none, layers go one at a time instead
-_MIN_ACCEPT = 0.25
-_DRAW_BUDGET = 1 << 22  # random draws per block of a size group
+_DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
 _WRITE_ROWS = 1 << 16  # edges formatted per write; bounds the text held at once
@@ -84,9 +80,8 @@ class GraphSample:
         return len(self.edges)
 
 
-def _pair_indices(x: int, y: float, rng: np.random.Generator) -> np.ndarray:
-    """Linear indices (lexicographic) of the Bernoulli(y)-selected pairs."""
-    npairs = x * (x - 1) // 2
+def _pair_indices(npairs: int, y: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted indices in range(npairs), each selected independently with chance y."""
     if npairs == 0 or y <= 0.0:
         return np.empty(0, dtype=np.int64)
     if y >= 1.0:
@@ -125,49 +120,53 @@ def _unrank_pairs(e: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
     return r, c
 
 
-def generate_layer(n: int, layer: LayerType, rng: np.random.Generator):
-    """One layer: a uniform node subset plus independent pair links.
-
-    Returns (nodes, edges) with nodes a sorted 1-based array and edges a
-    (E, 2) array of 1-based pairs i < j.  Sizes above n are clamped.
-    """
-    x = min(layer.size, n)
-    nodes = np.sort(rng.choice(n, x, replace=False)) + 1
-    r, c = _unrank_pairs(_pair_indices(x, layer.strength, rng), x)
-    return nodes, np.stack([nodes[r], nodes[c]], axis=1)
-
-
 def _subsets(n: int, rows: int, x: int, rng: np.random.Generator) -> np.ndarray:
-    """(rows, x) array of sorted uniform x-subsets of range(n).
+    """(rows, x) array of sorted uniform x-subsets of range(n), x <= n.
 
-    Rows are drawn with replacement and a row holding a repeat is redrawn
-    whole, which leaves each accepted row uniform over the subsets.
+    A row of sorted iid draws redraws only the slots that repeat a value:
+    the rule treats all labels alike, so each row ends uniform over the
+    subsets.  Above n / 2 the complement is drawn, to keep repeats rare.
     """
-    out = np.sort(rng.integers(0, n, size=(rows, x)), axis=1)
+    k = min(x, n - x)
+    out = np.sort(rng.integers(0, n, size=(rows, k)), axis=1)
     bad = np.flatnonzero((out[:, 1:] == out[:, :-1]).any(axis=1))
     while len(bad):
-        redo = np.sort(rng.integers(0, n, size=(len(bad), x)), axis=1)
-        out[bad] = redo
-        bad = bad[(redo[:, 1:] == redo[:, :-1]).any(axis=1)]
-    return out
+        sub = out[bad]
+        repeat = sub[:, 1:] == sub[:, :-1]
+        sub[:, 1:][repeat] = rng.integers(0, n, size=int(repeat.sum()))
+        sub.sort(axis=1)
+        out[bad] = sub
+        bad = bad[(sub[:, 1:] == sub[:, :-1]).any(axis=1)]
+    if k == x:
+        return out
+    mask = np.ones((rows, n), dtype=bool)
+    mask[np.arange(rows)[:, None], out] = False
+    return np.nonzero(mask)[1].reshape(rows, x)
 
 
-def _size_group(n, x, layers, strengths, rng, records):
-    """Edge codes of the layers (indices into strengths) of one size x,
-    sampled in blocks of at most _DRAW_BUDGET draws."""
-    first, second = np.triu_indices(x, 1)
-    step = _DRAW_BUDGET // max(len(first), x, 1)
+def _sample_group(n, x, y, layers, rng, records):
+    """Edge codes of the layers (layer indices) of one atom of size x <= n
+    and strength y, sampled in blocks of at most _DRAW_BUDGET draws."""
+    npairs = x * (x - 1) // 2
+    step = max(1, _DRAW_BUDGET // max(npairs, x, 1))
     codes = []
     for lo in range(0, len(layers), step):
         ks = layers[lo : lo + step]
         nodes = _subsets(n, len(ks), x, rng)
-        row, pair = np.nonzero(rng.random((len(ks), len(first))) < strengths[ks, None])
-        a, b = nodes[row, first[pair]], nodes[row, second[pair]]
+        # one Bernoulli(y) walk over the block's pairs, layer after layer
+        row, pair = np.divmod(_pair_indices(len(ks) * npairs, y, rng), max(npairs, 1))
+        # a pair table takes about a fifth of the time per pair that
+        # unranking takes per edge; its size stays within the draw budget
+        if npairs <= min(4 * len(pair), _DRAW_BUDGET):
+            r, c = (t[pair] for t in np.triu_indices(x, 1))
+        else:
+            r, c = _unrank_pairs(pair, x)
+        a, b = nodes[row, r], nodes[row, c]
         codes.append(a * n + b)
         if records is not None:
             edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, len(ks))))
             for k, nd, e in zip(ks.tolist(), nodes + 1, edges):
-                records[k] = LayerRecord(LayerType(x, float(strengths[k])), nd, e)
+                records[k] = LayerRecord(LayerType(x, y), nd, e)
     return codes
 
 
@@ -175,23 +174,14 @@ def _sample_chunk(n, count, dist, rng, keep_records):
     """Edge codes (i * n + j over 0-based i < j) of count layers, and their
     LayerRecords in layer order when keep_records is set."""
     atoms = sample_atoms(dist, count, rng)
-    sizes = np.minimum(dist.sizes[atoms], n)
-    strengths = dist.strengths[atoms]
-    order = np.argsort(sizes, kind="stable")
-    cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+    order = np.argsort(atoms, kind="stable")
+    cuts = np.flatnonzero(np.diff(atoms[order])) + 1
     codes = []
     records = [None] * count if keep_records else None
     for layers in np.split(order, cuts):
-        x = int(sizes[layers[0]])
-        if x <= _SMALL and math.prod((n - i) / n for i in range(x)) >= _MIN_ACCEPT:
-            codes += _size_group(n, x, layers, strengths, rng, records)
-            continue
-        for k in layers.tolist():
-            layer = LayerType(x, float(strengths[k]))
-            nodes, edges = generate_layer(n, layer, rng)
-            codes.append((edges[:, 0] - 1) * n + edges[:, 1] - 1)
-            if records is not None:
-                records[k] = LayerRecord(layer, nodes, edges)
+        atom = atoms[layers[0]]
+        x, y = min(int(dist.sizes[atom]), n), float(dist.strengths[atom])
+        codes += _sample_group(n, x, y, layers, rng, records)
     return codes, records
 
 
@@ -200,11 +190,13 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     x = np.minimum(dist.sizes, config.n).astype(float)  # the sampler clamps sizes to n
     pairs = x * (x - 1) / 2
     draws = float(dist.probs @ (pairs * dist.strengths))  # expected edge codes per layer
-    # the codes are all held at once, and one layer at a time holds its
-    # nodes and, at a dense strength, a draw per pair; the word per layer
-    # also bounds the work of a law whose layers draw no edges
+    # the codes are all held at once; one block at a time holds up to
+    # _DRAW_BUDGET node labels and pair draws (one layer's, if it alone has
+    # more), at 8 bytes a label and, at a dense strength, 9 a draw.  The
+    # word per layer also bounds the work of a law whose layers draw no edges
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
-    need = 8 * config.m * (1 + draws) + float(np.max(8 * x + 9 * pairs * dense, initial=0))
+    block = 8 * np.maximum(x, _DRAW_BUDGET) + 9 * np.maximum(pairs, _DRAW_BUDGET) * dense
+    need = 8 * config.m * (1 + draws) + float(np.max(block, initial=0))
     if config.keep_layer_records:
         need += config.m * (_RECORD_BYTES + 8 * float(dist.probs @ x) + 16 * draws)
     check_memory(need, "sampled layers")

@@ -8,6 +8,7 @@ a study is a pure function of its spec.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -159,11 +160,12 @@ class ConvergenceReport:
     theory: dict = field(default_factory=dict)
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("n,replication,metric,value,note\n")
+        with open(path, "w", newline="") as fh:
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(["n", "replication", "metric", "value", "note"])
             for row in self.rows:
                 val = "" if row["value"] is None else repr(row["value"])
-                fh.write(f"{row['n']},{row['replication']},{row['metric']},{val},{row.get('note', '')}\n")
+                out.writerow([row["n"], row["replication"], row["metric"], val, row.get("note", "")])
 
     def to_json(self, path) -> None:
         with open(path, "w") as fh:
@@ -221,7 +223,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
     correlations = [metric for metric in FUNCTIONALS if metric in spec.metrics]
 
     for ni, n in enumerate(spec.n_grid):
-        per_metric: dict[str, list] = {}
+        per_metric: dict[str, list] = {}  # metric: [(value, note)]
         bideg_counts = np.zeros((1, 1))
         bideg_edges = 0
         degree_counts = np.zeros(1)
@@ -230,8 +232,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             report.rows.append(
                 {"n": n, "replication": rep, "metric": metric, "value": value, "note": msg}
             )
-            if value is not None:
-                per_metric.setdefault(metric, []).append(value)
+            per_metric.setdefault(metric, []).append((value, msg))
 
         for rep in range(spec.replications):
             cfg = GenConfig(
@@ -275,13 +276,14 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                 note("three_stars", rep, sc.three_stars)
 
         agg = {}
-        for metric, values in per_metric.items():
-            arr = np.asarray(values, dtype=float)
-            entry = {"mean": float(arr.mean()), "count": len(arr)}
+        for metric, notes in per_metric.items():
+            arr = np.array([value for value, _ in notes if value is not None], dtype=float)
+            reasons = [msg.removeprefix("degenerate: ") for value, msg in notes if value is None]
+            entry = {"mean": float(arr.mean()) if len(arr) else None, "count": len(arr), "se": None,
+                     "degenerate": len(reasons), "degenerate_reason": reasons[0] if reasons else None}
             if len(arr) >= 2:
                 entry["se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            else:
-                entry["se"] = None
+            elif len(arr) == 1:
                 entry["single_shot"] = True
             agg[metric] = entry
 

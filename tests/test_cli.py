@@ -146,23 +146,31 @@ class TestDispatch:
 
     def test_manifests_record_only_what_the_run_reads(self, tmp_path):
         """Only theory records a theory section, with the tail tolerance it
-        ran with; converge records its own tolerance and no other."""
+        ran with; converge records its own tolerance and no other; a section
+        the command does not read is accepted and not recorded."""
         edge_file = tmp_path / "path.edgelist"
         edge_file.write_text("# superpose-net n=3 m=2 seed=0\n1 2\n2 3\n")
+        converge_study = {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 3,
+                          "metrics": ["tv1"], "tail_epsilon": 0.5}
         runs = {
-            "generate": MINIMAL_GENERATE,
-            "empirical": {"input": {"edge_list": str(edge_file)}},
-            "converge": {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
-                         "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 3,
-                                   "metrics": ["tv1"], "tail_epsilon": 0.5}},
-            "theory": {"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "theory": {"mu": 1.0}},
+            "generate": ("generate", MINIMAL_GENERATE),
+            # one config file serves generate and theory alike, as in the README
+            "generate_with_extras": ("generate", {**MINIMAL_GENERATE, "theory": {"mu": 1.0},
+                                                  "study": converge_study}),
+            "empirical": ("empirical", {"input": {"edge_list": str(edge_file)}}),
+            "converge": ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                                      "study": converge_study}),
+            "theory": ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                                  "theory": {"mu": 1.0}}),
         }
         manifests = {}
-        for command, doc in runs.items():
-            assert main([command, "--config", json.dumps(doc), "--out", str(tmp_path / command)]) == 0
-            manifests[command] = json.loads((tmp_path / command / "manifest.json").read_text())
-        for command in ("generate", "empirical", "converge"):
-            assert "theory" not in manifests[command]["config"]
+        for name, (command, doc) in runs.items():
+            assert main([command, "--config", json.dumps(doc), "--out", str(tmp_path / name)]) == 0
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        for name in ("generate", "generate_with_extras", "empirical", "converge"):
+            assert "theory" not in manifests[name]["config"]
+        assert manifests["generate_with_extras"]["config"] == manifests["generate"]["config"]
+        assert "layer_distribution" not in manifests["empirical"]["config"]
         assert json.dumps(manifests["converge"]).count("tail_epsilon") == 1
         assert manifests["converge"]["config"]["study"]["tail_epsilon"] == 0.5
         assert manifests["theory"]["config"]["theory"] == {"mu": 1.0}

@@ -1,46 +1,45 @@
 import hashlib
 import math
-from unittest import mock
+from itertools import combinations
 
 import numpy as np
 import pytest
+from scipy.stats import binom, chi2
 
 from superpose_net import (
     GenConfig,
     InvalidEdgeList,
-    LayerType,
     LayerTypeDistribution,
     cross_moment,
     degrees,
     generate_graph,
-    generate_layer,
     read_edge_list,
     write_edge_list,
 )
 from superpose_net import generate
-from superpose_net.generate import _SMALL, _unrank_pairs
+from superpose_net.generate import _DENSE_STRENGTH, _unrank_pairs
 
 
 def layer_records(n, x, y, layers, seed):
-    """Records of a constant-(x, y) graph, all sampled by the batched path
-    for their size group: the per-layer path fails if called."""
+    """Records of a constant-(x, y) graph of the given number of layers."""
     cfg = GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True)
-    with mock.patch("superpose_net.generate.generate_layer", side_effect=AssertionError):
-        return generate_graph(cfg, LayerTypeDistribution.constant(x, y)).layer_records
+    return generate_graph(cfg, LayerTypeDistribution.constant(x, y)).layer_records
 
 
 class TestGenerateLayer:
+    """One layer as the sampler records it."""
+
     def test_full_strength_full_size_is_complete(self):
         n = 8
-        nodes, edges = generate_layer(n, LayerType(n, 1.0), np.random.default_rng(0))
-        assert nodes.tolist() == list(range(1, n + 1))
-        assert len(edges) == n * (n - 1) // 2
-        assert len({tuple(e) for e in edges.tolist()}) == len(edges)
+        (rec,) = layer_records(n, n, 1.0, 1, seed=0)
+        assert rec.nodes.tolist() == list(range(1, n + 1))
+        assert len(rec.edges) == n * (n - 1) // 2
+        assert len({tuple(e) for e in rec.edges.tolist()}) == len(rec.edges)
 
     def test_zero_strength_is_empty(self):
-        nodes, edges = generate_layer(20, LayerType(5, 0.0), np.random.default_rng(0))
-        assert len(nodes) == 5
-        assert len(edges) == 0
+        (rec,) = layer_records(20, 5, 0.0, 1, seed=0)
+        assert len(rec.nodes) == 5
+        assert len(rec.edges) == 0
 
     def test_mean_edge_count(self):
         reps = 20_000
@@ -50,8 +49,9 @@ class TestGenerateLayer:
         assert abs(mean - 3.0) < 3 * se
 
     def test_size_clamped_to_n(self):
-        nodes, _ = generate_layer(5, LayerType(100, 0.3), np.random.default_rng(0))
-        assert nodes.tolist() == [1, 2, 3, 4, 5]
+        (rec,) = layer_records(5, 100, 0.3, 1, seed=0)
+        assert rec.nodes.tolist() == [1, 2, 3, 4, 5]
+        assert rec.layer_type.size == 5
 
     def test_node_inclusion_uniform(self):
         n, x, reps = 20, 6, 20_000
@@ -73,6 +73,42 @@ class TestGenerateLayer:
         p = 5 * 4 * 0.6 / (n * (n - 1))
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) < 3 * se
+
+    @pytest.mark.parametrize("x", [3, 4])
+    def test_every_subset_equally_likely(self, x):
+        # x = 3 redraws repeated slots; x = 4 > 7 / 2 draws the complement
+        n, reps = 7, 7000
+        subsets = list(combinations(range(1, n + 1), x))
+        counts = dict.fromkeys(subsets, 0)
+        for rec in layer_records(n, x, 0.0, reps, seed=17):
+            counts[tuple(rec.nodes.tolist())] += 1
+        assert sum(counts.values()) == reps
+        expected = reps / len(subsets)
+        stat = sum((c - expected) ** 2 / expected for c in counts.values())
+        assert stat < chi2.ppf(0.999, len(subsets) - 1)
+
+    @pytest.mark.parametrize("y", [0.1, 0.5])
+    def test_edge_count_is_binomial(self, y):
+        # one walk runs over the pairs of many layers back to back: a bias at
+        # a layer's first or last pair would skew the per-layer counts
+        assert (y > _DENSE_STRENGTH) == (y == 0.5)
+        x, reps = 60, 5000
+        npairs = x * (x - 1) // 2
+        records = layer_records(100, x, y, reps, seed=23)
+        first_last = np.zeros(2)
+        for r in records:
+            i, j = np.searchsorted(r.nodes, r.edges.T)
+            pair = i * (2 * x - i - 1) // 2 + j - i - 1
+            first_last += [np.count_nonzero(pair == 0), np.count_nonzero(pair == npairs - 1)]
+        assert np.all(np.abs(first_last - reps * y) < 4 * math.sqrt(reps * y * (1 - y)))
+        counts = np.bincount([len(r.edges) for r in records], minlength=npairs + 1)
+        pmf = binom.pmf(np.arange(npairs + 1), npairs, y)
+        # pool the tails until every cell expects at least 5 layers
+        lo, hi = binom.ppf([5 / reps, 1 - 5 / reps], npairs, y).astype(int)
+        observed = np.concatenate([[counts[:lo].sum()], counts[lo:hi], [counts[hi:].sum()]])
+        expected = reps * np.concatenate([[pmf[:lo].sum()], pmf[lo:hi], [pmf[hi:].sum()]])
+        stat = float(((observed - expected) ** 2 / expected).sum())
+        assert stat < chi2.ppf(0.999, len(observed) - 1)
 
 
 class TestUnrankPairs:
@@ -118,13 +154,13 @@ class TestGenerateGraph:
         assert abs(draws.mean() - target) < 3 * se
 
     def test_per_layer_link_draw_mean_mixed_sizes(self):
-        # one size on each side of the batched path's threshold
-        d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (3 * _SMALL, 0.1, 0.5)])
+        # a small dense atom and a large sparse one
+        d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (144, 0.1, 0.5)])
         cfg = GenConfig(n=1000, layers=4000, seed=8, keep_layer_records=True)
         g = generate_graph(cfg, d)
         draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
         sizes = {r.layer_type.size for r in g.layer_records}
-        assert sizes == {3, 3 * _SMALL}
+        assert sizes == {3, 144}
         target = cross_moment(d, 2, 1) / 2
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3 * se
@@ -152,7 +188,7 @@ class TestGenerateGraph:
         assert union == set(map(tuple, g.edges.tolist()))
 
     def test_every_size_from_zero_to_n(self):
-        # sizes near n take the per-layer path, the others the batched one
+        # sizes above n / 2 draw the complement of their node subset
         n = 12
         d = LayerTypeDistribution.tabular([(x, 0.5, 1 / (n + 1)) for x in range(n + 1)])
         g = generate_graph(GenConfig(n=n, layers=400, seed=4, keep_layer_records=True), d)
@@ -180,12 +216,12 @@ class TestGoldenStream:
 
     @pytest.mark.parametrize("dist, cfg, edge_count, digest", [
         (LayerTypeDistribution.tabular([(3, 0.7, 0.5), (60, 0.1, 0.5)]),
-         GenConfig(n=500, layers=300, seed=2024), 22936,
-         "b6d4d1a04475b7c75c7b7ef57b464a0921add3db743c405c9e3df376e6365b32"),
+         GenConfig(n=500, layers=300, seed=2024), 22905,
+         "a25f8e2a6fd8f5f9b3d3bd095042da1705c83c3e4deee250e17ad8b086000c90"),
         (LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 30),
-         GenConfig(n=1000, mu=1.0, seed=7), 279,
-         "ca2dc4f1b5b1683836fcbf0eeb306c2e4d81b03bc30425d6a9126a1089ec2f8c"),
-    ], ids=["above_small_threshold", "power_law"])
+         GenConfig(n=1000, mu=1.0, seed=7), 278,
+         "4de19533ae5d5f84015a16d525fdce4ea67b4106765832b1cad56ddba29101fa"),
+    ], ids=["mixed_sizes", "power_law"])
     def test_edges_hash(self, dist, cfg, edge_count, digest):
         g = generate_graph(cfg, dist)
         assert g.edge_count == edge_count

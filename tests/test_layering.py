@@ -1,4 +1,5 @@
-"""The theory side stays free of the sampler and of the layers above it."""
+"""The theory side stays free of the sampler and of the layers above it,
+and the sampler stays below the theory side."""
 
 import ast
 from pathlib import Path
@@ -31,6 +32,10 @@ def imported_modules(path):
 @pytest.mark.parametrize("module", ["layers", "pmf", "limits"])
 def test_theory_modules_do_not_import_the_sampler_side(module):
     assert not imported_modules(PACKAGE / f"{module}.py") & ABOVE
+
+
+def test_the_sampler_imports_neither_the_limits_nor_the_layers_above_it():
+    assert not imported_modules(PACKAGE / "generate.py") & {"limits", "stats", "study", "cli"}
 
 
 def test_the_check_sees_each_import_form(tmp_path):

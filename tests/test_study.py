@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -140,6 +142,33 @@ class TestRunStudy:
         report.to_json(tmp_path / "r.json")
         header = (tmp_path / "r.csv").read_text().splitlines()[0]
         assert header == "n,replication,metric,value,note"
+
+    def test_csv_note_with_a_comma_stays_one_field(self, tmp_path):
+        report = run_study(StudySpec(
+            dist=LayerTypeDistribution.constant(2, 1.0), mu=1.0, n_grid=(100,),
+            replications=2, seed=0, metrics=("tail_slope",),
+        ))
+        report.to_csv(tmp_path / "r.csv")
+        with open(tmp_path / "r.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[1:] == [
+            ["100", str(rep), "tail_slope", "", "degenerate: only 0 positive-mass points in [10, 0]"]
+            for rep in range(2)
+        ]
+
+    def test_summary_keeps_a_metric_degenerate_in_every_replication(self):
+        # one layer of two nodes: every bidegree is (1, 1), a point mass
+        report = run_study(StudySpec(
+            dist=LayerTypeDistribution.constant(2, 1.0), mu=0.25, n_grid=(4,),
+            replications=3, seed=0,
+        ))
+        agg = report.summary["4"]
+        for metric in ("kendall", "spearman"):
+            assert agg[metric] == {"mean": None, "count": 0, "se": None, "degenerate": 3,
+                                   "degenerate_reason": "a marginal is a point mass"}
+        assert agg["assortativity"]["count"] == 0 and agg["assortativity"]["degenerate"] == 3
+        assert agg["tv1"]["count"] == 3 and agg["tv1"]["degenerate"] == 0
+        assert agg["tv1"]["degenerate_reason"] is None
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
