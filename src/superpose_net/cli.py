@@ -31,7 +31,7 @@ from .layers import LayerTypeDistribution
 from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
 from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
 from .stats import bidegree_distribution, degree_distribution
-from .study import StudySpec, checked_fit_range, run_study, tail_slope_fit
+from .study import _DEFAULT_T_LO, StudySpec, checked_fit_range, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -87,11 +87,11 @@ _FIELDS = {
     },
 }
 _SECTIONS = ("model", "theory", "study", "input")
-# the parts of a config each command reads; the others are checked for
-# their fields, then dropped, so a manifest records only what a run read
+# the sections and single fields each command reads; the others are checked
+# for their fields, then dropped, so a manifest records only what a run read
 _READS = {"generate": ("layer_distribution", "model"), "empirical": ("input",),
           "theory": ("layer_distribution", "theory"), "converge": ("layer_distribution", "study"),
-          "tailfit": ("layer_distribution", "theory", "input")}
+          "tailfit": ("layer_distribution", "theory.mu", "input")}
 
 # the fields each command needs ("a|b": one of the two); a
 # layer_distribution needs every field of its family
@@ -173,7 +173,8 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
     _check_document(raw, cmd)
 
     reads = _READS[cmd]
-    cfg = RunConfig(command=cmd, **{name: dict(raw.get(name, {})) for name in _SECTIONS if name in reads})
+    cfg = RunConfig(command=cmd, **{name: {k: v for k, v in raw.get(name, {}).items()
+                                           if name in reads or f"{name}.{k}" in reads} for name in _SECTIONS})
     if "layer_distribution" in raw and "layer_distribution" in reads:
         args = dict(raw["layer_distribution"])
         build = getattr(LayerTypeDistribution, args.pop("family"))
@@ -280,7 +281,7 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
         fit_range = _validated("input", checked_fit_range, fit_range=fit_range)
     if "pmf_csv" in cfg.input:
         pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=cfg.input["pmf_csv"])
-        fit_range = fit_range or (10, pmf.support_max)
+        fit_range = fit_range or (_DEFAULT_T_LO, len(pmf.probs) - 1)
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope
         summary["fitted_slope_stderr"] = stderr

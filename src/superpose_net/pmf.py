@@ -4,8 +4,8 @@ correlation functionals and their CSV files.
 Pmf1D/Pmf2D are dense arrays with a recorded mass defect for laws
 truncated from infinite support (always 0 for empirical laws).  The
 correlation functionals (Pearson, Kendall, mid-rank Spearman) are
-evaluated exactly over the support by summation; they apply alike to the
-empirical bidegree law of a sampled graph and to the limiting law.
+evaluated exactly by summation over the occupied support, the rows and
+columns with mass; they apply alike to empirical and limiting laws.
 """
 
 from __future__ import annotations
@@ -35,16 +35,11 @@ class _Pmf:
 
 
 class Pmf1D(_Pmf):
-    @property
-    def support_max(self) -> int:
-        return len(self.probs) - 1
+    """probs has shape (S+1,)."""
 
 
 class Pmf2D(_Pmf):
     """probs has shape (S1+1, S2+1)."""
-
-    def marginal(self, axis: int) -> Pmf1D:
-        return Pmf1D(self.probs.sum(axis=1 - axis), self.mass_defect)
 
 
 def size_biased(f: Pmf1D) -> Pmf1D:
@@ -58,22 +53,26 @@ def size_biased(f: Pmf1D) -> Pmf1D:
 
 # -- correlation functionals ----------------------------------------------
 
-def _normalized(f: Pmf2D) -> np.ndarray:
-    total = f.probs.sum()
-    if total <= 0.0:
+def _occupied(f: Pmf2D):
+    """The normalised law restricted to its rows and columns of positive
+    mass, and the support points those rows and columns stand for."""
+    rows = np.flatnonzero(f.probs.sum(axis=1) > 0)
+    cols = np.flatnonzero(f.probs.sum(axis=0) > 0)
+    if len(rows) == 0:
         raise ValueError("pmf carries no mass on its support")
-    return f.probs / total
+    joint = f.probs[np.ix_(rows, cols)]
+    return joint / joint.sum(), rows, cols
 
 
 def _scored_correlation(f: Pmf2D, score, message: str) -> float:
-    """Pearson correlation of score(m1)[Z1] and score(m2)[Z2] for (Z1, Z2)
-    ~ f with marginals m1, m2; DegenerateMarginal(message) if a score has
-    zero variance."""
-    joint = _normalized(f)
+    """Pearson correlation of score(m1, x1)[Z1] and score(m2, x2)[Z2] for
+    (Z1, Z2) ~ f with occupied support points x1, x2 and marginals m1, m2
+    on them; DegenerateMarginal(message) if a score has zero variance."""
+    joint, x1, x2 = _occupied(f)
     m1 = joint.sum(axis=1)
     m2 = joint.sum(axis=0)
-    r1 = score(m1)
-    r2 = score(m2)
+    r1 = score(m1, x1)
+    r2 = score(m2, x2)
     e1, e2 = m1 @ r1, m2 @ r2
     v1 = m1 @ r1**2 - e1 * e1
     v2 = m2 @ r2**2 - e2 * e2
@@ -86,40 +85,34 @@ def _scored_correlation(f: Pmf2D, score, message: str) -> float:
 def pearson_correlation(f: Pmf2D) -> float:
     """Pearson correlation of the joint law; the assortativity of a
     bidegree pmf."""
-    return _scored_correlation(f, lambda m: np.arange(len(m), dtype=float), "marginal variance is zero")
+    return _scored_correlation(f, lambda m, x: x.astype(float), "marginal variance is zero")
 
 
 def kendall(f: Pmf2D) -> float:
     """Tie-aware sign correlation of two independent draws from f.
 
-    Exact in O(support size) via 2-D cumulative prefix sums.
+    Exact in O(occupied support size) via 2-D cumulative prefix sums.
     """
-    joint = _normalized(f)
+    joint, _, _ = _occupied(f)
     m1 = joint.sum(axis=1)
     m2 = joint.sum(axis=0)
     d1 = 1.0 - m1 @ m1
     d2 = 1.0 - m2 @ m2
     if d1 <= 1e-30 or d2 <= 1e-30:
         raise DegenerateMarginal("a marginal is a point mass")
-    # Cp[i, j] = P(Z1 <= i-1, Z2 <= j-1), zero-padded
+    # cp[i, j] = P(Z1 <= i-1, Z2 <= j-1), zero-padded
     cp = np.zeros((joint.shape[0] + 1, joint.shape[1] + 1))
     cp[1:, 1:] = np.cumsum(np.cumsum(joint, axis=0), axis=1)
-    both_lt = cp[:-1, :-1]
-    both_le = cp[1:, 1:]
-    c1_le = cp[1:, -1][:, None]
-    c1_lt = cp[:-1, -1][:, None]
-    c2_le = cp[-1, 1:][None, :]
-    c2_lt = cp[-1, :-1][None, :]
-    both_gt = 1.0 - c1_le - c2_le + both_le
-    lt_gt = c1_lt - cp[:-1, 1:]
-    gt_lt = c2_lt - cp[1:, :-1]
-    e_sign = float(np.sum(joint * (both_lt + both_gt - lt_gt - gt_lt)))
+    # the draws are exchangeable, so E[sign] is twice the sum of
+    # p_ij (P(Z1 < i, Z2 < j) - P(Z1 < i, Z2 > j))
+    below = cp[:-1, :-1] + cp[:-1, 1:] - cp[:-1, -1:]
+    e_sign = 2.0 * float(np.sum(joint * below))
     return e_sign / math.sqrt(d1 * d2)
 
 
 def spearman(f: Pmf2D) -> float:
     """Pearson correlation of the mid-rank transforms of the two margins."""
-    return _scored_correlation(f, lambda m: np.cumsum(m) - 0.5 * m, "a marginal is a point mass")
+    return _scored_correlation(f, lambda m, x: np.cumsum(m) - 0.5 * m, "a marginal is a point mass")
 
 
 # the functionals reported for a bidegree law, by metric name, in report order

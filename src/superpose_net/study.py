@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientSupport
-from .generate import GenConfig, check_sampler_budget, generate_graph
+from .generate import GenConfig, check_sampler_budget, degrees, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import (
     DEFAULT_TAIL_EPSILON,
@@ -29,7 +29,7 @@ from .limits import (
     tail_prediction,
 )
 from .pmf import FUNCTIONALS, Pmf1D, Pmf2D, functionals, size_biased
-from .stats import bidegree_distribution, degree_distribution, layer_subgraph_counts
+from .stats import bidegree_distribution, layer_subgraph_counts
 
 ALL_METRICS = (
     "tv1", "tv2", "assortativity", "kendall", "spearman",
@@ -208,8 +208,9 @@ def _theory_values(spec: StudySpec):
     return theory, f1, f2
 
 
-def _default_fit_range(pooled_degree_counts: np.ndarray):
-    heavy = np.nonzero(pooled_degree_counts >= _MIN_TAIL_OBS)[0]
+def _default_fit_range(degree_counts: np.ndarray):
+    """(_DEFAULT_T_LO, the largest degree that at least _MIN_TAIL_OBS nodes have)."""
+    heavy = np.nonzero(degree_counts >= _MIN_TAIL_OBS)[0]
     t_hi = int(heavy.max()) if len(heavy) else 0
     return (_DEFAULT_T_LO, t_hi)
 
@@ -240,8 +241,9 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                 keep_layer_records=keep_records,
             )
             g = generate_graph(cfg, spec.dist)
-            f_deg = degree_distribution(g)
-            degree_counts = _padded(degree_counts, f_deg.probs * n).sum(axis=0)
+            counts = np.bincount(degrees(g))
+            f_deg = Pmf1D(counts / n)
+            degree_counts = _padded(degree_counts, counts).sum(axis=0)
 
             if "tv1" in spec.metrics:
                 note("tv1", rep, tv_distance_1d(f_deg, f1))
@@ -262,7 +264,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                         note(metric, rep, values[metric], f"degenerate: {reason}" if reason else "")
 
             if "tail_slope" in spec.metrics:
-                fit_range = spec.fit_range or _default_fit_range(f_deg.probs * n)
+                fit_range = spec.fit_range or _default_fit_range(counts)
                 try:
                     slope, _ = tail_slope_fit(size_biased(f_deg), fit_range)
                     note("tail_slope", rep, slope)

@@ -3,7 +3,7 @@ and acceptance tests."""
 
 import numpy as np
 
-from superpose_net import LayerTypeDistribution
+from superpose_net import LayerTypeDistribution, Pmf1D
 
 
 def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges=True):
@@ -24,3 +24,8 @@ def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges
 def moment(f, k):
     """E[D^k] for D ~ the 1-D pmf f."""
     return float(np.arange(len(f.probs), dtype=float) ** k @ f.probs)
+
+
+def marginal(f2, axis):
+    """The law of coordinate `axis` of a draw from the 2-D pmf f2."""
+    return Pmf1D(f2.probs.sum(axis=1 - axis), f2.mass_defect)

@@ -38,7 +38,7 @@ from superpose_net import (
 from superpose_net.cli import main
 from superpose_net.pmf import Pmf1D
 
-from laws import random_tabular
+from laws import marginal, random_tabular
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
 TWO_FOUR_ASSORT = 24 / 955
@@ -60,7 +60,7 @@ def test_criterion_01_bidegree_marginals_are_size_biased_degrees():
         assert f2.mass_defect < 1e-8
         sb = size_biased(limiting_degree_pmf(params))
         for axis in (0, 1):
-            marg = f2.marginal(axis)
+            marg = marginal(f2, axis)
             width = max(len(sb.probs), len(marg.probs))
             a = np.zeros(width)
             b = np.zeros(width)

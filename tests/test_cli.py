@@ -147,7 +147,7 @@ class TestDispatch:
     def test_manifests_record_only_what_the_run_reads(self, tmp_path):
         """Only theory records a theory section, with the tail tolerance it
         ran with; converge records its own tolerance and no other; a section
-        the command does not read is accepted and not recorded."""
+        or a field the command does not read is accepted and not recorded."""
         edge_file = tmp_path / "path.edgelist"
         edge_file.write_text("# superpose-net n=3 m=2 seed=0\n1 2\n2 3\n")
         converge_study = {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 3,
@@ -162,6 +162,10 @@ class TestDispatch:
                                       "study": converge_study}),
             "theory": ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                                   "theory": {"mu": 1.0}}),
+            # tailfit reads theory.mu alone
+            "tailfit": ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
+                                                           "b": 1.0, "x_min": 1, "x_max": 100},
+                                    "theory": {"mu": 1.0, "tail_epsilon": 0.5}}),
         }
         manifests = {}
         for name, (command, doc) in runs.items():
@@ -175,6 +179,7 @@ class TestDispatch:
         assert manifests["converge"]["config"]["study"]["tail_epsilon"] == 0.5
         assert manifests["theory"]["config"]["theory"] == {"mu": 1.0}
         assert manifests["theory"]["tail_epsilon"] == 1e-10
+        assert manifests["tailfit"]["config"]["theory"] == {"mu": 1.0}
 
 
 class TestMainExitCodes:

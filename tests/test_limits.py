@@ -29,7 +29,7 @@ from superpose_net import (
 )
 from superpose_net.limits import _binomial_windows
 
-from laws import moment, random_tabular
+from laws import marginal, moment, random_tabular
 
 
 def brute_force_cpoi(lam, g, j_max=None):
@@ -237,7 +237,7 @@ class TestLimitingBidegree:
             params = LimitParams(float(rng.uniform(0.3, 2.0)), d, tail_epsilon=1e-12)
             f2 = limiting_laws(params)[1]
             sb = size_biased(limiting_degree_pmf(params))
-            marg = f2.marginal(0)
+            marg = marginal(f2, 0)
             width = max(len(sb.probs), len(marg.probs))
             a = np.zeros(width); a[: len(sb.probs)] = sb.probs
             b = np.zeros(width); b[: len(marg.probs)] = marg.probs
@@ -249,7 +249,7 @@ class TestLimitingBidegree:
         params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))
         f1, f2 = limiting_laws(params)
         assert f2.probs.shape == (411, 411)
-        marg = f2.marginal(0).probs
+        marg = marginal(f2, 0).probs
         sb = np.zeros(len(marg))
         sb[: len(f1.probs)] = size_biased(f1).probs
         assert np.max(np.abs(sb - marg)) <= f2.mass_defect + 100 * params.tail_epsilon

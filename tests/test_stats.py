@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,8 @@ from superpose_net import (
 from superpose_net.generate import LayerRecord, degrees
 from superpose_net.layers import LayerType
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv
+
+from laws import marginal
 
 
 def path3():
@@ -122,7 +126,7 @@ class TestBidegreeDistribution:
         f2 = bidegree_distribution(g)
         assert np.allclose(f2.probs, f2.probs.T)
         sb = size_biased(degree_distribution(g))
-        marg = f2.marginal(0)
+        marg = marginal(f2, 0)
         width = max(len(sb.probs), len(marg.probs))
         a = np.zeros(width); a[: len(sb.probs)] = sb.probs
         b = np.zeros(width); b[: len(marg.probs)] = marg.probs
@@ -231,6 +235,33 @@ class TestFunctionals:
         f = pmf2({(0, 0): 0.2, (1, 1): 0.3, (1, 2): 0.1, (2, 1): 0.1, (3, 3): 0.3})
         assert functionals(f, FUNCTIONALS) == {name: fn(f) for name, fn in FUNCTIONALS.items()}
 
+    @given(joint_pmfs(), st.lists(st.integers(0, 5), max_size=8), st.lists(st.integers(0, 5), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_functionals_ignore_empty_rows_and_columns(self, f, rows, cols):
+        padded = Pmf2D(np.insert(np.insert(f.probs, rows, 0.0, axis=0), cols, 0.0, axis=1))
+        for rank in (kendall, spearman):
+            try:
+                want = rank(f)
+            except DegenerateMarginal:
+                continue
+            assert rank(padded) == pytest.approx(want, abs=1e-14)
+
+    def test_a_hub_costs_only_its_occupied_support(self):
+        """A star's bidegree law is dense up to the hub's degree but holds
+        mass on two rows and two columns; the functionals allocate for
+        those alone."""
+        leaves = 2000
+        edges = np.column_stack([np.ones(leaves, dtype=np.int64), np.arange(2, leaves + 2)])
+        f2 = bidegree_distribution(GraphSample(n=leaves + 1, edges=edges))
+        tracemalloc.start()
+        try:
+            got = functionals(f2, FUNCTIONALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == pytest.approx({"assortativity": -1.0, "kendall": -1.0, "spearman": -1.0}, abs=1e-12)
+        assert peak < 1 << 20
+
 
 def pair_functionals(s, t):
     """Pearson, Kendall tau-b and Spearman over both orientations of each
@@ -239,14 +270,29 @@ def pair_functionals(s, t):
     return np.corrcoef(x, y)[0, 1], kendalltau(x, y, variant="b").statistic, spearmanr(x, y).statistic
 
 
+def sampled_graph():
+    """A graph's bidegree law and the endpoint degrees of its edges."""
+    d = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
+    g = generate_graph(GenConfig(n=2000, mu=1.0, seed=77), d)
+    deg = degrees(g)
+    return bidegree_distribution(g), deg[g.edges[:, 0] - 1], deg[g.edges[:, 1] - 1]
+
+
+def sparse_support():
+    """Pairs over eight values scattered in 0..59, and their law over both
+    orientations: all-zero rows and columns lie between the occupied ones."""
+    rng = np.random.default_rng(13)
+    values = np.sort(rng.choice(60, size=8, replace=False))
+    s, t = values[rng.integers(0, 8, size=(2, 300))]
+    probs = np.zeros((60, 60))
+    np.add.at(probs, (np.concatenate([s, t]), np.concatenate([t, s])), 1.0 / 600)
+    return Pmf2D(probs), s, t
+
+
 class TestStreamingAgreement:
-    def test_pmf_and_pair_routes_agree(self):
-        d = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
-        g = generate_graph(GenConfig(n=2000, mu=1.0, seed=77), d)
-        deg = degrees(g)
-        s = deg[g.edges[:, 0] - 1]
-        t = deg[g.edges[:, 1] - 1]
-        f2 = bidegree_distribution(g)
+    @pytest.mark.parametrize("case", [sampled_graph, sparse_support])
+    def test_pmf_and_pair_routes_agree(self, case):
+        f2, s, t = case()
         rho, tau, rs = pair_functionals(s, t)
         assert pearson_correlation(f2) == pytest.approx(rho, abs=1e-12)
         assert kendall(f2) == pytest.approx(tau, abs=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superpose_net import (
+    GraphSample,
     InsufficientSupport,
     LayerTypeDistribution,
     LimitParams,
@@ -155,6 +156,21 @@ class TestRunStudy:
             ["100", str(rep), "tail_slope", "", "degenerate: only 0 positive-mass points in [10, 0]"]
             for rep in range(2)
         ]
+
+    def test_default_fit_range_counts_nodes_exactly(self, monkeypatch):
+        """50 of 161 nodes at degree 12 reach the 50-node bar; rebuilt from
+        their fraction, 50 / 161 * 161, they would fall just short of it."""
+        import superpose_net.study as study_mod
+
+        ring = np.repeat(np.arange(50), 6)
+        edges = np.sort(np.column_stack([ring, (ring + np.tile(np.arange(1, 7), 50)) % 50]), axis=1)
+        graph = GraphSample(n=161, edges=edges + 1)  # a 12-regular circulant and 111 isolated nodes
+        monkeypatch.setattr(study_mod, "generate_graph", lambda cfg, dist: graph)
+        report = run_study(StudySpec(
+            dist=LayerTypeDistribution.constant(2, 1.0), mu=1.0, n_grid=(161,),
+            replications=1, seed=0, metrics=("tail_slope",),
+        ))
+        assert report.rows[0]["note"] == "degenerate: only 1 positive-mass points in [10, 12]"
 
     def test_summary_keeps_a_metric_degenerate_in_every_replication(self):
         # one layer of two nodes: every bidegree is (1, 1), a point mass
