@@ -12,7 +12,7 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -72,11 +72,12 @@ def checked_fit_range(fit_range) -> tuple:
 def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
     """Least-squares slope magnitude of log pmf against log support.
 
-    Needs at least 5 positive-mass points inside the range.
+    Needs at least 5 positive-mass points inside the range; s = 0, whose
+    log is -inf, never counts.
     """
     t_lo, t_hi = fit_range
     support = np.arange(len(f.probs))
-    mask = (support >= t_lo) & (support <= t_hi) & (f.probs > 0)
+    mask = (support >= max(t_lo, 1)) & (support <= t_hi) & (f.probs > 0)
     if mask.sum() < 5:
         raise InsufficientSupport(
             f"only {int(mask.sum())} positive-mass points in [{t_lo}, {t_hi}]"
@@ -116,6 +117,8 @@ class StudySpec:
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
+        if len(set(self.metrics)) < len(self.metrics):
+            raise ValueError(f"metrics must not repeat, got {list(self.metrics)}")
         object.__setattr__(self, "metrics", tuple(self.metrics))
         for n in self.n_grid:
             # raises for n < 2 or round(mu * n) < 1, and before the theory
@@ -126,21 +129,10 @@ class StudySpec:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 
     def content_hash(self) -> str:
-        payload = {
-            "dist": {
-                "family": self.dist.family,
-                "sizes": self.dist.sizes.tolist(),
-                "strengths": self.dist.strengths.tolist(),
-                "probs": self.dist.probs.tolist(),
-            },
-            "mu": self.mu,
-            "n_grid": list(self.n_grid),
-            "replications": self.replications,
-            "seed": self.seed,
-            "metrics": list(self.metrics),
-            "tail_epsilon": self.tail_epsilon,
-            "fit_range": list(self.fit_range) if self.fit_range else None,
-        }
+        """12 hex digits of the SHA-256 of every field, dist as its family and atoms."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self)}
+        payload["dist"] = {"family": self.dist.family, "sizes": self.dist.sizes.tolist(),
+                           "strengths": self.dist.strengths.tolist(), "probs": self.dist.probs.tolist()}
         blob = json.dumps(payload, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -149,9 +141,11 @@ class StudySpec:
 class ConvergenceReport:
     """Per-cell metric values, per-n aggregates, and the theory row.
 
-    The empirical bidegree pmf is pooled over all edges and replications
-    before correlation metrics are applied; by node exchangeability this
-    targets the same limit as conditioning on a fixed adjacent pair.
+    Each replication's rows apply the metrics to its own empirical
+    bidegree pmf; the summary's `_pooled` values apply them to the pmf
+    pooled over all edges and replications at that n.  By node
+    exchangeability both target the same limit as conditioning on a fixed
+    adjacent pair.
     """
 
     spec_hash: str
@@ -208,101 +202,95 @@ def _theory_values(spec: StudySpec):
     return theory, f1, f2
 
 
-def _default_fit_range(degree_counts: np.ndarray):
-    """(_DEFAULT_T_LO, the largest degree that at least _MIN_TAIL_OBS nodes have)."""
-    heavy = np.nonzero(degree_counts >= _MIN_TAIL_OBS)[0]
-    t_hi = int(heavy.max()) if len(heavy) else 0
-    return (_DEFAULT_T_LO, t_hi)
+def _tail_fit(degree_counts: np.ndarray, fit_range):
+    """(slope, stderr, fit_range) of tail_slope_fit on the size-biased law
+    of the node counts per degree.  fit_range defaults to (_DEFAULT_T_LO,
+    the largest degree that at least _MIN_TAIL_OBS nodes have)."""
+    if fit_range is None:
+        heavy = np.nonzero(degree_counts >= _MIN_TAIL_OBS)[0]
+        fit_range = (_DEFAULT_T_LO, int(heavy.max()) if len(heavy) else 0)
+    f = size_biased(Pmf1D(degree_counts / degree_counts.sum()))
+    return (*tail_slope_fit(f, fit_range), fit_range)
+
+
+def _summary(notes) -> dict:
+    """Mean, standard error and degenerate count of one metric's
+    (value, reason) notes at one n."""
+    values = np.array([value for value, _ in notes if value is not None], dtype=float)
+    reasons = [reason for value, reason in notes if value is None]
+    entry = {"mean": float(values.mean()) if len(values) else None, "count": len(values),
+             "se": float(values.std(ddof=1) / math.sqrt(len(values))) if len(values) >= 2 else None,
+             "degenerate": len(reasons), "degenerate_reason": reasons[0] if reasons else None}
+    if len(values) == 1:
+        entry["single_shot"] = True
+    return entry
 
 
 def run_study(spec: StudySpec) -> ConvergenceReport:
     theory, f1, f2 = _theory_values(spec)
     report = ConvergenceReport(spec_hash=spec.content_hash(), theory=theory)
+    bideg_metrics = [m for m in ALL_METRICS if m in spec.metrics and (m == "tv2" or m in FUNCTIONALS)]
+    correlations = [m for m in bideg_metrics if m in FUNCTIONALS]
 
-    keep_records = "subgraph_counts" in spec.metrics
-    need_bideg = {"tv2", "assortativity", "kendall", "spearman"} & set(spec.metrics)
-    correlations = [metric for metric in FUNCTIONALS if metric in spec.metrics]
+    def bideg_values(f: Pmf2D) -> dict:
+        """The bidegree metrics of f, each degenerate one as functionals gives it."""
+        values = {"tv2": tv_distance_2d(f, f2)} if "tv2" in spec.metrics else {}
+        return {**values, **functionals(f, correlations)}
 
     for ni, n in enumerate(spec.n_grid):
-        per_metric: dict[str, list] = {}  # metric: [(value, note)]
+        per_metric: dict[str, list] = {}  # metric: [(value, reason it is None)]
         bideg_counts = np.zeros((1, 1))
         bideg_edges = 0
         degree_counts = np.zeros(1)
 
-        def note(metric, rep, value, msg=""):
-            report.rows.append(
-                {"n": n, "replication": rep, "metric": metric, "value": value, "note": msg}
-            )
-            per_metric.setdefault(metric, []).append((value, msg))
+        def note(metric, rep, value, reason=None):
+            msg = "" if reason is None else f"degenerate: {reason}"
+            report.rows.append({"n": n, "replication": rep, "metric": metric, "value": value, "note": msg})
+            per_metric.setdefault(metric, []).append((value, reason))
 
         for rep in range(spec.replications):
             cfg = GenConfig(
                 n=n, mu=spec.mu, seed=_cell_seed(spec.seed, ni, rep),
-                keep_layer_records=keep_records,
+                keep_layer_records="subgraph_counts" in spec.metrics,
             )
             g = generate_graph(cfg, spec.dist)
             counts = np.bincount(degrees(g))
-            f_deg = Pmf1D(counts / n)
             degree_counts = _padded(degree_counts, counts).sum(axis=0)
 
             if "tv1" in spec.metrics:
-                note("tv1", rep, tv_distance_1d(f_deg, f1))
+                note("tv1", rep, tv_distance_1d(Pmf1D(counts / n), f1))
 
-            if need_bideg:
+            if bideg_metrics:
                 if g.edge_count == 0:
-                    for metric in need_bideg:
-                        note(metric, rep, None, "degenerate: no edges")
+                    for metric in bideg_metrics:
+                        note(metric, rep, None, "no edges")
                 else:
                     f_bideg = bidegree_distribution(g)
                     bideg_counts = _padded(bideg_counts, f_bideg.probs * (2.0 * g.edge_count)).sum(axis=0)
                     bideg_edges += g.edge_count
-                    if "tv2" in spec.metrics:
-                        note("tv2", rep, tv_distance_2d(f_bideg, f2))
-                    values = functionals(f_bideg, correlations)
-                    for metric in correlations:
-                        reason = values.get(f"{metric}_degenerate")
-                        note(metric, rep, values[metric], f"degenerate: {reason}" if reason else "")
+                    values = bideg_values(f_bideg)
+                    for metric in bideg_metrics:
+                        note(metric, rep, values[metric], values.get(f"{metric}_degenerate"))
 
             if "tail_slope" in spec.metrics:
-                fit_range = spec.fit_range or _default_fit_range(counts)
                 try:
-                    slope, _ = tail_slope_fit(size_biased(f_deg), fit_range)
-                    note("tail_slope", rep, slope)
+                    note("tail_slope", rep, _tail_fit(counts, spec.fit_range)[0])
                 except InsufficientSupport as exc:
-                    note("tail_slope", rep, None, f"degenerate: {exc}")
+                    note("tail_slope", rep, None, str(exc))
 
             if "subgraph_counts" in spec.metrics:
-                sc = layer_subgraph_counts(g.layer_records)
-                note("links", rep, sc.links)
-                note("two_stars", rep, sc.two_stars)
-                note("three_stars", rep, sc.three_stars)
+                for name, value in vars(layer_subgraph_counts(g.layer_records)).items():
+                    note(name, rep, value)
 
-        agg = {}
-        for metric, notes in per_metric.items():
-            arr = np.array([value for value, _ in notes if value is not None], dtype=float)
-            reasons = [msg.removeprefix("degenerate: ") for value, msg in notes if value is None]
-            entry = {"mean": float(arr.mean()) if len(arr) else None, "count": len(arr), "se": None,
-                     "degenerate": len(reasons), "degenerate_reason": reasons[0] if reasons else None}
-            if len(arr) >= 2:
-                entry["se"] = float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            elif len(arr) == 1:
-                entry["single_shot"] = True
-            agg[metric] = entry
+        agg = {metric: _summary(notes) for metric, notes in per_metric.items()}
 
-        # pooled-bidegree statistics across replications
-        if bideg_edges:
-            pooled2 = Pmf2D(bideg_counts / (2.0 * bideg_edges))
-            if "tv2" in spec.metrics:
-                agg["tv2_pooled"] = tv_distance_2d(pooled2, f2)
-            agg.update({f"{k}_pooled": v for k, v in functionals(pooled2, correlations).items()})
+        if bideg_edges:  # the bidegree law pooled over all edges and replications
+            pooled = bideg_values(Pmf2D(bideg_counts / (2.0 * bideg_edges)))
+            agg.update({f"{k}_pooled": v for k, v in pooled.items()})
         if "tail_slope" in spec.metrics:
-            fit_range = spec.fit_range or _default_fit_range(degree_counts)
             try:
-                pooled1 = Pmf1D(degree_counts / degree_counts.sum())
-                slope, stderr = tail_slope_fit(size_biased(pooled1), fit_range)
-                agg["tail_slope_pooled"] = slope
-                agg["tail_slope_pooled_stderr"] = stderr
-                agg["fit_range"] = list(fit_range)
+                slope, stderr, fit_range = _tail_fit(degree_counts, spec.fit_range)
+                agg.update(tail_slope_pooled=slope, tail_slope_pooled_stderr=stderr, fit_range=list(fit_range))
             except InsufficientSupport:
                 agg["tail_slope_pooled"] = None
 

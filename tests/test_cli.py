@@ -144,6 +144,21 @@ class TestDispatch:
         pred = json.loads((tmp_path / "tail_prediction.json").read_text())
         assert pred["marginal_exponent"] == pytest.approx(2.0)
 
+        # a fit range from s = 0 fits the points s >= 1; log 0 never enters the fit
+        weights = (np.arange(12) + 1.0) ** -2  # p(s) proportional to (s + 1)^-2 on 0..11
+        pmf_csv = tmp_path / "pmf.csv"
+        rows = "".join(f"{s},{p!r}\n" for s, p in enumerate((weights / weights.sum()).tolist()))
+        pmf_csv.write_text("s,prob\n" + rows)
+        cfg = parse_config(json.dumps({
+            "command": "tailfit",
+            "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
+                                   "b": 1.0, "x_min": 1, "x_max": 500},
+            "theory": {"mu": 1.0}, "input": {"pmf_csv": str(pmf_csv), "fit_range": [0, 11]},
+        }))
+        dispatch(cfg, tmp_path / "from_zero")
+        fitted = json.loads((tmp_path / "from_zero" / "tail_prediction.json").read_text())
+        assert math.isfinite(fitted["fitted_slope"]) and fitted["fit_range"] == [0, 11]
+
     def test_manifests_record_only_what_the_run_reads(self, tmp_path):
         """Only theory records a theory section, with the tail tolerance it
         ran with; converge records its own tolerance and no other; a section
@@ -275,13 +290,16 @@ class TestMainExitCodes:
         ("empirical", {"input": {"edge_list": 3}}, []),
         ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                       "study": {"mu": 1.0, "n_grid": [200, 200], "replications": 1, "seed": 0}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["tv1", "tv1"]}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
             "n_string", "replications_2_5", "model_a_list", "atoms_a_number", "tabular_size_1e19",
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
-            "edge_list_a_number", "repeated_n_grid"])
+            "edge_list_a_number", "repeated_n_grid", "metrics_repeated"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -481,3 +499,22 @@ def test_cli_import_leaves_scipy_out():
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_converge_output_does_not_depend_on_the_string_hash_seed(tmp_path):
+    """A study whose only replication has no edges notes every bidegree
+    metric as degenerate; those rows and the summary keep ALL_METRICS order
+    under any PYTHONHASHSEED."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    doc = json.dumps({"layer_distribution": {"family": "constant", "size": 2, "strength": 1e-9},
+                      "study": {"mu": 0.5, "n_grid": [20], "replications": 1, "seed": 1,
+                                "metrics": ["tv1", "tv2", "assortativity", "kendall", "spearman"]}})
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / hash_seed
+        subprocess.run([sys.executable, "-m", "superpose_net.cli", "converge", "--config", doc, "--out", str(out)],
+                       env=env, check=True)
+        outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("study_*"))})
+    assert len(outputs[0]) == 2 and outputs[0] == outputs[1]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -193,6 +194,18 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(200,),
                       replications=1, seed=0, metrics=("bogus",))
+
+    def test_content_hash_covers_every_field(self):
+        spec = StudySpec(**self.SPEC)
+        assert spec.content_hash() == "bce9bf4ca8f8"
+        changes = {
+            "dist": LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 0.5, 0.5)]),
+            "mu": 0.5, "n_grid": (200, 600), "replications": 4, "seed": 98, "metrics": ("tv1",),
+            "tail_epsilon": 1e-9, "fit_range": (10, 40),
+        }
+        assert sorted(changes) == sorted(f.name for f in dataclasses.fields(StudySpec))
+        for name, value in changes.items():
+            assert StudySpec(**{**self.SPEC, name: value}).content_hash() != spec.content_hash(), name
 
     def test_list_n_grid_is_stored_as_the_tuple(self):
         listed = StudySpec(**{**self.SPEC, "n_grid": [200, 500]})
