@@ -1,7 +1,7 @@
 """Simulator and exact-limit analytics for multilayer Bernoulli graph
 superpositions."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .errors import (
     ConfigError,
@@ -34,7 +34,6 @@ from .layers import (
     LayerTypeDistribution,
     cross_moment,
     edge_biased_distribution,
-    sample_atoms,
 )
 from .limits import (
     LimitParams,

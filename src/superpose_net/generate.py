@@ -2,11 +2,12 @@
 
 Each layer picks a uniform node subset of its sampled size and links its
 pairs independently with its sampled strength; the graph is the union of
-all layer edge sets.  The layers are cut into fixed-size chunks, each
-drawing from its own Philox stream keyed by (seed, chunk index), so the
-output depends only on (seed, config, distribution).  Within a chunk the
-layers of one atom (one size, one strength) are sampled a block at a time:
-node subsets as rows, and edges by one walk over the block's pairs.
+all layer edge sets.  The layers are independent, so the graph depends on
+their types only through how many layers each atom gets: one multinomial
+draw, from one Philox stream keyed by the seed, so the output depends only
+on (seed, config, distribution).  The layers of one atom (one size, one
+strength) are then sampled a block at a time: node subsets as rows, and
+edges by one walk over the block's pairs.
 """
 
 from __future__ import annotations
@@ -20,9 +21,8 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidEdgeList, MissingRecords, check_memory
-from .layers import LayerType, LayerTypeDistribution, sample_atoms
+from .layers import LayerType, LayerTypeDistribution
 
-_CHUNK = 1 << 16  # layers per random stream
 _DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
@@ -144,17 +144,19 @@ def _subsets(n: int, rows: int, x: int, rng: np.random.Generator) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(rows, x)
 
 
-def _sample_group(n, x, y, layers, rng, records):
-    """Edge codes of the layers (layer indices) of one atom of size x <= n
-    and strength y, sampled in blocks of at most _DRAW_BUDGET draws."""
+def _sample_group(n, x, y, count, rng, records):
+    """Edge codes of count layers of one atom of size x <= n and strength
+    y, sampled in blocks of at most _DRAW_BUDGET draws.  Appends their
+    LayerRecords to records unless it is None."""
     npairs = x * (x - 1) // 2
     step = max(1, _DRAW_BUDGET // max(npairs, x, 1))
+    kind = LayerType(x, y)
     codes = []
-    for lo in range(0, len(layers), step):
-        ks = layers[lo : lo + step]
-        nodes = _subsets(n, len(ks), x, rng)
+    for lo in range(0, count, step):
+        layers = min(step, count - lo)
+        nodes = _subsets(n, layers, x, rng)
         # one Bernoulli(y) walk over the block's pairs, layer after layer
-        row, pair = np.divmod(_pair_indices(len(ks) * npairs, y, rng), max(npairs, 1))
+        row, pair = np.divmod(_pair_indices(layers * npairs, y, rng), max(npairs, 1))
         # a pair table takes about a fifth of the time per pair that
         # unranking takes per edge; its size stays within the draw budget
         if npairs <= min(4 * len(pair), _DRAW_BUDGET):
@@ -164,25 +166,9 @@ def _sample_group(n, x, y, layers, rng, records):
         a, b = nodes[row, r], nodes[row, c]
         codes.append(a * n + b)
         if records is not None:
-            edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, len(ks))))
-            for k, nd, e in zip(ks.tolist(), nodes + 1, edges):
-                records[k] = LayerRecord(LayerType(x, y), nd, e)
+            edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, layers)))
+            records += (LayerRecord(kind, nd, e) for nd, e in zip(nodes + 1, edges))
     return codes
-
-
-def _sample_chunk(n, count, dist, rng, keep_records):
-    """Edge codes (i * n + j over 0-based i < j) of count layers, and their
-    LayerRecords in layer order when keep_records is set."""
-    atoms = sample_atoms(dist, count, rng)
-    order = np.argsort(atoms, kind="stable")
-    cuts = np.flatnonzero(np.diff(atoms[order])) + 1
-    codes = []
-    records = [None] * count if keep_records else None
-    for layers in np.split(order, cuts):
-        atom = atoms[layers[0]]
-        x, y = min(int(dist.sizes[atom]), n), float(dist.strengths[atom])
-        codes += _sample_group(n, x, y, layers, rng, records)
-    return codes, records
 
 
 def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None:
@@ -193,7 +179,8 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     # the codes are all held at once; one block at a time holds up to
     # _DRAW_BUDGET node labels and pair draws (one layer's, if it alone has
     # more), at 8 bytes a label and, at a dense strength, 9 a draw.  The
-    # word per layer also bounds the work of a law whose layers draw no edges
+    # word per layer is the permutation that orders kept records; without
+    # records it still caps m where the layers draw no edges
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
     block = 8 * np.maximum(x, _DRAW_BUDGET) + 9 * np.maximum(pairs, _DRAW_BUDGET) * dense
     need = 8 * config.m * (1 + draws) + float(np.max(block, initial=0))
@@ -209,17 +196,23 @@ def generate_graph(config: GenConfig, dist: LayerTypeDistribution) -> GraphSampl
     """
     check_sampler_budget(config, dist)
     n, m = config.n, config.m
-    seed = config.seed & 0xFFFFFFFFFFFFFFFF
-    codes = []
+    rng = np.random.Generator(np.random.Philox(key=config.seed & 0xFFFFFFFFFFFFFFFF))
+    counts = rng.multinomial(m, dist.probs)
+    sizes = np.minimum(dist.sizes, n)
+    edged = (sizes >= 2) & (dist.strengths > 0)
+    atoms = np.flatnonzero((counts > 0) & edged)
     records = [] if config.keep_layer_records else None
-    for chunk, lo in enumerate(range(0, m, _CHUNK)):
-        rng = np.random.Generator(np.random.Philox(key=np.array([chunk, seed], dtype=np.uint64)))
-        chunk_codes, chunk_records = _sample_chunk(
-            n, min(_CHUNK, m - lo), dist, rng, config.keep_layer_records
-        )
-        codes += chunk_codes
-        if records is not None:
-            records += chunk_records
+    if records is not None:
+        # layers that draw no edge draw their nodes last, so the edges do
+        # not depend on whether records are kept
+        atoms = np.append(atoms, np.flatnonzero((counts > 0) & ~edged))
+    codes = [np.empty(0, dtype=np.int64)]
+    for atom in atoms.tolist():
+        codes += _sample_group(n, int(sizes[atom]), float(dist.strengths[atom]), int(counts[atom]), rng, records)
+    if records is not None:
+        # grouped by atom until here; in a uniform order the records are
+        # an iid sequence of layers
+        records = [records[k] for k in rng.permutation(m).tolist()]
     edges = _edges_from_codes(np.concatenate(codes), n)
     return GraphSample(n=n, edges=edges, m=m, seed=config.seed, layer_records=records)
 

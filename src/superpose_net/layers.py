@@ -17,7 +17,7 @@ from .errors import ZeroEdgeMass, check_memory
 
 _PROB_TOL = 1e-12
 # bytes per power-law atom while it is built: sizes, weights and their
-# powers, probs, strengths and the cdf, plus a Python float for fsum
+# powers, probs and strengths, plus a Python float for fsum
 _ATOM_BYTES = 80
 
 
@@ -78,8 +78,6 @@ class LayerTypeDistribution:
             raise ValueError("negative layer size")
         if np.any((self.strengths < 0) | (self.strengths > 1)):
             raise ValueError("layer strength outside [0,1]")
-        # precompute the sampling cdf once; object is immutable afterwards
-        object.__setattr__(self, "_cdf", np.cumsum(self.probs))
 
     # -- constructors -----------------------------------------------------
 
@@ -188,12 +186,6 @@ class CrossMoments:
             p33=cross_moment(dist, 3, 3),
             p43=cross_moment(dist, 4, 3),
         )
-
-
-def sample_atoms(dist: LayerTypeDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Indices of count iid atoms of dist, drawn by one cdf search."""
-    i = np.searchsorted(dist._cdf, rng.random(count), side="right")
-    return np.minimum(i, len(dist.probs) - 1)
 
 
 def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistribution:

@@ -205,7 +205,10 @@ def _theory_values(spec: StudySpec):
 def _tail_fit(degree_counts: np.ndarray, fit_range):
     """(slope, stderr, fit_range) of tail_slope_fit on the size-biased law
     of the node counts per degree.  fit_range defaults to (_DEFAULT_T_LO,
-    the largest degree that at least _MIN_TAIL_OBS nodes have)."""
+    the largest degree that at least _MIN_TAIL_OBS nodes have).  Raises
+    InsufficientSupport when no node has an edge."""
+    if not degree_counts[1:].any():
+        raise InsufficientSupport("no edges")
     if fit_range is None:
         heavy = np.nonzero(degree_counts >= _MIN_TAIL_OBS)[0]
         fit_range = (_DEFAULT_T_LO, int(heavy.max()) if len(heavy) else 0)

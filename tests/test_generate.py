@@ -201,6 +201,44 @@ class TestGenerateGraph:
         assert {r.layer_type.size for r in g.layer_records} == set(range(n + 1))
         assert union == set(map(tuple, g.edges.tolist()))
 
+    def test_records_are_not_grouped_by_atom(self):
+        # in an iid sequence of two equally likely types, each neighbour
+        # pair differs with chance 1/2
+        d = LayerTypeDistribution.tabular([(3, 0.5, 0.5), (4, 0.0, 0.5)])
+        g = generate_graph(GenConfig(n=30, layers=2001, seed=13, keep_layer_records=True), d)
+        sizes = np.array([r.layer_type.size for r in g.layer_records])
+        changes = np.count_nonzero(np.diff(sizes))
+        assert abs(changes - 1000) < 4 * math.sqrt(2000 / 4)
+
+    def test_edges_do_not_depend_on_records(self):
+        # layers of size 0 or 1 and of strength 0 draw nodes only when recorded
+        d = LayerTypeDistribution.tabular(
+            [(0, 0.5, 0.1), (1, 0.5, 0.2), (6, 0.0, 0.3), (4, 0.6, 0.2), (9, 0.2, 0.2)])
+        plain, kept = (generate_graph(GenConfig(n=50, layers=500, seed=31, keep_layer_records=keep), d)
+                       for keep in (False, True))
+        assert kept.edges.tobytes() == plain.edges.tobytes()
+        assert len(kept.layer_records) == 500
+        assert {r.layer_type.size for r in kept.layer_records} == {0, 1, 4, 6, 9}
+
+    def test_each_atom_sampled_once(self, monkeypatch):
+        # one group per atom that draws edges, however many layers there are
+        d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 200)
+        cfg = GenConfig(n=1000, layers=(1 << 16) + 5000, seed=19)
+        calls = []
+        real = generate._sample_group
+
+        def counted(n, x, y, *args):
+            calls.append((x, y))
+            return real(n, x, y, *args)
+
+        monkeypatch.setattr(generate, "_sample_group", counted)
+        generate_graph(cfg, d)
+        monkeypatch.undo()
+        kept = generate_graph(GenConfig(n=cfg.n, layers=cfg.layers, seed=cfg.seed, keep_layer_records=True), d)
+        types = {r.layer_type for r in kept.layer_records}
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {(t.size, t.strength) for t in types if t.size >= 2 and t.strength > 0}
+
     def test_mu_resolution(self):
         cfg = GenConfig(n=100, mu=1.0, seed=7)
         assert cfg.m == 100
@@ -216,11 +254,11 @@ class TestGoldenStream:
 
     @pytest.mark.parametrize("dist, cfg, edge_count, digest", [
         (LayerTypeDistribution.tabular([(3, 0.7, 0.5), (60, 0.1, 0.5)]),
-         GenConfig(n=500, layers=300, seed=2024), 22905,
-         "a25f8e2a6fd8f5f9b3d3bd095042da1705c83c3e4deee250e17ad8b086000c90"),
+         GenConfig(n=500, layers=300, seed=2024), 23883,
+         "fab0a936892e6a92329b80a454a566d714d208529fba3cafb0730a4d77337900"),
         (LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 30),
-         GenConfig(n=1000, mu=1.0, seed=7), 278,
-         "4de19533ae5d5f84015a16d525fdce4ea67b4106765832b1cad56ddba29101fa"),
+         GenConfig(n=1000, mu=1.0, seed=7), 458,
+         "d6c57b4a4a0fa14a88c041e1c6f37ed714ece0d6b214bec69bcc4d2fbf87e2c0"),
     ], ids=["mixed_sizes", "power_law"])
     def test_edges_hash(self, dist, cfg, edge_count, digest):
         g = generate_graph(cfg, dist)

@@ -7,12 +7,13 @@ from hypothesis import strategies as st
 
 from superpose_net import (
     CrossMoments,
+    GenConfig,
     LayerType,
     LayerTypeDistribution,
     ZeroEdgeMass,
     cross_moment,
     edge_biased_distribution,
-    sample_atoms,
+    generate_graph,
 )
 
 from laws import random_tabular
@@ -91,20 +92,27 @@ class TestCrossMoment:
         assert lhs <= rhs + 1e-9 * max(1.0, rhs)
 
 
+def record_types(dist, n, layers, seed):
+    """The layer type of every record of one sampled graph."""
+    g = generate_graph(GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True), dist)
+    return [r.layer_type for r in g.layer_records]
+
+
 class TestSampling:
-    def test_constant_is_degenerate(self, rng):
+    """The layer types the sampler draws, as its records show them."""
+
+    def test_constant_is_degenerate(self):
         d = LayerTypeDistribution.constant(3, 0.5)
-        assert sample_atoms(d, 10, rng).tolist() == [0] * 10
+        assert record_types(d, 20, 10, seed=1) == [LayerType(3, 0.5)] * 10
 
-    def test_single_atom_tabular(self, rng):
+    def test_single_atom_tabular(self):
         d = LayerTypeDistribution.tabular([(5, 0.2, 1.0)])
-        i = sample_atoms(d, 1, rng)
-        assert (d.sizes[i].tolist(), d.strengths[i].tolist()) == ([5], [0.2])
+        assert record_types(d, 20, 1, seed=1) == [LayerType(5, 0.2)]
 
-    def test_power_law_frequencies_match_normalization(self, rng):
+    def test_power_law_frequencies_match_normalization(self):
         d = LayerTypeDistribution.power_law(2.5, 0.5, 1.0, 1, 1000)
         draws = 200_000
-        seen = np.bincount(d.sizes[sample_atoms(d, draws, rng)], minlength=1001)
+        seen = np.bincount([t.size for t in record_types(d, 1000, draws, seed=2)], minlength=1001)
         # exact truncated-zeta normalization as oracle
         for x in (1, 2, 3, 5, 10):
             p = d.probs[int(np.searchsorted(d.sizes, x))]

@@ -187,6 +187,19 @@ class TestRunStudy:
         assert agg["tv1"]["count"] == 3 and agg["tv1"]["degenerate"] == 0
         assert agg["tv1"]["degenerate_reason"] is None
 
+    @pytest.mark.parametrize("dist", [
+        LayerTypeDistribution.constant(2, 0.0), LayerTypeDistribution.constant(1, 1.0),
+    ], ids=["strength_0", "size_1"])
+    def test_edgeless_replications_leave_the_tail_slope_degenerate(self, dist):
+        report = run_study(StudySpec(
+            dist=dist, mu=0.5, n_grid=(8, 20), replications=4, seed=3, metrics=("tail_slope",),
+        ))
+        assert [row["note"] for row in report.rows] == ["degenerate: no edges"] * 8
+        for agg in report.summary.values():
+            assert agg["tail_slope"]["degenerate"] == 4
+            assert agg["tail_slope"]["degenerate_reason"] == "no edges"
+            assert agg["tail_slope_pooled"] is None
+
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(500, 200),
