@@ -13,7 +13,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +29,7 @@ from .errors import (
 from .generate import GenConfig, generate_graph, read_edge_list, write_edge_list, write_layer_records
 from .layers import LayerTypeDistribution
 from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
-from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv, size_biased
+from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv, size_biased
 from .stats import bidegree_distribution, degree_distribution
 from .study import _DEFAULT_T_LO, StudySpec, checked_fit_range, run_study, tail_slope_fit
 
@@ -39,12 +39,12 @@ EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
 
 @dataclass
 class RunConfig:
+    """A checked config.  document holds the sections the command reads,
+    as the config gave them and with any --seed override written in; the
+    manifest records it.  layer_distribution is the law built from it."""
     command: str
+    document: dict
     layer_distribution: Optional[LayerTypeDistribution] = None
-    model: dict = field(default_factory=dict)
-    theory: dict = field(default_factory=dict)
-    study: dict = field(default_factory=dict)
-    input: dict = field(default_factory=dict)
 
 
 def _is_int(value) -> bool:
@@ -173,28 +173,16 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
     _check_document(raw, cmd)
 
     reads = _READS[cmd]
-    cfg = RunConfig(command=cmd, **{name: {k: v for k, v in raw.get(name, {}).items()
-                                           if name in reads or f"{name}.{k}" in reads} for name in _SECTIONS})
-    if "layer_distribution" in raw and "layer_distribution" in reads:
-        args = dict(raw["layer_distribution"])
+    cfg = RunConfig(cmd, {})
+    for name in ("layer_distribution", *_SECTIONS):
+        section = {k: v for k, v in raw.get(name, {}).items() if name in reads or f"{name}.{k}" in reads}
+        if section:
+            cfg.document[name] = section
+    if "layer_distribution" in cfg.document:
+        args = dict(cfg.document["layer_distribution"])
         build = getattr(LayerTypeDistribution, args.pop("family"))
         cfg.layer_distribution = _validated("layer_distribution", build, **args)
     return cfg
-
-
-def serialize_config(cfg: RunConfig) -> dict:
-    doc: dict = {"command": cfg.command}
-    if cfg.layer_distribution is not None:
-        d = cfg.layer_distribution
-        if d.family == "tabular":
-            doc["layer_distribution"] = {"family": "tabular", "atoms": [[x, y, p] for x, y, p in d.atoms()]}
-        else:
-            doc["layer_distribution"] = {"family": d.family, **d.params}
-    for key in _SECTIONS:
-        section = getattr(cfg, key)
-        if section:
-            doc[key] = section
-    return doc
 
 
 # -- dispatch --------------------------------------------------------------
@@ -209,12 +197,12 @@ def _validated(section: str, build, **kwargs):
 
 
 def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None:
-    doc = {"config": serialize_config(cfg), "version": __version__, "outputs": outputs, **extra}
+    doc = {"config": {"command": cfg.command, **cfg.document}, "version": __version__, "outputs": outputs, **extra}
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
 def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
-    model = cfg.model
+    model = cfg.document["model"]
     gen = _validated(
         "model", GenConfig, n=model["n"], layers=model.get("m"), mu=model.get("mu"),
         seed=model["seed"], keep_layer_records=model.get("keep_layer_records", False),
@@ -232,13 +220,13 @@ def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
-    g = read_edge_list(cfg.input["edge_list"])
+    g = read_edge_list(cfg.document["input"]["edge_list"])
     f1 = degree_distribution(g)
     f2 = bidegree_distribution(g)
     outputs = []
-    pmf1d_to_csv(f1, out_dir / "degree_pmf.csv")
-    pmf1d_to_csv(size_biased(f1), out_dir / "size_biased_pmf.csv")
-    pmf2d_to_csv(f2, out_dir / "bidegree_pmf.csv")
+    pmf_to_csv(f1, out_dir / "degree_pmf.csv")
+    pmf_to_csv(size_biased(f1), out_dir / "size_biased_pmf.csv")
+    pmf_to_csv(f2, out_dir / "bidegree_pmf.csv")
     outputs += ["degree_pmf.csv", "size_biased_pmf.csv", "bidegree_pmf.csv"]
     summary = {"n": g.n, "edges": g.edge_count, **functionals(f2, FUNCTIONALS)}
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
@@ -247,14 +235,14 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
-    params = _validated("theory", LimitParams, dist=cfg.layer_distribution, **cfg.theory)
+    params = _validated("theory", LimitParams, dist=cfg.layer_distribution, **cfg.document["theory"])
     f1, f2 = limiting_laws(params)
     # the limit's assortativity in closed form, its rank functionals from f2
     summary = {"assortativity": limiting_assortativity(params)}
     summary.update(functionals(f2, ("kendall", "spearman")))
     summary["moments"] = vars(limiting_moments(params))
-    pmf1d_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
-    pmf2d_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
+    pmf_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
+    pmf_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
     _manifest(
         cfg, out_dir,
@@ -265,7 +253,7 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
-    spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.study)
+    spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.document["study"])
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
     report.to_csv(out_dir / f"{stem}.csv")
@@ -274,13 +262,14 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
-    pred = _validated("theory", tail_prediction, mu=cfg.theory["mu"], dist=cfg.layer_distribution)
+    pred = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
     summary = dict(vars(pred))
-    fit_range = cfg.input.get("fit_range")
+    given = cfg.document.get("input", {})
+    fit_range = given.get("fit_range")
     if fit_range is not None:
         fit_range = _validated("input", checked_fit_range, fit_range=fit_range)
-    if "pmf_csv" in cfg.input:
-        pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=cfg.input["pmf_csv"])
+    if "pmf_csv" in given:
+        pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=given["pmf_csv"])
         fit_range = fit_range or (_DEFAULT_T_LO, len(pmf.probs) - 1)
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope
@@ -298,7 +287,7 @@ def dispatch(cfg: RunConfig, out_dir, seed_override=None) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if seed_override is not None and cfg.command in ("generate", "converge"):
-        (cfg.model if cfg.command == "generate" else cfg.study)["seed"] = seed_override
+        cfg.document["model" if cfg.command == "generate" else "study"]["seed"] = seed_override
     _RUNNERS[cfg.command](cfg, out_dir)
 
 

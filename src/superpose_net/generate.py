@@ -252,13 +252,13 @@ def read_edge_list(path) -> GraphSample:
     outside 1..n, or a self-loop.
     """
     meta = {}
-    with open(path) as fh:
-        for line in fh:
-            text = line.strip()
-            if text and not text.startswith("#"):
-                break
-            meta.update(tok.split("=", 1) for tok in text[1:].split() if "=" in tok)
     try:
+        with open(path) as fh:  # a byte that is not UTF-8 raises UnicodeDecodeError, a ValueError
+            for line in fh:
+                text = line.strip()
+                if text and not text.startswith("#"):
+                    break
+                meta.update(tok.split("=", 1) for tok in text[1:].split() if "=" in tok)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # raised for a file without edges
             ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)

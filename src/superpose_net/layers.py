@@ -89,7 +89,6 @@ class LayerTypeDistribution:
             sizes=np.array([size], dtype=np.int64),
             strengths=np.array([strength], dtype=float),
             probs=np.array([1.0]),
-            params={"size": size, "strength": strength},
         )
 
     @staticmethod
@@ -133,11 +132,6 @@ class LayerTypeDistribution:
         )
 
     # -- queries ----------------------------------------------------------
-
-    def atoms(self):
-        """Iterate (size, strength, probability) triples."""
-        for x, y, p in zip(self.sizes.tolist(), self.strengths.tolist(), self.probs.tolist()):
-            yield x, y, p
 
     def normalization_amplitude(self) -> float:
         """pmf(x_max) * x_max**alpha for the power_law family.

@@ -134,26 +134,22 @@ def functionals(f: Pmf2D, names) -> dict:
 
 # -- CSV serialization ----------------------------------------------------
 
-def pmf1d_to_csv(f: Pmf1D, path) -> None:
-    (s,) = np.nonzero(f.probs > 0)
-    probs = f.probs[s].astype(float).tolist()
-    rows = "".join([f"{i},{p!r}\n" for i, p in zip(s.tolist(), probs)])
+def pmf_to_csv(f: _Pmf, path) -> None:
+    """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
+    per positive entry, then a `# mass_defect=` line."""
+    index = np.nonzero(f.probs > 0)
+    probs = f.probs[index].astype(float).tolist()
+    line = "%d," * f.probs.ndim + "%r\n"
+    rows = "".join([line % row for row in zip(*(i.tolist() for i in index), probs)])
+    header = ("s,prob", "s,t,prob")[f.probs.ndim - 1]
     with open(path, "w") as fh:
-        fh.write(f"s,prob\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
-
-
-def pmf2d_to_csv(f: Pmf2D, path) -> None:
-    s, t = np.nonzero(f.probs > 0)
-    probs = f.probs[s, t].astype(float).tolist()
-    rows = "".join([f"{i},{j},{p!r}\n" for i, j, p in zip(s.tolist(), t.tolist(), probs)])
-    with open(path, "w") as fh:
-        fh.write(f"s,t,prob\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
+        fh.write(f"{header}\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
 
 
 def pmf1d_from_csv(path) -> Pmf1D:
-    """Read a pmf1d_to_csv file.  ValueError if a line after the header is
-    not `s,prob` with 0 <= s <= _MAX_SUPPORT, if a support point appears
-    twice, or if the mass is not 1."""
+    """Read a pmf_to_csv file of a 1-D law.  ValueError if a line after
+    the header is not `s,prob` with 0 <= s <= _MAX_SUPPORT, if a support
+    point appears twice, or if the mass is not 1."""
     entries = {}
     defect = 0.0
     with open(path) as fh:

@@ -21,6 +21,11 @@ def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges
             return dist
 
 
+def atoms(dist):
+    """The (size, strength, probability) triples of a layer law."""
+    return list(zip(dist.sizes.tolist(), dist.strengths.tolist(), dist.probs.tolist()))
+
+
 def moment(f, k):
     """E[D^k] for D ~ the 1-D pmf f."""
     return float(np.arange(len(f.probs), dtype=float) ** k @ f.probs)

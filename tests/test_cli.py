@@ -14,7 +14,6 @@ from superpose_net.cli import (
     dispatch,
     main,
     parse_config,
-    serialize_config,
 )
 
 
@@ -29,8 +28,8 @@ class TestParseConfig:
     def test_minimal_generate(self):
         cfg = parse_config(json.dumps(MINIMAL_GENERATE))
         assert cfg.command == "generate"
-        assert cfg.model["n"] == 100
-        assert cfg.theory == {}
+        assert cfg.document["model"]["n"] == 100
+        assert "theory" not in cfg.document
 
     def test_output_section_rejected(self):
         doc = {**MINIMAL_GENERATE, "output": {"formats": ["json"], "directory": "/nonexistent"}}
@@ -41,8 +40,8 @@ class TestParseConfig:
     def test_config_file_path(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(MINIMAL_GENERATE))
-        assert parse_config(str(path)).model["seed"] == 7
-        assert parse_config(path).model["seed"] == 7
+        assert parse_config(str(path)).document["model"]["seed"] == 7
+        assert parse_config(path).document["model"]["seed"] == 7
 
     @pytest.mark.parametrize("source", ["missing.json", "x" * 300, "nul\0byte", "[1, 2]"],
                              ids=["missing", "name_too_long", "nul_byte", "not_an_object"])
@@ -78,8 +77,8 @@ class TestParseConfig:
 
     def test_round_trip(self):
         cfg = parse_config(json.dumps(MINIMAL_GENERATE))
-        again = parse_config(json.dumps(serialize_config(cfg)))
-        assert serialize_config(again) == serialize_config(cfg)
+        again = parse_config(json.dumps({"command": cfg.command, **cfg.document}))
+        assert again.document == cfg.document == {k: v for k, v in MINIMAL_GENERATE.items() if k != "command"}
 
     def test_missing_required(self):
         with pytest.raises(ConfigError):
@@ -195,6 +194,20 @@ class TestDispatch:
         assert manifests["theory"]["config"]["theory"] == {"mu": 1.0}
         assert manifests["theory"]["tail_epsilon"] == 1e-10
         assert manifests["tailfit"]["config"]["theory"] == {"mu": 1.0}
+
+    def test_tabular_manifest_reruns_as_given(self, tmp_path):
+        """A tabular law's atoms are recorded as the config gave them, with
+        a repeated atom and out of order; rerunning the manifest's config
+        gives the same edge list.  Sections are recorded in one order."""
+        dist = {"family": "tabular", "atoms": [[4, 0.5, 0.25], [3, 0.6, 0.25], [4, 0.5, 0.5]]}
+        doc = {"model": {"n": 300, "mu": 1, "seed": 7}, "theory": {"mu": 2.0}, "layer_distribution": dist}
+        assert main(["generate", "--config", json.dumps(doc), "--out", str(tmp_path / "a")]) == 0
+        config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+        assert list(config) == ["command", "layer_distribution", "model"]
+        assert config["layer_distribution"] == dist
+        assert main(["generate", "--config", json.dumps(config), "--out", str(tmp_path / "b")]) == 0
+        for name in ("graph.edgelist", "manifest.json"):
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 class TestMainExitCodes:
@@ -336,10 +349,16 @@ class TestMainExitCodes:
         assert main(["generate", "--config", doc, "--out", str(tmp_path)]) == 0
         assert (tmp_path / "graph.edgelist").exists()
 
-    @pytest.mark.parametrize("body", ["1 1\n", "2 5\n", "0 2\n", "1 2 3\n", "# n=4000000000\n1 2\n"])
+    @pytest.mark.parametrize("body", [
+        "1 1\n", "2 5\n", "0 2\n", "1 2 3\n", "# n=4000000000\n1 2\n",
+        pytest.param(b"1 2\n\xe9 3\n", id="not_utf8_in_an_edge"),
+        pytest.param(b"1 2\n2 3\n#\xe9\n", id="not_utf8_in_a_comment"),
+        pytest.param(b"1 2\n" * 20_000 + b"\xe9 3\n", id="not_utf8_on_line_20000"),
+    ])
     def test_invalid_edge_list_is_4(self, tmp_path, capsys, body):
         edge_file = tmp_path / "bad.edgelist"
-        edge_file.write_text("# superpose-net n=3 m=1 seed=0\n" + body)
+        data = body if type(body) is bytes else body.encode()
+        edge_file.write_bytes(b"# superpose-net n=3 m=1 seed=0\n" + data)
         code = main(["empirical", "--config", json.dumps({"input": {"edge_list": str(edge_file)}}),
                      "--out", str(tmp_path / "out")])
         assert code == 4
@@ -489,6 +508,9 @@ class TestMainExitCodes:
                      "--seed", "99"]) == 0
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         assert manifest["seed"] == 99
+        assert manifest["config"]["model"] == {**MINIMAL_GENERATE["model"], "seed": 99}
+        assert main(["generate", "--config", json.dumps(manifest["config"]), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "graph.edgelist").read_bytes() == (tmp_path / "b" / "graph.edgelist").read_bytes()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -5,7 +5,7 @@ per atom over its full support, and the limiting bidegree law from dense
 outer products of full-support Bin(x-2, y) rows plus a shift-and-add 2-D
 convolution.  The own-layer law fprime2_pmf, the core of the bidegree law,
 is checked against the closed-form moments of limiting_moments.  The pmf
-CSV writers are checked byte for byte against a writer that emits one line
+CSV writer is checked byte for byte against writers that emit one line
 per entry.
 """
 
@@ -31,15 +31,15 @@ from superpose_net import (
     spearman,
 )
 from superpose_net.limits import _windows
-from superpose_net.pmf import Pmf1D, Pmf2D, pmf1d_to_csv, pmf2d_to_csv
+from superpose_net.pmf import Pmf1D, Pmf2D, pmf_to_csv
 
-from laws import random_tabular
+from laws import atoms, random_tabular
 
 
 def reference_increment(dist):
     p10 = cross_moment(dist, 1, 0)
     out = np.zeros(max(int(dist.sizes.max(initial=0)) - 1, 0) + 1)
-    for x, y, p in dist.atoms():
+    for x, y, p in atoms(dist):
         if x == 0 or p == 0:
             continue
         out[:x] += x * p / p10 * binom.pmf(np.arange(x), x - 1, y)
@@ -51,7 +51,7 @@ def reference_bidegree(params):
     top = max(int(biased.sizes.max(initial=0)) - 2, 0)
     fp2 = np.zeros((top + 1, top + 1))
     support = np.arange(top + 1)
-    for x, y, p in biased.atoms():
+    for x, y, p in atoms(biased):
         row = binom.pmf(support, x - 2, y)
         fp2 += p * np.outer(row, row)
     g = Pmf1D(reference_increment(params.dist))
@@ -141,7 +141,7 @@ def test_windows_hold_all_the_mass():
     assert left_out.max() <= 2.0**-53
 
 
-# -- CSV writers ------------------------------------------------------------
+# -- CSV writer -------------------------------------------------------------
 
 def reference_pmf1d_to_csv(f, path):
     with open(path, "w") as fh:
@@ -163,11 +163,11 @@ def reference_pmf2d_to_csv(f, path):
 def test_csv_writers_match_the_line_by_line_writer(tmp_path):
     params = _laws()[-1]
     f1, f2 = limiting_laws(params)
-    for law, write, reference in (
-        (f1, pmf1d_to_csv, reference_pmf1d_to_csv),
-        (f2, pmf2d_to_csv, reference_pmf2d_to_csv),
-        (Pmf1D(np.array([0.0, 0.5, 0.0, 0.5])), pmf1d_to_csv, reference_pmf1d_to_csv),
+    for law, reference in (
+        (f1, reference_pmf1d_to_csv),
+        (f2, reference_pmf2d_to_csv),
+        (Pmf1D(np.array([0.0, 0.5, 0.0, 0.5])), reference_pmf1d_to_csv),
     ):
-        write(law, tmp_path / "new.csv")
+        pmf_to_csv(law, tmp_path / "new.csv")
         reference(law, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -287,6 +287,25 @@ class TestAssortativity:
         f2 = limiting_laws(params)[1]
         assert pearson_correlation(f2) == pytest.approx(limiting_assortativity(params), abs=1e-6)
 
+    def test_rank_correlations_settle_as_the_tail_grows(self):
+        """power_law(3, 1/2, 1, 1, x_max) at mu = 1 for x_max = 1e3, 1e4,
+        1e5: the closed-form assortativity keeps rising, while each step of
+        Kendall's tau and of Spearman's rho is at most half the step before,
+        so the rank correlations settle below 1."""
+        ladder = []
+        for x_max in (10**3, 10**4, 10**5):
+            params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, x_max))
+            f2 = limiting_laws(params)[1]
+            ladder.append((limiting_assortativity(params), kendall(f2), spearman(f2)))
+        pearson, tau, rho = (np.array(column) for column in zip(*ladder))
+        assert pearson == pytest.approx([0.7710, 0.9073, 0.9648], abs=1e-4)
+        assert tau == pytest.approx([0.5321, 0.5644, 0.5745], abs=1e-4)
+        assert rho == pytest.approx([0.6639, 0.6959, 0.7056], abs=1e-4)
+        assert np.all(np.diff(pearson) > 0)
+        for values in (tau, rho):
+            steps = np.diff(values)
+            assert 0 < steps[1] <= steps[0] / 2
+
 
 class TestMoments:
     def test_mean_extra_degree(self):

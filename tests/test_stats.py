@@ -26,7 +26,7 @@ from superpose_net import (
 )
 from superpose_net.generate import LayerRecord, degrees
 from superpose_net.layers import LayerType
-from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf1d_to_csv, pmf2d_to_csv
+from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
 from laws import marginal
 
@@ -329,7 +329,7 @@ class TestCsv:
     def test_pmf1d_round_trip(self, tmp_path):
         f = Pmf1D(np.array([0.25, 0.5, 0.125]), mass_defect=0.125)
         path = tmp_path / "f.csv"
-        pmf1d_to_csv(f, path)
+        pmf_to_csv(f, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "s,prob"
         assert lines[-1].startswith("# mass_defect=")
@@ -340,6 +340,7 @@ class TestCsv:
     def test_pmf2d_round_trip(self, tmp_path):
         f = Pmf2D(np.array([[0.5, 0.25], [0.25, 0.0]]))
         path = tmp_path / "f2.csv"
-        pmf2d_to_csv(f, path)
+        pmf_to_csv(f, path)
+        assert path.read_text().splitlines()[0] == "s,t,prob"
         back = pmf2d_from_csv(path)
         assert np.array_equal(back.probs, f.probs)
