@@ -1,71 +1,38 @@
 """Simulator and exact-limit analytics for multilayer Bernoulli graph
-superpositions."""
+superpositions.
+
+Each public name is imported from its module on first access, so a run
+loads only the modules it uses: `theory` never loads the sampler."""
+
+import importlib
 
 __version__ = "0.4.0"
 
-from .errors import (
-    ConfigError,
-    DegenerateMarginal,
-    EmptyGraph,
-    HypothesisViolation,
-    InsufficientSupport,
-    InvalidEdgeList,
-    InvalidLambda,
-    MemoryBudgetExceeded,
-    MissingRecords,
-    RateUnderflow,
-    SuperposeError,
-    ZeroDenominator,
-    ZeroEdgeMass,
-    ZeroMean,
-    ZeroP10,
-)
-from .generate import (
-    GenConfig,
-    GraphSample,
-    degrees,
-    generate_graph,
-    read_edge_list,
-    write_edge_list,
-)
-from .layers import (
-    CrossMoments,
-    LayerType,
-    LayerTypeDistribution,
-    cross_moment,
-    edge_biased_distribution,
-)
-from .limits import (
-    LimitParams,
-    MomentReport,
-    TailPrediction,
-    compound_poisson_pmf,
-    fprime2_pmf,
-    increment_pmf,
-    limiting_assortativity,
-    limiting_degree_pmf,
-    limiting_laws,
-    limiting_moments,
-    tail_prediction,
-)
-from .pmf import (
-    Pmf1D,
-    Pmf2D,
-    kendall,
-    pearson_correlation,
-    size_biased,
-    spearman,
-)
-from .stats import (
-    bidegree_distribution,
-    degree_distribution,
-    layer_subgraph_counts,
-)
-from .study import (
-    ConvergenceReport,
-    StudySpec,
-    run_study,
-    tail_slope_fit,
-    tv_distance_1d,
-    tv_distance_2d,
-)
+_EXPORTS = {
+    "errors": (
+        "ConfigError", "DegenerateMarginal", "EmptyGraph", "HypothesisViolation", "InsufficientSupport",
+        "InvalidEdgeList", "InvalidLambda", "MemoryBudgetExceeded", "MissingRecords", "RateUnderflow",
+        "SuperposeError", "ZeroDenominator", "ZeroEdgeMass", "ZeroMean", "ZeroP10",
+    ),
+    "generate": ("GenConfig", "GraphSample", "degrees", "generate_graph", "read_edge_list", "write_edge_list"),
+    "layers": ("CrossMoments", "LayerType", "LayerTypeDistribution", "cross_moment", "edge_biased_distribution"),
+    "limits": (
+        "LimitParams", "MomentReport", "TailPrediction", "compound_poisson_pmf", "fprime2_pmf",
+        "increment_pmf", "limiting_assortativity", "limiting_degree_pmf", "limiting_laws",
+        "limiting_moments", "tail_prediction",
+    ),
+    "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman"),
+    "stats": ("bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
+    "study": ("ConvergenceReport", "StudySpec", "run_study", "tail_slope_fit", "tv_distance_1d", "tv_distance_2d"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

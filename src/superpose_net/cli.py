@@ -26,12 +26,9 @@ from .errors import (
     InvalidEdgeList,
     SuperposeError,
 )
-from .generate import GenConfig, generate_graph, read_edge_list, write_edge_list, write_layer_records
 from .layers import LayerTypeDistribution
 from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
 from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv, size_biased
-from .stats import bidegree_distribution, degree_distribution
-from .study import _DEFAULT_T_LO, StudySpec, checked_fit_range, run_study, tail_slope_fit
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -89,9 +86,9 @@ _FIELDS = {
 _SECTIONS = ("model", "theory", "study", "input")
 # the sections and single fields each command reads; the others are checked
 # for their fields, then dropped, so a manifest records only what a run read
-_READS = {"generate": ("layer_distribution", "model"), "empirical": ("input",),
+_READS = {"generate": ("layer_distribution", "model"), "empirical": ("input.edge_list",),
           "theory": ("layer_distribution", "theory"), "converge": ("layer_distribution", "study"),
-          "tailfit": ("layer_distribution", "theory.mu", "input")}
+          "tailfit": ("layer_distribution", "theory.mu", "input.pmf_csv", "input.fit_range")}
 
 # the fields each command needs ("a|b": one of the two); a
 # layer_distribution needs every field of its family
@@ -201,7 +198,10 @@ def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None
     (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
+# each runner imports the sampler and study modules it uses, so a command
+# loads no module it does not run
 def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
+    from .generate import GenConfig, generate_graph, write_edge_list, write_layer_records
     model = cfg.document["model"]
     gen = _validated(
         "model", GenConfig, n=model["n"], layers=model.get("m"), mu=model.get("mu"),
@@ -220,6 +220,8 @@ def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
+    from .generate import read_edge_list
+    from .stats import bidegree_distribution, degree_distribution
     g = read_edge_list(cfg.document["input"]["edge_list"])
     f1 = degree_distribution(g)
     f2 = bidegree_distribution(g)
@@ -253,6 +255,7 @@ def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
+    from .study import StudySpec, run_study
     spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.document["study"])
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
@@ -262,6 +265,7 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
+    from .study import _DEFAULT_T_LO, checked_fit_range, tail_slope_fit
     pred = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
     summary = dict(vars(pred))
     given = cfg.document.get("input", {})

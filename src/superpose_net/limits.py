@@ -184,7 +184,8 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     f2 is (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2 =
     fprime2_pmf(params), i.e. T^T F'_2 T with T the K x (len(f1) + K)
     Toeplitz matrix T[u, 1 + u + j] = f1(j); its zero first column is the
-    (1,1) shift.  F'_2 comes first: its budget check is cheap, and the
+    (1,1) shift.  f2 is exactly symmetric, as the two endpoints are
+    exchangeable.  F'_2 comes first: its budget check is cheap, and the
     degree law can take seconds.
     """
     fp2 = fprime2_pmf(params).probs
@@ -194,6 +195,7 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     _check_budget(k, width)
     t = np.lib.stride_tricks.sliding_window_view(np.pad(f1.probs, (k, k - 1)), width)[::-1].copy()
     joint = t.T @ fp2 @ t
+    joint = (joint + joint.T) / 2  # the matrix products leave f2 asymmetric in the last bits
     return f1, Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 

@@ -136,10 +136,13 @@ def functionals(f: Pmf2D, names) -> dict:
 
 def pmf_to_csv(f: _Pmf, path) -> None:
     """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
-    per positive entry, then a `# mass_defect=` line."""
+    per positive entry, then a `# mass_defect=` line.  Each distinct value
+    is formatted once; a symmetric or empirical law repeats most of them."""
     index = np.nonzero(f.probs > 0)
-    probs = f.probs[index].astype(float).tolist()
-    line = "%d," * f.probs.ndim + "%r\n"
+    values, inverse = np.unique(f.probs[index].astype(float), return_inverse=True)
+    texts = [repr(v) for v in values.tolist()]
+    probs = [texts[i] for i in inverse.tolist()]
+    line = "%d," * f.probs.ndim + "%s\n"
     rows = "".join([line % row for row in zip(*(i.tolist() for i in index), probs)])
     header = ("s,prob", "s,t,prob")[f.probs.ndim - 1]
     with open(path, "w") as fh:

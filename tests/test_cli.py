@@ -171,15 +171,18 @@ class TestDispatch:
             # one config file serves generate and theory alike, as in the README
             "generate_with_extras": ("generate", {**MINIMAL_GENERATE, "theory": {"mu": 1.0},
                                                   "study": converge_study}),
-            "empirical": ("empirical", {"input": {"edge_list": str(edge_file)}}),
+            # empirical reads input.edge_list alone
+            "empirical": ("empirical", {"input": {"edge_list": str(edge_file), "pmf_csv": "unread.csv",
+                                                  "fit_range": [20, 200]}}),
             "converge": ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                                       "study": converge_study}),
             "theory": ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                                   "theory": {"mu": 1.0}}),
-            # tailfit reads theory.mu alone
+            # tailfit reads theory.mu, input.pmf_csv and input.fit_range
             "tailfit": ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
                                                            "b": 1.0, "x_min": 1, "x_max": 100},
-                                    "theory": {"mu": 1.0, "tail_epsilon": 0.5}}),
+                                    "theory": {"mu": 1.0, "tail_epsilon": 0.5},
+                                    "input": {"edge_list": str(edge_file), "fit_range": [20, 60]}}),
         }
         manifests = {}
         for name, (command, doc) in runs.items():
@@ -194,6 +197,8 @@ class TestDispatch:
         assert manifests["theory"]["config"]["theory"] == {"mu": 1.0}
         assert manifests["theory"]["tail_epsilon"] == 1e-10
         assert manifests["tailfit"]["config"]["theory"] == {"mu": 1.0}
+        assert manifests["empirical"]["config"]["input"] == {"edge_list": str(edge_file)}
+        assert manifests["tailfit"]["config"]["input"] == {"fit_range": [20, 60]}
 
     def test_tabular_manifest_reruns_as_given(self, tmp_path):
         """A tabular law's atoms are recorded as the config gave them, with

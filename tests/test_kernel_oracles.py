@@ -17,12 +17,15 @@ from scipy.stats import binom
 
 from superpose_net import (
     DegenerateMarginal,
+    GenConfig,
     LayerTypeDistribution,
     LimitParams,
+    bidegree_distribution,
     compound_poisson_pmf,
     cross_moment,
     edge_biased_distribution,
     fprime2_pmf,
+    generate_graph,
     increment_pmf,
     kendall,
     limiting_laws,
@@ -161,12 +164,20 @@ def reference_pmf2d_to_csv(f, path):
 
 
 def test_csv_writers_match_the_line_by_line_writer(tmp_path):
+    """The writer formats each distinct value once; laws whose values
+    repeat, or that have one positive entry or none, come out the same."""
     params = _laws()[-1]
     f1, f2 = limiting_laws(params)
+    g = generate_graph(GenConfig(n=500, mu=1.0, seed=2), LayerTypeDistribution.tabular([(3, 0.6, 0.5), (8, 0.2, 0.5)]))
     for law, reference in (
         (f1, reference_pmf1d_to_csv),
         (f2, reference_pmf2d_to_csv),
         (Pmf1D(np.array([0.0, 0.5, 0.0, 0.5])), reference_pmf1d_to_csv),
+        (bidegree_distribution(g), reference_pmf2d_to_csv),
+        (Pmf2D(np.array([[0.0, 0.25, 0.25], [0.25, 0.0, 0.25]])), reference_pmf2d_to_csv),
+        (Pmf2D(np.array([[0.0, 0.0], [0.0, 1.0]])), reference_pmf2d_to_csv),
+        (Pmf1D(np.array([0.2, 0.1, 0.4, 0.0, 0.2, 0.1])), reference_pmf1d_to_csv),
+        (Pmf1D(np.zeros(3), mass_defect=1.0), reference_pmf1d_to_csv),
     ):
         pmf_to_csv(law, tmp_path / "new.csv")
         reference(law, tmp_path / "old.csv")

@@ -1,10 +1,17 @@
 """The theory side stays free of the sampler and of the layers above it,
-and the sampler stays below the theory side."""
+and the sampler stays below the theory side, in the source and at run time."""
 
 import ast
+import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import superpose_net
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "superpose_net"
 ABOVE = {"generate", "stats", "study", "cli"}
@@ -44,3 +51,29 @@ def test_the_check_sees_each_import_form(tmp_path):
                  "from superpose_net.cli import main", "from superpose_net import stats"):
         path.write_text(f"import math\n{line}\n")
         assert imported_modules(path) & ABOVE, line
+
+
+def test_theory_run_loads_no_sampler_module(tmp_path):
+    """The package resolves its names on first access, so a theory run
+    never imports generate, stats or study."""
+    doc = {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0,
+                                  "x_min": 1, "x_max": 50},
+           "theory": {"mu": 1.0}}
+    code = ("import json, sys, superpose_net.cli as cli; "
+            f"cli.parse_config({json.dumps(doc)!r}, command='theory'); "
+            f"assert cli.main(['theory', '--config', {json.dumps(doc)!r}, '--out', {str(tmp_path)!r}]) == 0; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('superpose_net.')]))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = {name.split(".")[1] for name in json.loads(out.stdout)}
+    assert loaded == {"cli", "errors", "layers", "limits", "pmf"}
+    assert (tmp_path / "limiting_bidegree_pmf.csv").is_file()
+
+
+def test_every_exported_name_resolves_to_its_module():
+    for name, module in superpose_net._MODULE_OF.items():
+        assert getattr(superpose_net, name) is getattr(importlib.import_module(f"superpose_net.{module}"), name)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        superpose_net.no_such_name
+    from superpose_net import generate
+    assert generate is sys.modules["superpose_net.generate"]

@@ -6,6 +6,7 @@ import pytest
 from scipy.stats import binom, poisson
 
 from superpose_net import (
+    GenConfig,
     HypothesisViolation,
     InvalidLambda,
     LayerTypeDistribution,
@@ -14,8 +15,10 @@ from superpose_net import (
     Pmf1D,
     RateUnderflow,
     ZeroEdgeMass,
+    bidegree_distribution,
     compound_poisson_pmf,
     fprime2_pmf,
+    generate_graph,
     increment_pmf,
     kendall,
     limiting_assortativity,
@@ -224,6 +227,17 @@ class TestLimitingBidegree:
     def test_poisson_product_case(self):
         f = limiting_laws(LimitParams(0.5, LayerTypeDistribution.constant(2, 1.0)))[1]
         assert f.probs[1, 1] == pytest.approx(math.exp(-2), abs=1e-10)
+
+    def test_is_exactly_symmetric(self, rng):
+        """The two endpoints of an edge are exchangeable, so f2 equals its
+        transpose bit for bit, as the empirical law of a sampled graph does."""
+        for dist in (random_tabular(rng), LayerTypeDistribution.constant(4, 0.5),
+                     LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 300)):
+            f2 = limiting_laws(LimitParams(1.0, dist))[1]
+            assert np.array_equal(f2.probs, f2.probs.T)
+        g = generate_graph(GenConfig(n=300, mu=1.0, seed=5), LayerTypeDistribution.constant(4, 0.5))
+        f2 = bidegree_distribution(g)
+        assert np.array_equal(f2.probs, f2.probs.T)
 
     def test_support_minimum_is_one_one(self, rng):
         d = random_tabular(rng)
