@@ -21,9 +21,9 @@ _EXPORTS = {
         "increment_pmf", "limiting_assortativity", "limiting_degree_pmf", "limiting_laws",
         "limiting_moments", "tail_prediction",
     ),
-    "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman"),
+    "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
     "stats": ("bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
-    "study": ("ConvergenceReport", "StudySpec", "run_study", "tail_slope_fit", "tv_distance_1d", "tv_distance_2d"),
+    "study": ("ConvergenceReport", "StudySpec", "run_study", "tv_distance_1d", "tv_distance_2d"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,8 @@ from .errors import (
 )
 from .layers import LayerTypeDistribution
 from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
-from .pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv, size_biased
+from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, checked_fit_range, functionals, pmf1d_from_csv, pmf_to_csv, size_biased,
+                  tail_slope_fit)
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
@@ -265,7 +267,6 @@ def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
-    from .study import _DEFAULT_T_LO, checked_fit_range, tail_slope_fit
     pred = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
     summary = dict(vars(pred))
     given = cfg.document.get("input", {})
@@ -335,5 +336,15 @@ def main(argv=None) -> int:
     return 0
 
 
+def run() -> None:
+    """main() as a process: its output files are closed when it returns, so
+    flush the standard streams and exit with its code, skipping interpreter
+    teardown.  An exception out of main(), SystemExit included, exits as usual."""
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

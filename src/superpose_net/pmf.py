@@ -1,5 +1,5 @@
 """The dense-law format: pmfs over an integer support starting at 0, their
-correlation functionals and their CSV files.
+correlation functionals and tail-slope fit, and their CSV files.
 
 Pmf1D/Pmf2D are dense arrays with a recorded mass defect for laws
 truncated from infinite support (always 0 for empirical laws).  The
@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMarginal, ZeroMean
+from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean
 
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
+_DEFAULT_T_LO = 10  # where a tail fit starts when no fit_range is given
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,36 @@ def size_biased(f: Pmf1D) -> Pmf1D:
     if total <= 0.0:
         raise ZeroMean("size-biasing needs a positive-mean distribution")
     return Pmf1D(weights / total, mass_defect=0.0)
+
+
+def checked_fit_range(fit_range) -> tuple:
+    """fit_range as a (lo, hi) tuple.  ValueError unless it is two numbers
+    with lo < hi."""
+    pair = isinstance(fit_range, (list, tuple)) and len(fit_range) == 2
+    if not (pair and all(isinstance(v, (int, float)) for v in fit_range) and fit_range[0] < fit_range[1]):
+        raise ValueError(f"fit_range must be two numbers [lo, hi] with lo < hi, got {fit_range!r}")
+    return tuple(fit_range)
+
+
+def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
+    """Least-squares slope magnitude of log pmf against log support.
+
+    Needs at least 5 positive-mass points inside the range; s = 0, whose
+    log is -inf, never counts.
+    """
+    t_lo, t_hi = fit_range
+    support = np.arange(len(f.probs))
+    mask = (support >= max(t_lo, 1)) & (support <= t_hi) & (f.probs > 0)
+    if mask.sum() < 5:
+        raise InsufficientSupport(f"only {int(mask.sum())} positive-mass points in [{t_lo}, {t_hi}]")
+    x = np.log(support[mask].astype(float))
+    y = np.log(f.probs[mask])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    dof = len(x) - 2
+    sxx = float(np.sum((x - x.mean()) ** 2))
+    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else float("inf")
+    return abs(float(slope)), stderr
 
 
 # -- correlation functionals ----------------------------------------------
@@ -136,14 +167,13 @@ def functionals(f: Pmf2D, names) -> dict:
 
 def pmf_to_csv(f: _Pmf, path) -> None:
     """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
-    per positive entry, then a `# mass_defect=` line.  Each distinct value
-    is formatted once; a symmetric or empirical law repeats most of them."""
+    per positive entry, then a `# mass_defect=` line.  Each distinct value and
+    support index is formatted once, and the lines gathered from those texts."""
     index = np.nonzero(f.probs > 0)
     values, inverse = np.unique(f.probs[index].astype(float), return_inverse=True)
-    texts = [repr(v) for v in values.tolist()]
-    probs = [texts[i] for i in inverse.tolist()]
-    line = "%d," * f.probs.ndim + "%s\n"
-    rows = "".join([line % row for row in zip(*(i.tolist() for i in index), probs)])
+    texts = np.array([repr(v) + "\n" for v in values.tolist()], dtype=object)
+    ints = np.array([f"{i}," for i in range(max(f.probs.shape))], dtype=object)
+    rows = "".join(np.stack([ints[ix] for ix in index] + [texts[inverse]], axis=1).ravel().tolist())
     header = ("s,prob", "s,t,prob")[f.probs.ndim - 1]
     with open(path, "w") as fh:
         fh.write(f"{header}\n{rows}# mass_defect={float(f.mass_defect)!r}\n")

@@ -28,7 +28,8 @@ from .limits import (
     limiting_laws,
     tail_prediction,
 )
-from .pmf import FUNCTIONALS, Pmf1D, Pmf2D, functionals, size_biased
+from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, Pmf1D, Pmf2D, checked_fit_range, functionals, size_biased,
+                  tail_slope_fit)
 from .stats import bidegree_distribution, layer_subgraph_counts
 
 ALL_METRICS = (
@@ -38,7 +39,6 @@ ALL_METRICS = (
 DEFAULT_METRICS = ALL_METRICS[:5]
 
 _MIN_TAIL_OBS = 50
-_DEFAULT_T_LO = 10
 
 
 def _padded(*arrays) -> np.ndarray:
@@ -58,38 +58,6 @@ def tv_distance_1d(f: Pmf1D, g: Pmf1D) -> float:
 
 
 tv_distance_2d = tv_distance_1d
-
-
-def checked_fit_range(fit_range) -> tuple:
-    """fit_range as a (lo, hi) tuple.  ValueError unless it is two numbers
-    with lo < hi."""
-    pair = isinstance(fit_range, (list, tuple)) and len(fit_range) == 2
-    if not (pair and all(isinstance(v, (int, float)) for v in fit_range) and fit_range[0] < fit_range[1]):
-        raise ValueError(f"fit_range must be two numbers [lo, hi] with lo < hi, got {fit_range!r}")
-    return tuple(fit_range)
-
-
-def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
-    """Least-squares slope magnitude of log pmf against log support.
-
-    Needs at least 5 positive-mass points inside the range; s = 0, whose
-    log is -inf, never counts.
-    """
-    t_lo, t_hi = fit_range
-    support = np.arange(len(f.probs))
-    mask = (support >= max(t_lo, 1)) & (support <= t_hi) & (f.probs > 0)
-    if mask.sum() < 5:
-        raise InsufficientSupport(
-            f"only {int(mask.sum())} positive-mass points in [{t_lo}, {t_hi}]"
-        )
-    x = np.log(support[mask].astype(float))
-    y = np.log(f.probs[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    dof = len(x) - 2
-    sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else float("inf")
-    return abs(float(slope)), stderr
 
 
 @dataclass(frozen=True)

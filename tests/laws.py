@@ -4,6 +4,7 @@ and acceptance tests."""
 import numpy as np
 
 from superpose_net import LayerTypeDistribution, Pmf1D
+from superpose_net.pmf import pmf_to_csv
 
 
 def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges=True):
@@ -19,6 +20,13 @@ def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges
             return dist
         if np.any((dist.sizes >= 2) & (dist.strengths > 0)):
             return dist
+
+
+def power_pmf_csv(path, length=60):
+    """Write p(s) proportional to (s + 1)^-2 on 0..length-1 as a pmf file; return its path."""
+    weights = (np.arange(length) + 1.0) ** -2
+    pmf_to_csv(Pmf1D(weights / weights.sum()), path)
+    return path
 
 
 def atoms(dist):

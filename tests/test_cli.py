@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -8,12 +9,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from laws import power_pmf_csv
 
 from superpose_net.cli import (
+    COMMANDS,
     ConfigError,
     dispatch,
     main,
     parse_config,
+    run,
 )
 
 
@@ -516,6 +520,92 @@ class TestMainExitCodes:
         assert manifest["config"]["model"] == {**MINIMAL_GENERATE["model"], "seed": 99}
         assert main(["generate", "--config", json.dumps(manifest["config"]), "--out", str(tmp_path / "b")]) == 0
         assert (tmp_path / "a" / "graph.edgelist").read_bytes() == (tmp_path / "b" / "graph.edgelist").read_bytes()
+
+
+def run_python(*args):
+    """A Python process with args and src on its path, its output captured.
+    Its standard streams are buffered, as on any run without a terminal, so
+    output that cli.run() failed to flush would be lost."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
+
+
+def run_process(*args):
+    return run_python("-m", "superpose_net.cli", *args)
+
+
+def small_config(command: str, tmp_path: Path) -> dict:
+    """A config of command that runs in well under a second, with its input files."""
+    if command == "empirical":
+        edge_file = tmp_path / "path.edgelist"
+        edge_file.write_text("# superpose-net n=4 m=2 seed=0\n1 2\n2 3\n3 4\n")
+        return {"input": {"edge_list": str(edge_file)}}
+    if command == "tailfit":
+        return {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0,
+                                       "x_min": 1, "x_max": 500},
+                "theory": {"mu": 1.0}, "input": {"pmf_csv": str(power_pmf_csv(tmp_path / "pmf.csv"))}}
+    dist = MINIMAL_GENERATE["layer_distribution"]
+    return {"generate": MINIMAL_GENERATE,
+            "theory": {"layer_distribution": dist, "theory": {"mu": 1.0}},
+            "converge": {"layer_distribution": dist,
+                         "study": {"mu": 1.0, "n_grid": [100], "replications": 2, "seed": 3}}}[command]
+
+
+class TestProcessEntry:
+    """A CLI process ends through cli.run(), without interpreter teardown;
+    it must write what main() writes and report errors the same way."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_process_writes_what_main_writes(self, tmp_path, command):
+        doc = json.dumps(small_config(command, tmp_path))
+        proc = run_process(command, "--config", doc, "--out", str(tmp_path / "process"))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == proc.stderr == ""
+        assert main([command, "--config", doc, "--out", str(tmp_path / "in_process")]) == 0
+        written = sorted(p.name for p in (tmp_path / "process").iterdir())
+        assert "manifest.json" in written
+        assert written == sorted(p.name for p in (tmp_path / "in_process").iterdir())
+        for name in written:
+            assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
+
+    @pytest.mark.parametrize("code, command, doc, edges", [
+        (1, "generate", {}, None),
+        (2, "theory", {"layer_distribution": {"family": "constant", "size": 1000, "strength": 0.5},
+                       "theory": {"mu": 1.0}}, None),
+        (3, "tailfit", {"layer_distribution": {"family": "power_law", "alpha": 2.5, "beta": 0.4,
+                                               "b": 1.0, "x_min": 1, "x_max": 100},
+                        "theory": {"mu": 1.0}}, None),
+        (4, "empirical", None, "# superpose-net n=3 m=1 seed=0\n1 1\n"),
+    ], ids=["config", "rate_underflow", "hypothesis", "invalid_edge_list"])
+    def test_error_exit_writes_one_json_line(self, tmp_path, code, command, doc, edges):
+        if edges is not None:
+            (tmp_path / "g.edgelist").write_text(edges)
+            doc = {"input": {"edge_list": str(tmp_path / "g.edgelist")}}
+        proc = run_process(command, "--config", json.dumps(doc), "--out", str(tmp_path / "out"))
+        assert proc.returncode == code
+        assert proc.stdout == "" and proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
+        assert set(json.loads(proc.stderr)) == {"error", "message"}
+
+    def test_run_flushes_both_streams_and_exits_with_the_code(self):
+        """Text without a newline stays in the buffers until a flush."""
+        main_code = "lambda: sys.stdout.write('out') and sys.stderr.write('err') and 5"
+        proc = run_python("-c", f"import sys, superpose_net.cli as cli; cli.main = {main_code}; cli.run()")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (5, "out", "err")
+
+    def test_help_exits_0_with_usage_on_a_pipe(self):
+        proc = run_process("--help")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.startswith("usage: superpose-net") and "generate" in proc.stdout
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library from Python 3.11")
+def test_console_script_is_the_process_entry():
+    import tomllib
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    module, _, name = pyproject["project"]["scripts"]["superpose-net"].partition(":")
+    assert getattr(importlib.import_module(module), name) is run
 
 
 def test_cli_import_leaves_scipy_out():

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from laws import power_pmf_csv
 
 import superpose_net
 
@@ -53,21 +54,26 @@ def test_the_check_sees_each_import_form(tmp_path):
         assert imported_modules(path) & ABOVE, line
 
 
-def test_theory_run_loads_no_sampler_module(tmp_path):
-    """The package resolves its names on first access, so a theory run
-    never imports generate, stats or study."""
+@pytest.mark.parametrize("command", ["theory", "tailfit"])
+def test_theory_run_loads_no_sampler_module(tmp_path, command):
+    """The package resolves its names on first access, so neither a theory
+    run nor a tail fit of a pmf file imports generate, stats or study."""
     doc = {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0,
                                   "x_min": 1, "x_max": 50},
-           "theory": {"mu": 1.0}}
+           "theory": {"mu": 1.0}, "input": {"pmf_csv": str(power_pmf_csv(tmp_path / "pmf.csv"))}}
+    out = tmp_path / "out"
     code = ("import json, sys, superpose_net.cli as cli; "
-            f"cli.parse_config({json.dumps(doc)!r}, command='theory'); "
-            f"assert cli.main(['theory', '--config', {json.dumps(doc)!r}, '--out', {str(tmp_path)!r}]) == 0; "
+            f"cli.parse_config({json.dumps(doc)!r}, command={command!r}); "
+            f"assert cli.main([{command!r}, '--config', {json.dumps(doc)!r}, '--out', {str(out)!r}]) == 0; "
             "print(json.dumps([m for m in sys.modules if m.startswith('superpose_net.')]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = {name.split(".")[1] for name in json.loads(out.stdout)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = {name.split(".")[1] for name in json.loads(result.stdout)}
     assert loaded == {"cli", "errors", "layers", "limits", "pmf"}
-    assert (tmp_path / "limiting_bidegree_pmf.csv").is_file()
+    written = {"theory": "limiting_bidegree_pmf.csv", "tailfit": "tail_prediction.json"}[command]
+    assert (out / written).is_file()
+    if command == "tailfit":
+        assert "fitted_slope" in json.loads((out / written).read_text())
 
 
 def test_every_exported_name_resolves_to_its_module():
