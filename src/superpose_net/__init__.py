@@ -12,10 +12,10 @@ _EXPORTS = {
     "errors": (
         "ConfigError", "DegenerateMarginal", "EmptyGraph", "HypothesisViolation", "InsufficientSupport",
         "InvalidEdgeList", "InvalidLambda", "MemoryBudgetExceeded", "MissingRecords", "RateUnderflow",
-        "SuperposeError", "ZeroDenominator", "ZeroEdgeMass", "ZeroMean", "ZeroP10",
+        "SuperposeError", "ZeroEdgeMass", "ZeroMean", "ZeroP10",
     ),
     "generate": ("GenConfig", "GraphSample", "degrees", "generate_graph", "read_edge_list", "write_edge_list"),
-    "layers": ("CrossMoments", "LayerType", "LayerTypeDistribution", "cross_moment", "edge_biased_distribution"),
+    "layers": ("LayerType", "LayerTypeDistribution", "cross_moment", "edge_biased_distribution"),
     "limits": (
         "LimitParams", "MomentReport", "TailPrediction", "compound_poisson_pmf", "fprime2_pmf",
         "increment_pmf", "limiting_assortativity", "limiting_degree_pmf", "limiting_laws",

@@ -50,10 +50,6 @@ class DegenerateMarginal(SuperposeError):
     """Correlation undefined: a marginal has zero variance."""
 
 
-class ZeroDenominator(SuperposeError):
-    """Closed-form assortativity denominator vanishes."""
-
-
 class InvalidEdgeList(SuperposeError):
     """An edge-list file holds a malformed line, an out-of-range node id or
     a self-loop."""

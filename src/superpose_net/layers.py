@@ -131,21 +131,6 @@ class LayerTypeDistribution:
             params={"alpha": alpha, "beta": beta, "b": b, "x_min": x_min, "x_max": x_max},
         )
 
-    # -- queries ----------------------------------------------------------
-
-    def normalization_amplitude(self) -> float:
-        """pmf(x_max) * x_max**alpha for the power_law family.
-
-        Reports the amplitude implied by exact normalization of the
-        truncated law; only defined for power_law distributions.
-        """
-        if self.family != "power_law":
-            raise ValueError("amplitude is defined for the power_law family only")
-        alpha = self.params["alpha"]
-        x_max = self.params["x_max"]
-        i = int(np.searchsorted(self.sizes, x_max))
-        return float(self.probs[i]) * float(x_max) ** alpha
-
 
 def cross_moment(dist: LayerTypeDistribution, r: int, s: int) -> float:
     """E[(X)_r Y^s], summed exactly over the finite support.
@@ -159,27 +144,6 @@ def cross_moment(dist: LayerTypeDistribution, r: int, s: int) -> float:
     # Python's float pow: numpy's power differs in the last bit for some cubes
     ys = np.array([y**s for y in dist.strengths[keep].tolist()])
     return math.fsum((_falling_factorial(dist.sizes[keep], r) * ys * dist.probs[keep]).tolist())
-
-
-@dataclass(frozen=True)
-class CrossMoments:
-    """The moment quintuple driving every closed-form limit."""
-
-    p10: float
-    p21: float
-    p32: float
-    p33: float
-    p43: float
-
-    @staticmethod
-    def of(dist: LayerTypeDistribution) -> "CrossMoments":
-        return CrossMoments(
-            p10=cross_moment(dist, 1, 0),
-            p21=cross_moment(dist, 2, 1),
-            p32=cross_moment(dist, 3, 2),
-            p33=cross_moment(dist, 3, 3),
-            p43=cross_moment(dist, 4, 3),
-        )
 
 
 def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistribution:

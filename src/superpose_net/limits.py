@@ -18,17 +18,11 @@ from .errors import (
     HypothesisViolation,
     InvalidLambda,
     RateUnderflow,
-    ZeroDenominator,
     ZeroEdgeMass,
     ZeroP10,
     check_memory,
 )
-from .layers import (
-    CrossMoments,
-    LayerTypeDistribution,
-    cross_moment,
-    edge_biased_distribution,
-)
+from .layers import LayerTypeDistribution, cross_moment, edge_biased_distribution
 from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D
 
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
@@ -200,17 +194,12 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
 
 
 def limiting_assortativity(params: LimitParams) -> float:
-    """Pearson correlation of the limiting bidegree law, in closed form."""
-    cm = CrossMoments.of(params.dist)
-    num = cm.p21 * (cm.p43 + cm.p33) - cm.p32**2
-    den = (
-        cm.p21 * (cm.p43 + cm.p32)
-        - cm.p32**2
-        + params.mu * cm.p21**2 * (cm.p21 + cm.p32)
-    )
-    if den <= 0.0:
-        raise ZeroDenominator("assortativity denominator vanishes")
-    return num / den
+    """Pearson correlation of the limiting bidegree law, in closed form.
+
+    Each endpoint degree is 1 + D + D', with D independent and D' from the
+    edge's own layer, so only the D' pair covaries."""
+    m = limiting_moments(params)
+    return m.cov_dprime / (m.var_d + m.var_dprime)
 
 
 @dataclass(frozen=True)
@@ -230,18 +219,18 @@ class MomentReport:
 
 
 def limiting_moments(params: LimitParams) -> MomentReport:
-    cm = CrossMoments.of(params.dist)
-    if cm.p10 <= 0.0:
+    p10, p21, p32, p33, p43 = (cross_moment(params.dist, r, s) for r, s in ((1, 0), (2, 1), (3, 2), (3, 3), (4, 3)))
+    if p10 <= 0.0:
         raise ZeroP10("moments undefined: mean layer size is zero")
-    if cm.p21 <= 0.0:
-        raise ZeroEdgeMass("moments undefined: P_21 = 0")
+    if p21 <= 0.0:
+        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
     mu = params.mu
-    e_h = cm.p21 / cm.p10
-    e_h2 = (cm.p21 + cm.p32) / cm.p10
-    e_h3 = (cm.p21 + 3 * cm.p32 + cm.p43) / cm.p10
-    lam = mu * cm.p10
-    e_dprime = cm.p32 / cm.p21
-    e_dprime2 = (cm.p43 + cm.p32) / cm.p21
+    e_h = p21 / p10
+    e_h2 = (p21 + p32) / p10
+    e_h3 = (p21 + 3 * p32 + p43) / p10
+    lam = mu * p10
+    e_dprime = p32 / p21
+    e_dprime2 = (p43 + p32) / p21
     return MomentReport(
         e_h=e_h,
         e_h2=e_h2,
@@ -249,14 +238,14 @@ def limiting_moments(params: LimitParams) -> MomentReport:
         e_d=lam * e_h,
         var_d=lam * e_h2,
         e_dstar3=(
-            mu * (cm.p21 + 3 * cm.p32 + cm.p43)
-            + 3 * mu**2 * (cm.p21 + cm.p32) * cm.p21
-            + mu**3 * cm.p21**3
+            mu * (p21 + 3 * p32 + p43)
+            + 3 * mu**2 * (p21 + p32) * p21
+            + mu**3 * p21**3
         ),
         e_dprime=e_dprime,
         e_dprime2=e_dprime2,
         var_dprime=e_dprime2 - e_dprime**2,
-        cov_dprime=(cm.p43 + cm.p33) / cm.p21 - e_dprime**2,
+        cov_dprime=(p43 + p33) / p21 - e_dprime**2,
     )
 
 
@@ -271,8 +260,8 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
     """Power-law tail exponent and constants of the limiting bidegree law
     of the power_law layer law dist, read from its alpha, beta and b.
 
-    The amplitude of the size pmf is taken from the exact normalization of
-    the concrete truncated distribution.  power_law itself holds alpha > 2
+    The amplitude pmf(x_max) * x_max**alpha of the size pmf is taken from
+    the exact normalization of the concrete truncated distribution.  power_law itself holds alpha > 2
     and 0 <= beta < 1; the other violated hypotheses are reported together.
     """
     if dist.family != "power_law":
@@ -289,10 +278,10 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
         raise HypothesisViolation(violations)
     p21 = cross_moment(dist, 2, 1)
     if p21 <= 0.0:
-        raise ZeroEdgeMass("tail constants undefined: P_21 = 0")
+        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
     exponent = (alpha - 2) / (1 - beta)
     try:
-        a = dist.normalization_amplitude()
+        a = float(dist.probs[-1]) * float(dist.params["x_max"]) ** alpha
         return TailPrediction(
             marginal_exponent=exponent,
             c_prime=a * b**exponent / ((1 - beta) * p21),

@@ -49,25 +49,17 @@ class SubgraphCountMeans:
 
 
 def layer_subgraph_counts(records) -> SubgraphCountMeans:
-    """Mean links, 2-stars, and 3-stars per layer graph."""
+    """Mean links, 2-stars, and 3-stars per layer graph, from the degrees
+    within each layer: every endpoint keyed by (layer, node), in one pass."""
     if not records:
         raise MissingRecords("no layer records available")
-    links = []
-    two = []
-    three = []
-    for rec in records:
-        e = rec.edges
-        links.append(len(e))
-        if len(e) == 0:
-            two.append(0.0)
-            three.append(0.0)
-            continue
-        deg = np.bincount(np.concatenate([e[:, 0], e[:, 1]]))
-        d = deg[deg > 1].astype(float)
-        two.append(float(np.sum(d * (d - 1) / 2)))
-        three.append(float(np.sum(d * (d - 1) * (d - 2) / 6)))
+    edges = np.concatenate([rec.edges for rec in records])
+    layer = np.repeat(np.arange(len(records)), [len(rec.edges) for rec in records])
+    width = int(edges.max(initial=0)) + 1
+    d = np.unique(edges + (layer * width)[:, None], return_counts=True)[1].astype(float)
+    # integer sums below 2**53, so exact
     return SubgraphCountMeans(
-        links=float(np.mean(links)),
-        two_stars=float(np.mean(two)),
-        three_stars=float(np.mean(three)),
+        links=len(edges) / len(records),
+        two_stars=float(np.sum(d * (d - 1) / 2)) / len(records),
+        three_stars=float(np.sum(d * (d - 1) * (d - 2) / 6)) / len(records),
     )

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientSupport
+from .errors import InsufficientSupport, check_memory
 from .generate import GenConfig, check_sampler_budget, degrees, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import (
@@ -73,6 +73,8 @@ class StudySpec:
 
     def __post_init__(self):
         object.__setattr__(self, "n_grid", tuple(self.n_grid))
+        if not self.n_grid:
+            raise ValueError("n_grid must not be empty")
         if any(a >= b for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ValueError(f"n_grid must be strictly ascending, got {list(self.n_grid)}")
         LimitParams(self.mu, self.dist, self.tail_epsilon)  # raises for tail_epsilon outside (0, 1)
@@ -82,6 +84,8 @@ class StudySpec:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (isinstance(self.metrics, (list, tuple)) and all(isinstance(m, str) for m in self.metrics)):
             raise ValueError(f"metrics must be a list of metric names, got {self.metrics!r}")
+        if not self.metrics:
+            raise ValueError("metrics must name at least one metric")
         unknown = set(self.metrics) - set(ALL_METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
@@ -93,6 +97,7 @@ class StudySpec:
             # values for a grid that would not fit
             cfg = GenConfig(n=n, mu=self.mu, keep_layer_records="subgraph_counts" in self.metrics)
             check_sampler_budget(cfg, self.dist)
+            check_memory(16 * n, "degree arrays")  # as generate.degrees allocates
         if self.fit_range is not None:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 

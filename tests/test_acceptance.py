@@ -228,7 +228,7 @@ def test_criterion_08_tail_prediction_closed_form_and_hypotheses():
     dist = LayerTypeDistribution.power_law(alpha=3.0, beta=0.5, b=1.0,
                                            x_min=1, x_max=2000)
     pred = tail_prediction(1.0, dist)
-    a = dist.normalization_amplitude()
+    a = float(dist.probs[dist.sizes == 2000][0]) * 2000.0**3.0  # pmf(x_max) * x_max**alpha
     p21 = cross_moment(dist, 2, 1)
     assert pred.marginal_exponent == pytest.approx(2.0, abs=1e-12)
     assert pred.c_prime == pytest.approx(2.0 * a / p21, rel=1e-12)

@@ -315,13 +315,18 @@ class TestMainExitCodes:
         ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                       "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
                                 "metrics": ["tv1", "tv1"]}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [], "replications": 1, "seed": 0}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": []}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
             "n_string", "replications_2_5", "model_a_list", "atoms_a_number", "tabular_size_1e19",
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
-            "edge_list_a_number", "repeated_n_grid", "metrics_repeated"])
+            "edge_list_a_number", "repeated_n_grid", "metrics_repeated", "n_grid_empty", "metrics_empty"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -390,6 +395,45 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
+
+    def test_study_degree_arrays_over_budget_is_2_before_the_limit_laws(self, tmp_path, capsys, monkeypatch):
+        import superpose_net.study as study_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("a limit law was evaluated before the budget check")
+
+        for name in ("limiting_laws", "limiting_degree_pmf"):
+            monkeypatch.setattr(study_mod, name, never)
+        code = main(["converge", "--config", json.dumps({
+            "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
+                                   "b": 1.0, "x_min": 1, "x_max": 100_000},
+            "study": {"mu": 1e-9, "n_grid": [2_000_000_000], "replications": 1, "seed": 0},
+        }), "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryBudgetExceeded" and err["message"].startswith("degree arrays")
+        assert not list(tmp_path.glob("study_*"))
+
+    @pytest.mark.parametrize("command, section", [
+        ("theory", {"theory": {"mu": 1.0}}),
+        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["assortativity"]}}),
+        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["tv1", "assortativity"]}}),
+        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "metrics": ["tv2"]}}),
+        ("tailfit", {"theory": {"mu": 1.0}}),
+    ], ids=["theory", "assortativity", "tv1_assortativity", "tv2", "tailfit"])
+    def test_no_edge_mass_is_one_error_from_every_entry(self, tmp_path, capsys, command, section):
+        # P_10 > 0 and P_21 = 0; tailfit takes only power laws, whose one size-1 atom links nothing
+        law = ({"family": "power_law", "alpha": 3, "beta": 0.5, "b": 1, "x_min": 1, "x_max": 1}
+               if command == "tailfit" else {"family": "constant", "size": 5, "strength": 0.0})
+        code = main([command, "--config", json.dumps({"layer_distribution": law, **section}),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "ZeroEdgeMass", "message": "P_21 = 0: the model produces no edges in the limit"}
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, doc, edges", [
         ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,

@@ -248,6 +248,44 @@ class TestGenerateGraph:
             GenConfig(n=100, seed=0)
 
 
+class TestFiniteNOracles:
+    """The merged graph against exact finite-n means over 400 seeds, each
+    within 3 standard errors.  A pair is an edge unless every layer misses
+    it, and a node is isolated unless some layer links it, with each layer
+    size clamped to n; so these check the union, the deduplication and the
+    clamp, and hold for any random stream."""
+
+    LAWS = [
+        (LayerTypeDistribution.tabular([(10, 1.0, 0.5), (4, 0.5, 0.5)]), 20, 3),
+        (LayerTypeDistribution.tabular([(2, 1.0, 0.7), (500, 0.1, 0.3)]), 10, 4),  # 500 > n
+        (LayerTypeDistribution.power_law(3, 0.5, 1, 1, 300), 200, 100),
+    ]
+
+    @staticmethod
+    def samples(d, n, m):
+        for seed in range(400):
+            yield generate_graph(GenConfig(n=n, layers=m, seed=seed), d)
+
+    @staticmethod
+    def within_3_se(values, target):
+        values = np.asarray(values, dtype=float)
+        assert abs(values.mean() - target) <= 3 * values.std(ddof=1) / math.sqrt(len(values))
+
+    @pytest.mark.parametrize("d, n, m", LAWS, ids=["overlapping", "size_above_n", "power_law"])
+    def test_mean_merged_edge_count(self, d, n, m):
+        x = np.minimum(d.sizes, n).astype(float)
+        q = float(np.sum(d.probs * x * (x - 1) * d.strengths)) / (n * (n - 1))  # a layer links a given pair
+        self.within_3_se([g.edge_count for g in self.samples(d, n, m)], n * (n - 1) / 2 * (1 - (1 - q) ** m))
+
+    @pytest.mark.parametrize("d, n, m", LAWS, ids=["overlapping", "size_above_n", "power_law"])
+    def test_isolated_node_fraction(self, d, n, m):
+        x = np.minimum(d.sizes, n).astype(float)
+        r = float(np.sum(d.probs * (x / n) * (1 - (1 - d.strengths) ** (x - 1))))  # a layer links a given node
+        target = (1 - r) ** m
+        assert target > 0.2
+        self.within_3_se([np.mean(degrees(g) == 0) for g in self.samples(d, n, m)], target)
+
+
 class TestGoldenStream:
     """Pin the random stream: a change to these hashes changes every
     sampled graph, and needs a version bump and a CHANGES.md entry."""

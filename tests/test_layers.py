@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpose_net import (
-    CrossMoments,
     GenConfig,
     LayerType,
     LayerTypeDistribution,
@@ -16,7 +15,7 @@ from superpose_net import (
     generate_graph,
 )
 
-from laws import atoms, random_tabular
+from laws import atoms
 
 
 def tabular_dists():
@@ -183,9 +182,3 @@ class TestConstruction:
             biased, reference = edge_biased_distribution(d), loop_edge_biased(d)
             for name in ("sizes", "strengths", "probs"):
                 assert np.array_equal(getattr(biased, name), getattr(reference, name))
-
-    def test_cross_moments_quintuple(self, rng):
-        d = random_tabular(rng)
-        cm = CrossMoments.of(d)
-        assert cm.p10 == cross_moment(d, 1, 0)
-        assert cm.p43 == cross_moment(d, 4, 3)

@@ -318,11 +318,29 @@ class TestLayerSubgraphCounts:
         sc = layer_subgraph_counts(g.layer_records)
         assert (sc.links, sc.two_stars, sc.three_stars) == (6.0, 12.0, 4.0)
 
+    @pytest.mark.parametrize("dist, n", [
+        (LayerTypeDistribution.power_law(3, 0.5, 1, 1, 300), 2_000),
+        (LayerTypeDistribution.tabular([(1, 0.5, 0.2), (5, 0.0, 0.2), (7, 0.6, 0.3), (80, 0.9, 0.3)]), 300),
+        (LayerTypeDistribution.tabular([(3, 0.7, 0.5), (500, 0.02, 0.5)]), 200),
+    ], ids=["power_law", "edgeless_atoms", "size_above_n"])
+    def test_equals_the_per_layer_loop(self, dist, n):
+        records = generate_graph(GenConfig(n=n, mu=1.0, seed=4, keep_layer_records=True), dist).layer_records
+        links, two, three = [], [], []
+        for rec in records:
+            deg = np.bincount(rec.edges.ravel()).astype(float)
+            links.append(len(rec.edges))
+            two.append(float(np.sum(deg * (deg - 1) / 2)))
+            three.append(float(np.sum(deg * (deg - 1) * (deg - 2) / 6)))
+        sc = layer_subgraph_counts(records)
+        assert (sc.links, sc.two_stars, sc.three_stars) == (np.mean(links), np.mean(two), np.mean(three))
+
     def test_missing_records(self):
         from superpose_net import MissingRecords
 
         with pytest.raises(MissingRecords):
             layer_subgraph_counts(None)
+        with pytest.raises(MissingRecords):
+            layer_subgraph_counts([])
 
 
 class TestCsv:
