@@ -28,7 +28,7 @@ from .errors import (
     SuperposeError,
 )
 from .layers import LayerTypeDistribution
-from .limits import LimitParams, limiting_assortativity, limiting_laws, limiting_moments, tail_prediction
+from .limits import LimitParams, limit_values, tail_prediction
 from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, checked_fit_range, functionals, pmf1d_from_csv, pmf_to_csv, size_biased,
                   tail_slope_fit)
 
@@ -240,11 +240,7 @@ def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
 
 def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
     params = _validated("theory", LimitParams, dist=cfg.layer_distribution, **cfg.document["theory"])
-    f1, f2 = limiting_laws(params)
-    # the limit's assortativity in closed form, its rank functionals from f2
-    summary = {"assortativity": limiting_assortativity(params)}
-    summary.update(functionals(f2, ("kendall", "spearman")))
-    summary["moments"] = vars(limiting_moments(params))
+    summary, f1, f2 = limit_values(params, ("assortativity", "kendall", "spearman"))
     pmf_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
     pmf_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
     (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")

@@ -10,10 +10,6 @@ class ZeroEdgeMass(SuperposeError):
     """The layer distribution produces no edges in the limit (P_21 = 0)."""
 
 
-class ZeroP10(SuperposeError):
-    """The layer distribution has zero mean size (P_10 = 0)."""
-
-
 class ZeroMean(SuperposeError):
     """Size-biasing requested for a distribution with zero mean."""
 

@@ -146,15 +146,23 @@ def cross_moment(dist: LayerTypeDistribution, r: int, s: int) -> float:
     return math.fsum((_falling_factorial(dist.sizes[keep], r) * ys * dist.probs[keep]).tolist())
 
 
+def edge_mass(dist: LayerTypeDistribution) -> float:
+    """P_21 = E[(X)_2 Y], twice a layer's mean edge count.  Every limit law
+    needs P_21 > 0, so each limit entry point reads it here, and gets
+    ZeroEdgeMass when it is zero."""
+    p21 = cross_moment(dist, 2, 1)
+    if p21 <= 0.0:
+        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
+    return p21
+
+
 def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistribution:
     """Reweight atoms by (x)_2 * y: the law of the layer that produced an edge.
 
     Atoms with size < 2 or strength 0 drop out.  Raises ZeroEdgeMass when no
     atom can produce an edge.
     """
-    p21 = cross_moment(dist, 2, 1)
-    if p21 <= 0.0:
-        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
+    p21 = edge_mass(dist)
     keep = (dist.sizes >= 2) & (dist.strengths > 0) & (dist.probs > 0)
     x, y = dist.sizes[keep], dist.strengths[keep]
     order = np.lexsort((y, x))  # the atom order of the tabular family

@@ -14,16 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    HypothesisViolation,
-    InvalidLambda,
-    RateUnderflow,
-    ZeroEdgeMass,
-    ZeroP10,
-    check_memory,
-)
-from .layers import LayerTypeDistribution, cross_moment, edge_biased_distribution
-from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D
+from .errors import HypothesisViolation, InvalidLambda, RateUnderflow, check_memory
+from .layers import LayerTypeDistribution, cross_moment, edge_biased_distribution, edge_mass
+from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D, functionals
 
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
 DEFAULT_TAIL_EPSILON = 1e-10  # tail mass a truncated degree law may leave out
@@ -36,8 +29,8 @@ class LimitParams:
     tail_epsilon: float = DEFAULT_TAIL_EPSILON
 
     def __post_init__(self):
-        if self.mu <= 0:
-            raise ValueError(f"mu must be positive, got {self.mu}")
+        if not 0.0 < self.mu < math.inf:
+            raise ValueError(f"mu must be positive and finite, got {self.mu}")
         if not 0.0 < self.tail_epsilon < 1.0:
             raise ValueError(f"tail_epsilon must be in (0,1), got {self.tail_epsilon}")
 
@@ -86,7 +79,7 @@ def increment_pmf(params: LimitParams) -> Pmf1D:
     dist = params.dist
     p10 = cross_moment(dist, 1, 0)
     if p10 <= 0.0:
-        raise ZeroP10("increment law undefined: mean layer size is zero")
+        raise ValueError("increment law undefined: mean layer size is zero")
     keep = (dist.sizes > 0) & (dist.probs > 0)
     x, y = dist.sizes[keep], dist.strengths[keep]
     lo, length = _windows(x - 1, y)
@@ -136,10 +129,10 @@ def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = DEFAULT_TAI
 
 
 def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
-    """Compound Poisson degree law with rate mu * P_10."""
+    """Compound Poisson degree law with rate mu * P_10; the point mass at 0 if every layer is empty."""
     p10 = cross_moment(params.dist, 1, 0)
     if p10 <= 0.0:
-        raise ZeroP10("degree limit undefined: mean layer size is zero")
+        return Pmf1D(np.array([1.0]))
     g = increment_pmf(params)
     return compound_poisson_pmf(params.mu * p10, g, params.tail_epsilon)
 
@@ -194,12 +187,8 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
 
 
 def limiting_assortativity(params: LimitParams) -> float:
-    """Pearson correlation of the limiting bidegree law, in closed form.
-
-    Each endpoint degree is 1 + D + D', with D independent and D' from the
-    edge's own layer, so only the D' pair covaries."""
-    m = limiting_moments(params)
-    return m.cov_dprime / (m.var_d + m.var_dprime)
+    """Pearson correlation of the limiting bidegree law, in closed form."""
+    return limiting_moments(params).assortativity
 
 
 @dataclass(frozen=True)
@@ -217,14 +206,18 @@ class MomentReport:
     var_dprime: float
     cov_dprime: float   # between the two endpoints
 
+    @property
+    def assortativity(self) -> float:
+        """Pearson correlation of the limiting bidegree law.  Each endpoint degree is 1 + D + D',
+        with D independent and D' from the edge's own layer, so only the D' pair covaries."""
+        return self.cov_dprime / (self.var_d + self.var_dprime)
+
 
 def limiting_moments(params: LimitParams) -> MomentReport:
-    p10, p21, p32, p33, p43 = (cross_moment(params.dist, r, s) for r, s in ((1, 0), (2, 1), (3, 2), (3, 3), (4, 3)))
-    if p10 <= 0.0:
-        raise ZeroP10("moments undefined: mean layer size is zero")
-    if p21 <= 0.0:
-        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
+    p21 = edge_mass(params.dist)  # P_21 > 0 needs a layer of two nodes, so P_10 > 0
+    p10, p32, p33, p43 = (cross_moment(params.dist, r, s) for r, s in ((1, 0), (3, 2), (3, 3), (4, 3)))
     mu = params.mu
+    nu = mu * p21  # the mean degree, so that e_dstar3 forms no mu**2
     e_h = p21 / p10
     e_h2 = (p21 + p32) / p10
     e_h3 = (p21 + 3 * p32 + p43) / p10
@@ -237,16 +230,32 @@ def limiting_moments(params: LimitParams) -> MomentReport:
         e_h3=e_h3,
         e_d=lam * e_h,
         var_d=lam * e_h2,
-        e_dstar3=(
-            mu * (p21 + 3 * p32 + p43)
-            + 3 * mu**2 * (p21 + p32) * p21
-            + mu**3 * p21**3
-        ),
+        e_dstar3=mu * (p21 + 3 * p32 + p43) + 3 * nu * (mu * (p21 + p32)) + nu**3,
         e_dprime=e_dprime,
         e_dprime2=e_dprime2,
         var_dprime=e_dprime2 - e_dprime**2,
         cov_dprime=(p43 + p33) / p21 - e_dprime**2,
     )
+
+
+def limit_values(params: LimitParams, metrics) -> tuple[dict, Pmf1D | None, Pmf2D | None]:
+    """The limit values of the named metrics: the closed-form assortativity,
+    kendall and spearman of f2 (both if either is named), then the moment
+    report the assortativity is read from; and the laws f1 and f2 that the
+    metrics read (tv2, kendall and spearman both, tv1 f1; None if unread)."""
+    metrics = set(metrics)
+    f1 = f2 = None
+    if {"tv2", "kendall", "spearman"} & metrics:
+        f1, f2 = limiting_laws(params)
+    elif "tv1" in metrics:
+        f1 = limiting_degree_pmf(params)
+    moments = limiting_moments(params) if "assortativity" in metrics else None
+    values = {"assortativity": moments.assortativity} if moments else {}
+    if {"kendall", "spearman"} & metrics:
+        values.update(functionals(f2, ("kendall", "spearman")))
+    if moments:
+        values["moments"] = vars(moments)
+    return values, f1, f2
 
 
 @dataclass(frozen=True)
@@ -266,8 +275,7 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
     """
     if dist.family != "power_law":
         raise ValueError(f"tail predictions need a power_law layer law, got {dist.family}")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    LimitParams(mu, dist)  # raises for a mu that is not positive and finite
     alpha, beta, b = dist.params["alpha"], dist.params["beta"], dist.params["b"]
     violations = []
     if not alpha + beta > 3:
@@ -276,16 +284,17 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
         violations.append(f"b < 1 required when beta = 0 (b = {b})")
     if violations:
         raise HypothesisViolation(violations)
-    p21 = cross_moment(dist, 2, 1)
-    if p21 <= 0.0:
-        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
+    p21 = edge_mass(dist)
     exponent = (alpha - 2) / (1 - beta)
     try:
         a = float(dist.probs[-1]) * float(dist.params["x_max"]) ** alpha
-        return TailPrediction(
+        pred = TailPrediction(
             marginal_exponent=exponent,
             c_prime=a * b**exponent / ((1 - beta) * p21),
             c_double_prime=mu * a**2 * b ** (2 * exponent) / ((1 - beta) ** 2 * p21),
         )
+        if not all(map(math.isfinite, vars(pred).values())):
+            raise OverflowError  # a float product that overflows is inf, not an error
+        return pred
     except OverflowError:
-        raise ValueError(f"tail constants overflow a double at alpha = {alpha}, b = {b}") from None
+        raise ValueError(f"tail constants overflow a double at mu = {mu:g}, alpha = {alpha}, b = {b}") from None

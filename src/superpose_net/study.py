@@ -20,14 +20,7 @@ import numpy as np
 from .errors import InsufficientSupport, check_memory
 from .generate import GenConfig, check_sampler_budget, degrees, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
-from .limits import (
-    DEFAULT_TAIL_EPSILON,
-    LimitParams,
-    limiting_assortativity,
-    limiting_degree_pmf,
-    limiting_laws,
-    tail_prediction,
-)
+from .limits import DEFAULT_TAIL_EPSILON, LimitParams, limit_values, tail_prediction
 from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, Pmf1D, Pmf2D, checked_fit_range, functionals, size_biased,
                   tail_slope_fit)
 from .stats import bidegree_distribution, layer_subgraph_counts
@@ -150,19 +143,9 @@ def _cell_seed(master: int, n_index: int, rep: int) -> int:
 def _theory_values(spec: StudySpec):
     """The theory row, and the limiting laws f1 and f2 the metrics need
     (None where they need none)."""
-    params = LimitParams(spec.mu, spec.dist, spec.tail_epsilon)
-    theory = {}
-    f1 = f2 = None
-    if {"tv2", "kendall", "spearman"} & set(spec.metrics):
-        f1, f2 = limiting_laws(params)
+    theory, f1, f2 = limit_values(LimitParams(spec.mu, spec.dist, spec.tail_epsilon), spec.metrics)
+    if f2 is not None:
         theory["bidegree_mass_defect"] = f2.mass_defect
-    elif "tv1" in spec.metrics:
-        f1 = limiting_degree_pmf(params)
-    if {"kendall", "spearman"} & set(spec.metrics):
-        # the limit's assortativity has a closed form, below
-        theory.update(functionals(f2, ("kendall", "spearman")))
-    if "assortativity" in spec.metrics:
-        theory["assortativity"] = limiting_assortativity(params)
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":
         tp = tail_prediction(spec.mu, spec.dist)
         theory["tail_slope"] = tp.marginal_exponent

@@ -26,6 +26,13 @@ MINIMAL_GENERATE = {
     "layer_distribution": {"family": "constant", "size": 3, "strength": 0.5},
     "model": {"n": 100, "mu": 1, "seed": 7},
 }
+ONE_STUDY = {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0}
+# laws with P_21 = 0, by test id prefix: no layer links, every layer is empty, every layer has one node
+EDGELESS_LAWS = {
+    "": {"family": "constant", "size": 5, "strength": 0.0},
+    "size_0_": {"family": "constant", "size": 0, "strength": 0.5},
+    "size_1_": {"family": "constant", "size": 1, "strength": 0.5},
+}
 
 
 class TestParseConfig:
@@ -320,13 +327,17 @@ class TestMainExitCodes:
         ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
                       "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
                                 "metrics": []}}, []),
+        ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                            "b": 1, "x_min": 1, "x_max": 100},
+                     "theory": {"mu": 1e308}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
             "n_string", "replications_2_5", "model_a_list", "atoms_a_number", "tabular_size_1e19",
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
-            "edge_list_a_number", "repeated_n_grid", "metrics_repeated", "n_grid_empty", "metrics_empty"])
+            "edge_list_a_number", "repeated_n_grid", "metrics_repeated", "n_grid_empty", "metrics_empty",
+            "tailfit_constants_overflow"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -397,13 +408,13 @@ class TestMainExitCodes:
         assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
 
     def test_study_degree_arrays_over_budget_is_2_before_the_limit_laws(self, tmp_path, capsys, monkeypatch):
-        import superpose_net.study as study_mod
+        import superpose_net.limits as limits_mod
 
         def never(*args, **kwargs):
             raise AssertionError("a limit law was evaluated before the budget check")
 
         for name in ("limiting_laws", "limiting_degree_pmf"):
-            monkeypatch.setattr(study_mod, name, never)
+            monkeypatch.setattr(limits_mod, name, never)
         code = main(["converge", "--config", json.dumps({
             "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
                                    "b": 1.0, "x_min": 1, "x_max": 100_000},
@@ -414,26 +425,45 @@ class TestMainExitCodes:
         assert err["error"] == "MemoryBudgetExceeded" and err["message"].startswith("degree arrays")
         assert not list(tmp_path.glob("study_*"))
 
-    @pytest.mark.parametrize("command, section", [
-        ("theory", {"theory": {"mu": 1.0}}),
-        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
-                                "metrics": ["assortativity"]}}),
-        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
-                                "metrics": ["tv1", "assortativity"]}}),
-        ("converge", {"study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
-                                "metrics": ["tv2"]}}),
-        ("tailfit", {"theory": {"mu": 1.0}}),
-    ], ids=["theory", "assortativity", "tv1_assortativity", "tv2", "tailfit"])
-    def test_no_edge_mass_is_one_error_from_every_entry(self, tmp_path, capsys, command, section):
-        # P_10 > 0 and P_21 = 0; tailfit takes only power laws, whose one size-1 atom links nothing
-        law = ({"family": "power_law", "alpha": 3, "beta": 0.5, "b": 1, "x_min": 1, "x_max": 1}
-               if command == "tailfit" else {"family": "constant", "size": 5, "strength": 0.0})
+    @pytest.mark.parametrize("command, law, section", [
+        pytest.param(command, law, section, id=prefix + name)
+        for prefix, law in EDGELESS_LAWS.items()
+        for name, command, section in [
+            ("theory", "theory", {"theory": {"mu": 1.0}}),
+            *((name, "converge", {"study": {**ONE_STUDY, "metrics": metrics}}) for name, metrics in [
+                ("assortativity", ["assortativity"]), ("tv1_assortativity", ["tv1", "assortativity"]),
+                ("tv2", ["tv2"]), ("kendall", ["kendall"]), ("spearman", ["spearman"])]),
+        ]
+    ] + [
+        # tailfit takes only power laws, whose one size-1 atom links nothing
+        pytest.param("tailfit", {"family": "power_law", "alpha": 3, "beta": 0.5, "b": 1, "x_min": 1, "x_max": 1},
+                     {"theory": {"mu": 1.0}}, id="tailfit"),
+    ])
+    def test_no_edge_mass_is_one_error_from_every_entry(self, tmp_path, capsys, command, law, section):
         code = main([command, "--config", json.dumps({"layer_distribution": law, **section}),
                      "--out", str(tmp_path)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "ZeroEdgeMass", "message": "P_21 = 0: the model produces no edges in the limit"}
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("prefix", ["", "size_0_"], ids=["strength_0", "size_0"])
+    def test_degree_law_of_an_edgeless_law_is_the_point_mass_at_0(self, tmp_path, prefix):
+        doc = {"layer_distribution": EDGELESS_LAWS[prefix],
+               "study": {**ONE_STUDY, "replications": 2, "metrics": ["tv1"]}}
+        assert main(["converge", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 0
+        (report,) = tmp_path.glob("study_*.csv")
+        assert report.read_text().splitlines()[1:] == ["100,0,tv1,0.0,", "100,1,tv1,0.0,"]
+
+    def test_theory_at_a_huge_rate_has_finite_moments(self, tmp_path):
+        # mu**2 overflows a double; the mean degree mu * P_21 = 2e-100 does not
+        assert main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "tabular", "atoms": [[0, 0.5, 1.0], [2, 1.0, 1e-300]]},
+            "theory": {"mu": 1e200},
+        }), "--out", str(tmp_path)]) == 0
+        moments = json.loads((tmp_path / "summary.json").read_text())["moments"]
+        assert all(map(math.isfinite, moments.values()))
+        assert moments["e_dstar3"] == pytest.approx(2e-100, rel=1e-12)
 
     @pytest.mark.parametrize("command, doc, edges", [
         ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
@@ -524,11 +554,10 @@ class TestMainExitCodes:
         assert time.perf_counter() - start < 2.0
 
     def test_theory_evaluates_each_law_once(self, tmp_path, monkeypatch):
-        import superpose_net.cli as cli_mod
         import superpose_net.limits as limits_mod
 
         calls = []
-        for name in ("limiting_degree_pmf", "limiting_laws"):
+        for name in ("limiting_degree_pmf", "limiting_laws", "limiting_moments"):
             real = getattr(limits_mod, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -536,12 +565,11 @@ class TestMainExitCodes:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(limits_mod, name, counted)
-        monkeypatch.setattr(cli_mod, "limiting_laws", limits_mod.limiting_laws)
         assert main(["theory", "--config", json.dumps({
             "layer_distribution": {"family": "tabular", "atoms": [[2, 1.0, 0.5], [4, 1.0, 0.5]]},
             "theory": {"mu": 1.0},
         }), "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws"]
+        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws", "limiting_moments"]
 
     def test_threads_flag_does_not_change_output(self, tmp_path):
         doc = json.dumps({

@@ -86,6 +86,12 @@ def kernel_at(trials, y, k):
     return out
 
 
+@pytest.mark.parametrize("mu", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+def test_limit_params_need_a_finite_positive_mu(mu):
+    with pytest.raises(ValueError, match="mu must be positive"):
+        LimitParams(mu, TWO_FOUR)
+
+
 class TestBinomialKernel:
     """The windowed binomial pmf of the limit engine against scipy's."""
 
@@ -183,6 +189,13 @@ class TestLimitingDegree:
     def test_zero_strength_is_delta0(self):
         f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(5, 0.0)))
         assert f.probs.tolist() == [1.0]
+
+    def test_empty_layers_are_delta0(self):
+        params = LimitParams(1.0, LayerTypeDistribution.constant(0, 0.5))
+        f = limiting_degree_pmf(params)
+        assert f.probs.tolist() == [1.0] and f.mass_defect == 0.0
+        with pytest.raises(ValueError, match="mean layer size is zero"):
+            increment_pmf(params)
 
     def test_mean_is_mu_p21(self):
         f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5)))
@@ -407,6 +420,9 @@ class TestTailPrediction:
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1e308, 1, 100)
         with pytest.raises(ValueError, match="overflow"):
             tail_prediction(1.0, d)
+        # mu * a**2 is inf, not an OverflowError
+        with pytest.raises(ValueError, match="overflow"):
+            tail_prediction(1e308, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100))
 
     def test_tabular_law_rejected(self):
         with pytest.raises(ValueError, match="power_law"):

@@ -4,7 +4,8 @@ never raised.
 Every module-level function, class and constant of a module other than
 `__init__` must be referenced somewhere in the package beyond its own
 definition, or be exported through `__init__._EXPORTS`.  Every subclass of
-`SuperposeError` must be raised somewhere in the package.
+`SuperposeError` must be raised somewhere in the package, and `ZeroEdgeMass`
+by one function alone.
 """
 
 import ast
@@ -43,6 +44,15 @@ def used_names():
     return used
 
 
+def raised_names(tree):
+    """The error name of each `raise Name` or `raise Name(...)` in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
 def test_every_module_level_name_is_used_or_exported():
     used = used_names()
     dead = sorted(
@@ -55,14 +65,18 @@ def test_every_module_level_name_is_used_or_exported():
 
 
 def test_every_error_type_is_raised():
-    raised = set()
-    for tree in TREES.values():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Raise) and node.exc is not None:
-                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-                if isinstance(exc, ast.Name):
-                    raised.add(exc.id)
+    raised = {name for tree in TREES.values() for name in raised_names(tree)}
     kinds = {name for name, value in vars(errors).items()
              if isinstance(value, type) and issubclass(value, SuperposeError) and value is not SuperposeError}
     assert kinds, "no error types found"
     assert not sorted(kinds - raised), f"never raised: {sorted(kinds - raised)}"
+
+
+def test_edgeless_law_is_checked_in_one_function():
+    raisers = sorted(
+        f"{module}.{node.name}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and "ZeroEdgeMass" in raised_names(node)
+    )
+    assert raisers == ["layers.edge_mass"]

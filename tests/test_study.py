@@ -100,7 +100,6 @@ class TestRunStudy:
 
     def test_bidegree_law_is_evaluated_once(self, monkeypatch):
         import superpose_net.limits as limits_mod
-        import superpose_net.study as study_mod
 
         calls = []
         for name in ("limiting_degree_pmf", "limiting_laws"):
@@ -111,7 +110,6 @@ class TestRunStudy:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(limits_mod, name, counted)
-            monkeypatch.setattr(study_mod, name, counted)
         report = run_study(StudySpec(
             dist=LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), mu=1.0,
             n_grid=(200,), replications=1, seed=5, metrics=("kendall", "spearman"),
