@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
-come from a JSON config; every run writes a manifest sufficient to
-reproduce it.  Exit codes: 1 config error, 2 degenerate statistic or
-any other typed error (a rate underflow, an array over the memory budget),
-3 hypothesis violation, 4 I/O error or an invalid edge-list file.
+come from a JSON config, with a --seed written into it before it is
+checked; every run writes a manifest sufficient to reproduce it.  Exit
+codes: 1 config error, 2 degenerate statistic or any other typed error (a
+rate underflow, an array over the memory budget), 3 hypothesis violation,
+4 I/O error or an invalid edge-list file.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
 
 @dataclass
 class RunConfig:
-    """A checked config.  document holds the sections the command reads,
-    as the config gave them and with any --seed override written in; the
-    manifest records it.  layer_distribution is the law built from it."""
+    """A checked config.  document holds the parts of the config the
+    command reads, a --seed override included; the manifest records it.
+    layer_distribution is the law built from it."""
     command: str
     document: dict
     layer_distribution: Optional[LayerTypeDistribution] = None
@@ -86,21 +87,15 @@ _FIELDS = {
     },
 }
 _SECTIONS = ("model", "theory", "study", "input")
-# the sections and single fields each command reads; the others are checked
-# for their fields, then dropped, so a manifest records only what a run read
-_READS = {"generate": ("layer_distribution", "model"), "empirical": ("input.edge_list",),
-          "theory": ("layer_distribution", "theory"), "converge": ("layer_distribution", "study"),
-          "tailfit": ("layer_distribution", "theory.mu", "input.pmf_csv", "input.fit_range")}
-
-# the fields each command needs ("a|b": one of the two); a
-# layer_distribution needs every field of its family
-_REQUIRED = {
-    "generate": ("layer_distribution", "model.n", "model.m|mu", "model.seed"),
-    "empirical": ("input.edge_list",),
-    "theory": ("layer_distribution", "theory.mu"),
-    "converge": ("layer_distribution", "study.mu", "study.n_grid", "study.replications", "study.seed"),
-    "tailfit": ("layer_distribution", "theory.mu"),
-}
+# the sections and fields ("a|b": either) each command reads, "!" marking a
+# part it needs (a layer_distribution needs every field of its family); the
+# others are checked for their fields, then dropped, so a manifest records
+# only what a run read
+_READS = {"generate": ("layer_distribution!", "model", "model.n!", "model.m|mu!", "model.seed!"),
+          "empirical": ("input.edge_list!",), "theory": ("layer_distribution!", "theory", "theory.mu!"),
+          "converge": ("layer_distribution!", "study", "study.mu!", "study.n_grid!", "study.replications!",
+                       "study.seed!"),
+          "tailfit": ("layer_distribution!", "theory.mu!", "input.pmf_csv", "input.fit_range")}
 
 
 def _check_fields(section, fields: dict, path: str) -> None:
@@ -117,9 +112,16 @@ def _check_fields(section, fields: dict, path: str) -> None:
             raise ConfigError(f"{path}.{key}", f"{key} must be {what}, got {shown}")
 
 
+def _parts(cmd: str):
+    """Each part of _READS[cmd] as (path, section or "", names, needed)."""
+    for part in _READS[cmd]:
+        path = part.rstrip("!")
+        section, _, names = path.rpartition(".")
+        yield path, section, names.split("|"), path != part
+
+
 def _check_document(raw: dict, cmd: str) -> None:
-    """Check every section of raw against _FIELDS and the needs of cmd
-    against _REQUIRED."""
+    """Check every section of raw against _FIELDS and the needs of cmd against _READS."""
     unknown = raw.keys() - {"command", *_FIELDS}
     if unknown:
         raise ConfigError(f"<top>.{sorted(unknown)[0]}", "unknown key")
@@ -138,19 +140,18 @@ def _check_document(raw: dict, cmd: str) -> None:
         missing = sorted(families[family].keys() - fields.keys())
         if missing:
             raise ConfigError(f"layer_distribution.{missing[0]}", "missing required field")
-    for need in _REQUIRED[cmd]:
-        section, _, names = need.rpartition(".")
-        if not any(name in (raw.get(section, {}) if section else raw) for name in names.split("|")):
-            raise ConfigError(need, f"required for command {cmd!r}")
+    for path, section, names, needed in _parts(cmd):
+        if needed and not any(name in (raw.get(section, {}) if section else raw) for name in names):
+            raise ConfigError(path, f"required for command {cmd!r}")
     if "m" in raw.get("model", {}) and "mu" in raw.get("model", {}):
         raise ConfigError("model.m", "give either m or mu, not both")
     if cmd == "tailfit" and raw["layer_distribution"]["family"] != "power_law":
         raise ConfigError("layer_distribution.family", "tailfit needs a power_law distribution")
 
 
-def parse_config(source, command: Optional[str] = None) -> RunConfig:
-    """Validate a JSON config into a RunConfig.  Text whose first non-blank
-    character is { is the JSON itself; anything else is a file path."""
+def parse_config(source, command: Optional[str] = None, seed: Optional[int] = None) -> RunConfig:
+    """Validate a JSON config, a seed written in, into a RunConfig.  Text
+    whose first non-blank character is { is the JSON; else a file path."""
     text = str(source)
     if not text.lstrip().startswith("{"):
         try:
@@ -169,12 +170,15 @@ def parse_config(source, command: Optional[str] = None) -> RunConfig:
         raise ConfigError("command", f"must be one of {COMMANDS}, got {cmd!r}")
     if command and "command" in raw and raw["command"] != command:
         raise ConfigError("command", f"config says {raw['command']!r} but {command!r} was invoked")
+    seeded = {"generate": "model", "converge": "study"}.get(cmd)
+    if seed is not None and seeded and type(raw.get(seeded, {})) is dict:
+        raw[seeded] = {**raw.get(seeded, {}), "seed": seed}
     _check_document(raw, cmd)
 
-    reads = _READS[cmd]
+    reads = {(section, name) for _, section, names, _ in _parts(cmd) for name in names}
     cfg = RunConfig(cmd, {})
     for name in ("layer_distribution", *_SECTIONS):
-        section = {k: v for k, v in raw.get(name, {}).items() if name in reads or f"{name}.{k}" in reads}
+        section = {k: v for k, v in raw.get(name, {}).items() if ("", name) in reads or (name, k) in reads}
         if section:
             cfg.document[name] = section
     if "layer_distribution" in cfg.document:
@@ -210,14 +214,11 @@ def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
         seed=model["seed"], keep_layer_records=model.get("keep_layer_records", False),
     )
     g = generate_graph(gen, cfg.layer_distribution)
-    outputs = []
-    path = out_dir / "graph.edgelist"
-    write_edge_list(g, path)
-    outputs.append(path.name)
+    outputs = ["graph.edgelist"]
+    write_edge_list(g, out_dir / "graph.edgelist")
     if gen.keep_layer_records:
-        rec = out_dir / "layers.jsonl"
-        write_layer_records(g, rec)
-        outputs.append(rec.name)
+        write_layer_records(g, out_dir / "layers.jsonl")
+        outputs.append("layers.jsonl")
     _manifest(cfg, out_dir, outputs, {"seed": gen.seed, "n": g.n, "m": g.m, "edges": g.edge_count})
 
 
@@ -284,11 +285,9 @@ _RUNNERS = {"generate": _run_generate, "empirical": _run_empirical, "theory": _r
             "converge": _run_converge, "tailfit": _run_tailfit}
 
 
-def dispatch(cfg: RunConfig, out_dir, seed_override=None) -> None:
+def dispatch(cfg: RunConfig, out_dir) -> None:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if seed_override is not None and cfg.command in ("generate", "converge"):
-        cfg.document["model" if cfg.command == "generate" else "study"]["seed"] = seed_override
     _RUNNERS[cfg.command](cfg, out_dir)
 
 
@@ -316,7 +315,7 @@ def main(argv=None) -> int:
     try:
         if args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
-        dispatch(parse_config(args.config, command=args.command), args.out, seed_override=args.seed)
+        dispatch(parse_config(args.config, command=args.command, seed=args.seed), args.out)
     except ConfigError as exc:
         return fail(EXIT_CONFIG, "config", str(exc))
     except (DegenerateMarginal, InsufficientSupport) as exc:

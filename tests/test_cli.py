@@ -54,6 +54,14 @@ class TestParseConfig:
         assert parse_config(str(path)).document["model"]["seed"] == 7
         assert parse_config(path).document["model"]["seed"] == 7
 
+    def test_seed_fills_in_a_missing_seed(self):
+        """The seed is written in before the check, so it supplies a needed
+        field the config leaves out."""
+        unseeded = json.dumps({**MINIMAL_GENERATE, "model": {"n": 100, "mu": 1}})
+        with pytest.raises(ConfigError, match="model.seed: required"):
+            parse_config(unseeded)
+        assert parse_config(unseeded, seed=4).document["model"] == {"n": 100, "mu": 1, "seed": 4}
+
     @pytest.mark.parametrize("source", ["missing.json", "x" * 300, "nul\0byte", "[1, 2]"],
                              ids=["missing", "name_too_long", "nul_byte", "not_an_object"])
     def test_unreadable_path_is_config_error(self, source):
@@ -224,6 +232,53 @@ class TestDispatch:
         assert main(["generate", "--config", json.dumps(config), "--out", str(tmp_path / "b")]) == 0
         for name in ("graph.edgelist", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_generate_writes_layer_records(self, tmp_path):
+        """layers.jsonl holds one line per layer, each with its atom, its
+        sorted distinct nodes and its edges among them; their union is the graph."""
+        atoms = [[3, 0.5, 0.5], [0, 0.5, 0.25], [1, 1.0, 0.25]]
+        n = 20
+        assert main(["generate", "--config", json.dumps({
+            "layer_distribution": {"family": "tabular", "atoms": atoms},
+            "model": {"n": n, "m": 6, "seed": 3, "keep_layer_records": True},
+        }), "--out", str(tmp_path)]) == 0
+        records = [json.loads(line) for line in (tmp_path / "layers.jsonl").read_text().splitlines()]
+        assert len(records) == 6
+        union = set()
+        for rec in records:
+            assert [rec["size"], rec["strength"]] in [atom[:2] for atom in atoms]
+            nodes = rec["nodes"]
+            assert len(nodes) == rec["size"] and nodes == sorted(set(nodes))
+            assert all(1 <= v <= n for v in nodes)
+            assert all(i < j and i in nodes and j in nodes for i, j in rec["edges"])
+            union.update(map(tuple, rec["edges"]))
+        body = (tmp_path / "graph.edgelist").read_text().splitlines()[1:]
+        assert union == {tuple(map(int, line.split())) for line in body}
+        assert len(union) == len(body)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == ["graph.edgelist", "layers.jsonl"]
+
+    def test_layer_records_need_a_sample_that_kept_them(self, tmp_path):
+        from superpose_net.errors import MissingRecords
+        from superpose_net.generate import GenConfig, generate_graph, write_layer_records
+        from superpose_net.layers import LayerTypeDistribution
+        g = generate_graph(GenConfig(n=20, layers=6, seed=3), LayerTypeDistribution.constant(3, 0.5))
+        assert g.layer_records is None
+        with pytest.raises(MissingRecords):
+            write_layer_records(g, tmp_path / "layers.jsonl")
+
+
+def test_reads_names_only_known_parts():
+    """Every part _READS lists names layer_distribution, a section of
+    _FIELDS or one of its fields, so a typo cannot make a needed field
+    optional or fail every run of a command."""
+    from superpose_net.cli import _FIELDS, _READS, _SECTIONS
+    known = {*_FIELDS, *(f"{section}.{field}" for section in _SECTIONS for field in _FIELDS[section])}
+    for cmd, parts in _READS.items():
+        for part in parts:
+            section, dot, names = part.rstrip("!").rpartition(".")
+            for name in names.split("|"):
+                assert section + dot + name in known, f"{cmd}: {part}"
 
 
 class TestMainExitCodes:
@@ -584,14 +639,43 @@ class TestMainExitCodes:
             (tmp_path / "t4" / "graph.edgelist").read_bytes()
 
     def test_seed_override(self, tmp_path):
-        doc = json.dumps(MINIMAL_GENERATE)
-        assert main(["generate", "--config", doc, "--out", str(tmp_path / "a"),
-                     "--seed", "99"]) == 0
-        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
-        assert manifest["seed"] == 99
-        assert manifest["config"]["model"] == {**MINIMAL_GENERATE["model"], "seed": 99}
-        assert main(["generate", "--config", json.dumps(manifest["config"]), "--out", str(tmp_path / "b")]) == 0
-        assert (tmp_path / "a" / "graph.edgelist").read_bytes() == (tmp_path / "b" / "graph.edgelist").read_bytes()
+        """--seed replaces the config's seed; the manifest records it, and its
+        config repeats the run."""
+        study = {**ONE_STUDY, "replications": 2}
+        runs = {"generate": (MINIMAL_GENERATE, "model"),
+                "converge": ({"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "study": study}, "study")}
+        for command, (doc, section) in runs.items():
+            a, b = tmp_path / command / "a", tmp_path / command / "b"
+            assert main([command, "--config", json.dumps(doc), "--out", str(a), "--seed", "99"]) == 0
+            manifest = json.loads((a / "manifest.json").read_text())
+            assert manifest["seed"] == 99
+            assert manifest["config"][section] == {**doc[section], "seed": 99}
+            assert main([command, "--config", json.dumps(manifest["config"]), "--out", str(b)]) == 0
+            data = sorted(p.name for p in a.iterdir() if p.name != "manifest.json")
+            assert data == sorted(p.name for p in b.iterdir() if p.name != "manifest.json")
+            assert all((a / name).read_bytes() == (b / name).read_bytes() for name in data)
+
+    @pytest.mark.parametrize("command, seed, field", [
+        ("generate", "18446744073709551616", "model.seed"),
+        ("generate", "-9223372036854775809", "model.seed"),
+        ("converge", "18446744073709551616", "study.seed"),
+    ], ids=["generate_2_64", "generate_below_int64", "converge_2_64"])
+    def test_out_of_range_seed_is_a_config_error(self, tmp_path, capsys, command, seed, field):
+        """A --seed gets the 64-bit check of a seed in the config, before anything runs."""
+        doc = small_config(command, tmp_path)
+        assert main([command, "--config", json.dumps(doc), "--out", str(tmp_path / "out"), f"--seed={seed}"]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config" and err["message"].startswith(f"{field}: ")
+        assert not (tmp_path / "out").exists()
+
+    def test_seed_is_ignored_by_theory(self, tmp_path):
+        doc = json.dumps(small_config("theory", tmp_path))
+        assert main(["theory", "--config", doc, "--out", str(tmp_path / "seeded"), "--seed", "5"]) == 0
+        assert main(["theory", "--config", doc, "--out", str(tmp_path / "plain")]) == 0
+        for name in ("limiting_degree_pmf.csv", "limiting_bidegree_pmf.csv", "summary.json"):
+            assert (tmp_path / "seeded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
 def run_python(*args):
