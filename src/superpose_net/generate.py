@@ -7,11 +7,13 @@ their types only through how many layers each atom gets: one multinomial
 draw, from one Philox stream keyed by the seed, so the output depends only
 on (seed, config, distribution).  The layers of one atom (one size, one
 strength) are then sampled a block at a time: node subsets as rows, and
-edges by one walk over the block's pairs.
+edges by one walk over the block's pairs.  A kept LayerRecord carries its
+atom; a GraphSample computes its degrees once, on first read.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -21,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidEdgeList, MissingRecords, check_memory
-from .layers import LayerType, LayerTypeDistribution
+from .layers import LayerTypeDistribution
 
 _DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
@@ -60,7 +62,8 @@ class GenConfig:
 
 @dataclass(frozen=True)
 class LayerRecord:
-    layer_type: LayerType
+    size: int
+    strength: float
     nodes: np.ndarray
     edges: np.ndarray  # shape (E, 2), 1-based, i < j
 
@@ -78,6 +81,15 @@ class GraphSample:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
+
+    @functools.cached_property
+    def degrees(self) -> np.ndarray:
+        """Distinct-neighbor counts per node, computed on first read; read-only."""
+        check_memory(16 * self.n, "degree arrays")
+        d = np.bincount(self.edges[:, 0] - 1, minlength=self.n)
+        d += np.bincount(self.edges[:, 1] - 1, minlength=self.n)
+        d.flags.writeable = False
+        return d
 
 
 def _pair_indices(npairs: int, y: float, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +162,6 @@ def _sample_group(n, x, y, count, rng, records):
     LayerRecords to records unless it is None."""
     npairs = x * (x - 1) // 2
     step = max(1, _DRAW_BUDGET // max(npairs, x, 1))
-    kind = LayerType(x, y)
     codes = []
     for lo in range(0, count, step):
         layers = min(step, count - lo)
@@ -167,7 +178,7 @@ def _sample_group(n, x, y, count, rng, records):
         codes.append(a * n + b)
         if records is not None:
             edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, layers)))
-            records += (LayerRecord(kind, nd, e) for nd, e in zip(nodes + 1, edges))
+            records += (LayerRecord(x, y, nd, e) for nd, e in zip(nodes + 1, edges))
     return codes
 
 
@@ -223,14 +234,6 @@ def _edges_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
     codes = np.sort(codes)
     codes = codes[np.diff(codes, prepend=-1) != 0]
     return np.stack([codes // n + 1, codes % n + 1], axis=1)
-
-
-def degrees(g: GraphSample) -> np.ndarray:
-    """Distinct-neighbor counts per node; sums to twice the edge count."""
-    check_memory(16 * g.n, "degree arrays")
-    d = np.bincount(g.edges[:, 0] - 1, minlength=g.n)
-    d += np.bincount(g.edges[:, 1] - 1, minlength=g.n)
-    return d
 
 
 # -- edge-list files ------------------------------------------------------
@@ -290,8 +293,8 @@ def write_layer_records(g: GraphSample, path) -> None:
     with open(path, "w") as fh:
         for rec in g.layer_records:
             fh.write(json.dumps({
-                "size": rec.layer_type.size,
-                "strength": rec.layer_type.strength,
+                "size": rec.size,
+                "strength": rec.strength,
                 "nodes": rec.nodes.tolist(),
                 "edges": rec.edges.tolist(),
             }) + "\n")

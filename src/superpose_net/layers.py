@@ -9,7 +9,7 @@ is computed exactly by summation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -35,18 +35,6 @@ def _falling_factorial(x: np.ndarray, r: int) -> np.ndarray:
     if r % 2:
         out = out * (x - (r - 1))
     return out
-
-
-@dataclass(frozen=True)
-class LayerType:
-    size: int
-    strength: float
-
-    def __post_init__(self):
-        if not float(self.size).is_integer() or self.size < 0:
-            raise ValueError(f"layer size must be an integer >= 0, got {self.size}")
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError(f"layer strength must be in [0,1], got {self.strength}")
 
 
 @dataclass(frozen=True)
@@ -83,20 +71,17 @@ class LayerTypeDistribution:
 
     @staticmethod
     def constant(size: int, strength: float) -> "LayerTypeDistribution":
-        LayerType(size, strength)
-        return LayerTypeDistribution(
-            family="constant",
-            sizes=np.array([size], dtype=np.int64),
-            strengths=np.array([strength], dtype=float),
-            probs=np.array([1.0]),
-        )
+        return replace(LayerTypeDistribution.tabular([(size, strength, 1.0)]), family="constant")
 
     @staticmethod
     def tabular(atoms) -> "LayerTypeDistribution":
         """atoms: iterable of (size, strength, probability)."""
         merged: dict[tuple[int, float], float] = {}
         for size, strength, p in atoms:
-            LayerType(size, strength)
+            if not float(size).is_integer() or size < 0:
+                raise ValueError(f"layer size must be an integer >= 0, got {size}")
+            if not 0.0 <= strength <= 1.0:
+                raise ValueError(f"layer strength must be in [0,1], got {strength}")
             key = (int(size), float(strength))
             merged[key] = merged.get(key, 0.0) + float(p)
         keys = sorted(merged)

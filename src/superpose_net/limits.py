@@ -186,11 +186,6 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     return f1, Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 
-def limiting_assortativity(params: LimitParams) -> float:
-    """Pearson correlation of the limiting bidegree law, in closed form."""
-    return limiting_moments(params).assortativity
-
-
 @dataclass(frozen=True)
 class MomentReport:
     """Moment identities of the limiting laws, all from cross moments."""

@@ -1,7 +1,8 @@
 """Empirical degree laws and per-layer subgraph counts of a sampled graph.
 
-Everything here is derived from a GraphSample; the laws are returned in
-the dense format of the pmf module.
+Everything here is derived from a GraphSample, whose degrees both laws
+read from its one cached pass; the laws are returned in the dense format
+of the pmf module.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyGraph, MissingRecords, check_memory
-from .generate import GraphSample, degrees
+from .generate import GraphSample
 from .pmf import Pmf1D, Pmf2D
 
 
@@ -19,7 +20,7 @@ def degree_distribution(g: GraphSample) -> Pmf1D:
     """Fraction of nodes at each degree."""
     if g.n < 1:
         raise EmptyGraph("degree distribution needs at least one node")
-    counts = np.bincount(degrees(g))
+    counts = np.bincount(g.degrees)
     return Pmf1D(counts / g.n)
 
 
@@ -27,7 +28,7 @@ def bidegree_distribution(g: GraphSample) -> Pmf2D:
     """Joint degree law of a uniform directed adjacent pair; symmetric."""
     if g.edge_count == 0:
         raise EmptyGraph("bidegree distribution needs at least one edge")
-    deg = degrees(g)
+    deg = g.degrees
     s = deg[g.edges[:, 0] - 1]
     t = deg[g.edges[:, 1] - 1]
     top = int(deg.max())

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InsufficientSupport, check_memory
-from .generate import GenConfig, check_sampler_budget, degrees, generate_graph
+from .generate import GenConfig, check_sampler_budget, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import DEFAULT_TAIL_EPSILON, LimitParams, limit_values, tail_prediction
 from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, Pmf1D, Pmf2D, checked_fit_range, functionals, size_biased,
@@ -90,7 +90,7 @@ class StudySpec:
             # values for a grid that would not fit
             cfg = GenConfig(n=n, mu=self.mu, keep_layer_records="subgraph_counts" in self.metrics)
             check_sampler_budget(cfg, self.dist)
-            check_memory(16 * n, "degree arrays")  # as generate.degrees allocates
+            check_memory(16 * n, "degree arrays")  # as GraphSample.degrees allocates
         if self.fit_range is not None:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 
@@ -213,7 +213,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                 keep_layer_records="subgraph_counts" in spec.metrics,
             )
             g = generate_graph(cfg, spec.dist)
-            counts = np.bincount(degrees(g))
+            counts = np.bincount(g.degrees)
             degree_counts = _padded(degree_counts, counts).sum(axis=0)
 
             if "tv1" in spec.metrics:

@@ -26,9 +26,9 @@ from superpose_net import (
     generate_graph,
     kendall,
     layer_subgraph_counts,
-    limiting_assortativity,
     limiting_degree_pmf,
     limiting_laws,
+    limiting_moments,
     pearson_correlation,
     run_study,
     size_biased,
@@ -73,7 +73,7 @@ def test_criterion_02_assortativity_matches_closed_form():
     """Pearson correlation of the limiting bidegree pmf agrees with the
     closed-form assortativity within 1e-6 for 20 randomized tabular
     distributions at mu in {0.5, 1, 2}, plus the worked two-atom value."""
-    assert limiting_assortativity(LimitParams(1.0, TWO_FOUR)) == pytest.approx(
+    assert limiting_moments(LimitParams(1.0, TWO_FOUR)).assortativity == pytest.approx(
         TWO_FOUR_ASSORT, abs=1e-6
     )
     rng = _fresh_rng()
@@ -88,7 +88,7 @@ def test_criterion_02_assortativity_matches_closed_form():
             except DegenerateMarginal:
                 ok = False
                 break
-            assert rho == pytest.approx(limiting_assortativity(params), abs=1e-6)
+            assert rho == pytest.approx(limiting_moments(params).assortativity, abs=1e-6)
         if ok:
             checked += 1
 
@@ -131,7 +131,7 @@ def test_criterion_04_moment_inequality_and_nonnegative_assortativity():
         # slack for rounding in the moment sums
         bound = p21 * (p43 + p33)
         assert p32 * p32 <= bound * (1 + 1e-9) + 1e-12
-        rho = limiting_assortativity(LimitParams(float(rng.uniform(0.1, 3.0)), d))
+        rho = limiting_moments(LimitParams(float(rng.uniform(0.1, 3.0)), d)).assortativity
         assert rho >= -1e-9
 
 

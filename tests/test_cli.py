@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -131,6 +132,13 @@ class TestDispatch:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["assortativity"] == pytest.approx(-1.0)
 
+    def test_empirical_computes_degrees_once(self, tmp_path, degree_passes):
+        edge_file = tmp_path / "path.edgelist"
+        edge_file.write_text("# superpose-net n=4 m=3 seed=0\n1 2\n2 3\n3 4\n")
+        dispatch(parse_config(json.dumps({"command": "empirical", "input": {"edge_list": str(edge_file)}})),
+                 tmp_path / "out")
+        assert len(degree_passes) == 1
+
     def test_generate_is_reproducible(self, tmp_path):
         cfg_doc = json.dumps(MINIMAL_GENERATE)
         dispatch(parse_config(cfg_doc), tmp_path / "a")
@@ -257,6 +265,8 @@ class TestDispatch:
         assert len(union) == len(body)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["outputs"] == ["graph.edgelist", "layers.jsonl"]
+        digest = hashlib.sha256((tmp_path / "layers.jsonl").read_bytes()).hexdigest()
+        assert digest == "bb99d5d8486aa3af21d8c39e5e708517445f9a3d0f708474b25ce724f7fd497c"
 
     def test_layer_records_need_a_sample_that_kept_them(self, tmp_path):
         from superpose_net.errors import MissingRecords

@@ -11,7 +11,6 @@ from superpose_net import (
     InvalidEdgeList,
     LayerTypeDistribution,
     cross_moment,
-    degrees,
     generate_graph,
     read_edge_list,
     write_edge_list,
@@ -51,7 +50,7 @@ class TestGenerateLayer:
     def test_size_clamped_to_n(self):
         (rec,) = layer_records(5, 100, 0.3, 1, seed=0)
         assert rec.nodes.tolist() == [1, 2, 3, 4, 5]
-        assert rec.layer_type.size == 5
+        assert rec.size == 5
 
     def test_node_inclusion_uniform(self):
         n, x, reps = 20, 6, 20_000
@@ -159,7 +158,7 @@ class TestGenerateGraph:
         cfg = GenConfig(n=1000, layers=4000, seed=8, keep_layer_records=True)
         g = generate_graph(cfg, d)
         draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
-        sizes = {r.layer_type.size for r in g.layer_records}
+        sizes = {r.size for r in g.layer_records}
         assert sizes == {3, 144}
         target = cross_moment(d, 2, 1) / 2
         se = draws.std(ddof=1) / math.sqrt(len(draws))
@@ -168,7 +167,7 @@ class TestGenerateGraph:
     def test_handshake(self):
         d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (6, 0.2, 0.5)])
         g = generate_graph(GenConfig(n=300, mu=1.5, seed=9), d)
-        assert degrees(g).sum() == 2 * g.edge_count
+        assert g.degrees.sum() == 2 * g.edge_count
 
     def test_edges_sorted_dedup_in_range(self):
         d = LayerTypeDistribution.tabular([(4, 0.9, 0.5), (8, 0.5, 0.5)])
@@ -194,11 +193,11 @@ class TestGenerateGraph:
         g = generate_graph(GenConfig(n=n, layers=400, seed=4, keep_layer_records=True), d)
         union = set()
         for r in g.layer_records:
-            assert len(r.nodes) == r.layer_type.size
+            assert len(r.nodes) == r.size
             assert np.all(np.diff(r.nodes) > 0) and np.all((r.nodes >= 1) & (r.nodes <= n))
             assert np.all(np.isin(r.edges, r.nodes)) and np.all(r.edges[:, 0] < r.edges[:, 1])
             union.update(map(tuple, r.edges.tolist()))
-        assert {r.layer_type.size for r in g.layer_records} == set(range(n + 1))
+        assert {r.size for r in g.layer_records} == set(range(n + 1))
         assert union == set(map(tuple, g.edges.tolist()))
 
     def test_records_are_not_grouped_by_atom(self):
@@ -206,7 +205,7 @@ class TestGenerateGraph:
         # pair differs with chance 1/2
         d = LayerTypeDistribution.tabular([(3, 0.5, 0.5), (4, 0.0, 0.5)])
         g = generate_graph(GenConfig(n=30, layers=2001, seed=13, keep_layer_records=True), d)
-        sizes = np.array([r.layer_type.size for r in g.layer_records])
+        sizes = np.array([r.size for r in g.layer_records])
         changes = np.count_nonzero(np.diff(sizes))
         assert abs(changes - 1000) < 4 * math.sqrt(2000 / 4)
 
@@ -218,7 +217,7 @@ class TestGenerateGraph:
                        for keep in (False, True))
         assert kept.edges.tobytes() == plain.edges.tobytes()
         assert len(kept.layer_records) == 500
-        assert {r.layer_type.size for r in kept.layer_records} == {0, 1, 4, 6, 9}
+        assert {r.size for r in kept.layer_records} == {0, 1, 4, 6, 9}
 
     def test_each_atom_sampled_once(self, monkeypatch):
         # one group per atom that draws edges, however many layers there are
@@ -235,9 +234,9 @@ class TestGenerateGraph:
         generate_graph(cfg, d)
         monkeypatch.undo()
         kept = generate_graph(GenConfig(n=cfg.n, layers=cfg.layers, seed=cfg.seed, keep_layer_records=True), d)
-        types = {r.layer_type for r in kept.layer_records}
+        types = {(r.size, r.strength) for r in kept.layer_records}
         assert len(calls) == len(set(calls))
-        assert set(calls) == {(t.size, t.strength) for t in types if t.size >= 2 and t.strength > 0}
+        assert set(calls) == {(x, y) for x, y in types if x >= 2 and y > 0}
 
     def test_mu_resolution(self):
         cfg = GenConfig(n=100, mu=1.0, seed=7)
@@ -283,7 +282,7 @@ class TestFiniteNOracles:
         r = float(np.sum(d.probs * (x / n) * (1 - (1 - d.strengths) ** (x - 1))))  # a layer links a given node
         target = (1 - r) ** m
         assert target > 0.2
-        self.within_3_se([np.mean(degrees(g) == 0) for g in self.samples(d, n, m)], target)
+        self.within_3_se([np.mean(g.degrees == 0) for g in self.samples(d, n, m)], target)
 
 
 class TestGoldenStream:
@@ -308,17 +307,24 @@ class TestGoldenStream:
 class TestDegrees:
     def test_complete_graph(self):
         g = generate_graph(GenConfig(n=4, layers=1, seed=0), LayerTypeDistribution.constant(4, 1.0))
-        assert degrees(g).tolist() == [3, 3, 3, 3]
+        assert g.degrees.tolist() == [3, 3, 3, 3]
 
     def test_empty_graph(self):
         g = generate_graph(GenConfig(n=5, layers=1, seed=0), LayerTypeDistribution.constant(3, 0.0))
-        assert degrees(g).tolist() == [0] * 5
+        assert g.degrees.tolist() == [0] * 5
 
     def test_path(self):
         from superpose_net import GraphSample
 
         g = GraphSample(n=3, edges=np.array([[1, 2], [2, 3]]))
-        assert degrees(g).tolist() == [1, 2, 1]
+        assert g.degrees.tolist() == [1, 2, 1]
+
+    def test_computed_once_and_read_only(self):
+        g = generate_graph(GenConfig(n=50, layers=40, seed=1), LayerTypeDistribution.constant(4, 0.5))
+        d = g.degrees
+        assert g.degrees is d
+        with pytest.raises(ValueError):
+            d[0] = 7
 
 
 class TestEdgeListIO:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from superpose_net import (
     GenConfig,
-    LayerType,
     LayerTypeDistribution,
     ZeroEdgeMass,
     cross_moment,
@@ -55,12 +55,25 @@ def wide_dists():
     return st.one_of(tabular, power_law)
 
 
-class TestLayerType:
-    def test_rejects_bad_strength(self):
-        with pytest.raises(ValueError):
-            LayerType(3, 1.5)
-        with pytest.raises(ValueError):
-            LayerType(-1, 0.5)
+class TestAtoms:
+    def test_rejects_bad_atom(self):
+        """Both constructors check each atom's size and strength."""
+        bad = [((3.5, 0.5), "layer size must be an integer >= 0, got 3.5"),
+               ((-1, 0.5), "layer size must be an integer >= 0, got -1"),
+               ((3, 1.5), "layer strength must be in [0,1], got 1.5")]
+        for (x, y), message in bad:
+            for build in (lambda: LayerTypeDistribution.constant(x, y),
+                          lambda: LayerTypeDistribution.tabular([(x, y, 1.0)])):
+                with pytest.raises(ValueError, match=re.escape(message)):
+                    build()
+
+    def test_constant_is_one_tabular_atom(self):
+        c = LayerTypeDistribution.constant(4, 0.5)
+        t = LayerTypeDistribution.tabular([(4, 0.5, 1)])
+        assert c.family == "constant" and c.params == t.params
+        for name in ("sizes", "strengths", "probs"):
+            a, b = getattr(c, name), getattr(t, name)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 class TestCrossMoment:
@@ -92,9 +105,9 @@ class TestCrossMoment:
 
 
 def record_types(dist, n, layers, seed):
-    """The layer type of every record of one sampled graph."""
+    """The (size, strength) atom of every record of one sampled graph."""
     g = generate_graph(GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True), dist)
-    return [r.layer_type for r in g.layer_records]
+    return [(r.size, r.strength) for r in g.layer_records]
 
 
 class TestSampling:
@@ -102,16 +115,16 @@ class TestSampling:
 
     def test_constant_is_degenerate(self):
         d = LayerTypeDistribution.constant(3, 0.5)
-        assert record_types(d, 20, 10, seed=1) == [LayerType(3, 0.5)] * 10
+        assert record_types(d, 20, 10, seed=1) == [(3, 0.5)] * 10
 
     def test_single_atom_tabular(self):
         d = LayerTypeDistribution.tabular([(5, 0.2, 1.0)])
-        assert record_types(d, 20, 1, seed=1) == [LayerType(5, 0.2)]
+        assert record_types(d, 20, 1, seed=1) == [(5, 0.2)]
 
     def test_power_law_frequencies_match_normalization(self):
         d = LayerTypeDistribution.power_law(2.5, 0.5, 1.0, 1, 1000)
         draws = 200_000
-        seen = np.bincount([t.size for t in record_types(d, 1000, draws, seed=2)], minlength=1001)
+        seen = np.bincount([x for x, _ in record_types(d, 1000, draws, seed=2)], minlength=1001)
         # exact truncated-zeta normalization as oracle
         for x in (1, 2, 3, 5, 10):
             p = d.probs[int(np.searchsorted(d.sizes, x))]

@@ -21,7 +21,6 @@ from superpose_net import (
     generate_graph,
     increment_pmf,
     kendall,
-    limiting_assortativity,
     limiting_degree_pmf,
     limiting_laws,
     limiting_moments,
@@ -295,16 +294,16 @@ class TestAssortativity:
     @pytest.mark.parametrize("size,strength", [(3, 0.5), (4, 0.5), (5, 0.5), (3, 1.0), (4, 1.0), (5, 1.0)])
     def test_degenerate_layer_law_gives_zero(self, size, strength):
         d = LayerTypeDistribution.constant(size, strength)
-        assert limiting_assortativity(LimitParams(1.0, d)) == pytest.approx(0.0, abs=1e-12)
+        assert limiting_moments(LimitParams(1.0, d)).assortativity == pytest.approx(0.0, abs=1e-12)
 
     def test_worked_two_atom_value(self):
-        assert limiting_assortativity(LimitParams(1.0, TWO_FOUR)) == pytest.approx(24 / 955, abs=1e-12)
+        assert limiting_moments(LimitParams(1.0, TWO_FOUR)).assortativity == pytest.approx(24 / 955, abs=1e-12)
 
     def test_nonnegative(self, rng):
         for _ in range(200):
             d = random_tabular(rng)
             try:
-                val = limiting_assortativity(LimitParams(float(rng.uniform(0.1, 3.0)), d))
+                val = limiting_moments(LimitParams(float(rng.uniform(0.1, 3.0)), d)).assortativity
             except ZeroEdgeMass:
                 continue
             assert val >= -1e-12
@@ -312,7 +311,7 @@ class TestAssortativity:
     def test_pearson_consistency(self):
         params = LimitParams(1.0, TWO_FOUR, tail_epsilon=1e-12)
         f2 = limiting_laws(params)[1]
-        assert pearson_correlation(f2) == pytest.approx(limiting_assortativity(params), abs=1e-6)
+        assert pearson_correlation(f2) == pytest.approx(limiting_moments(params).assortativity, abs=1e-6)
 
     def test_rank_correlations_settle_as_the_tail_grows(self):
         """power_law(3, 1/2, 1, 1, x_max) at mu = 1 for x_max = 1e3, 1e4,
@@ -323,7 +322,7 @@ class TestAssortativity:
         for x_max in (10**3, 10**4, 10**5):
             params = LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, x_max))
             f2 = limiting_laws(params)[1]
-            ladder.append((limiting_assortativity(params), kendall(f2), spearman(f2)))
+            ladder.append((limiting_moments(params).assortativity, kendall(f2), spearman(f2)))
         pearson, tau, rho = (np.array(column) for column in zip(*ladder))
         assert pearson == pytest.approx([0.7710, 0.9073, 0.9648], abs=1e-4)
         assert tau == pytest.approx([0.5321, 0.5644, 0.5745], abs=1e-4)

@@ -3,7 +3,8 @@ never raised.
 
 Every module-level function, class and constant of a module other than
 `__init__` must be referenced somewhere in the package beyond its own
-definition, or be exported through `__init__._EXPORTS`.  Every subclass of
+definition: being exported through `__init__._EXPORTS` is not a use, so
+no test-only helper hides there.  Every subclass of
 `SuperposeError` must be raised somewhere in the package, and `ZeroEdgeMass`
 by one function alone.
 """
@@ -16,7 +17,6 @@ from superpose_net import SuperposeError, errors
 
 PACKAGE = Path(superpose_net.__file__).parent
 TREES = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-EXPORTED = {name for names in superpose_net._EXPORTS.values() for name in names}
 
 
 def defined_names(tree):
@@ -53,15 +53,15 @@ def raised_names(tree):
                 yield exc.id
 
 
-def test_every_module_level_name_is_used_or_exported():
+def test_every_module_level_name_is_used():
     used = used_names()
     dead = sorted(
         f"{module}.{name}"
         for module, tree in TREES.items() if module != "__init__"
         for name in defined_names(tree)
-        if name not in used and name not in EXPORTED and not name.startswith("__")
+        if name not in used and not name.startswith("__")
     )
-    assert not dead, f"defined but never used or exported: {dead}"
+    assert not dead, f"defined but never used: {dead}"
 
 
 def test_every_error_type_is_raised():

@@ -24,8 +24,7 @@ from superpose_net import (
     size_biased,
     spearman,
 )
-from superpose_net.generate import LayerRecord, degrees
-from superpose_net.layers import LayerType
+from superpose_net.generate import LayerRecord
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
 from laws import marginal
@@ -274,7 +273,7 @@ def sampled_graph():
     """A graph's bidegree law and the endpoint degrees of its edges."""
     d = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
     g = generate_graph(GenConfig(n=2000, mu=1.0, seed=77), d)
-    deg = degrees(g)
+    deg = g.degrees
     return bidegree_distribution(g), deg[g.edges[:, 0] - 1], deg[g.edges[:, 1] - 1]
 
 
@@ -301,13 +300,13 @@ class TestStreamingAgreement:
 
 class TestLayerSubgraphCounts:
     def test_triangle(self):
-        rec = LayerRecord(LayerType(3, 1.0), np.array([1, 2, 3]),
+        rec = LayerRecord(3, 1.0, np.array([1, 2, 3]),
                           np.array([[1, 2], [1, 3], [2, 3]]))
         sc = layer_subgraph_counts([rec])
         assert (sc.links, sc.two_stars, sc.three_stars) == (3, 3, 0)
 
     def test_three_star(self):
-        rec = LayerRecord(LayerType(4, 1.0), np.array([1, 2, 3, 4]),
+        rec = LayerRecord(4, 1.0, np.array([1, 2, 3, 4]),
                           np.array([[1, 2], [1, 3], [1, 4]]))
         sc = layer_subgraph_counts([rec])
         assert (sc.links, sc.two_stars, sc.three_stars) == (3, 3, 1)

@@ -13,14 +13,15 @@ from superpose_net import (
     Pmf2D,
     StudySpec,
     kendall,
-    limiting_assortativity,
     limiting_laws,
+    limiting_moments,
     run_study,
     spearman,
     tail_slope_fit,
     tv_distance_1d,
     tv_distance_2d,
 )
+from superpose_net.study import ALL_METRICS
 
 
 def delta1d(k):
@@ -94,7 +95,7 @@ class TestRunStudy:
         report = run_study(StudySpec(**self.SPEC))
         params = LimitParams(self.SPEC["mu"], self.SPEC["dist"], 1e-10)
         f2 = limiting_laws(params)[1]
-        assert report.theory["assortativity"] == limiting_assortativity(params)
+        assert report.theory["assortativity"] == limiting_moments(params).assortativity
         assert report.theory["kendall"] == kendall(f2)
         assert report.theory["spearman"] == spearman(f2)
 
@@ -116,6 +117,12 @@ class TestRunStudy:
         ))
         assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws"]
         assert 0 < report.theory["kendall"] < 1
+
+    def test_each_replication_computes_its_degrees_once(self, degree_passes):
+        spec = StudySpec(**{**self.SPEC, "metrics": ("tv1", "tv2", "assortativity", "tail_slope")})
+        run_study(spec)
+        assert len(degree_passes) == len(spec.n_grid) * spec.replications
+        assert len({id(g) for g in degree_passes}) == len(degree_passes)
 
     def test_rows_have_standard_errors(self):
         report = run_study(StudySpec(**self.SPEC))
@@ -217,6 +224,12 @@ class TestRunStudy:
         assert sorted(changes) == sorted(f.name for f in dataclasses.fields(StudySpec))
         for name, value in changes.items():
             assert StudySpec(**{**self.SPEC, name: value}).content_hash() != spec.content_hash(), name
+
+    def test_constant_law_keeps_its_content_hash(self):
+        # constant(x, y) is built through tabular; its study files keep their names
+        spec = StudySpec(dist=LayerTypeDistribution.constant(4, 0.5), mu=0.5, n_grid=[500, 2000],
+                         replications=3, seed=4, metrics=list(ALL_METRICS))
+        assert spec.content_hash() == "f097580443e4"
 
     def test_list_n_grid_is_stored_as_the_tuple(self):
         listed = StudySpec(**{**self.SPEC, "n_grid": [200, 500]})
