@@ -22,8 +22,8 @@ _EXPORTS = {
         "limiting_moments", "tail_prediction",
     ),
     "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
-    "stats": ("bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
-    "study": ("ConvergenceReport", "StudySpec", "run_study", "tv_distance_1d", "tv_distance_2d"),
+    "stats": ("bidegree_counts", "bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
+    "study": ("ConvergenceReport", "StudySpec", "run_study", "tv_distance_1d"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_MODULE_OF)

@@ -2,7 +2,8 @@
 
 Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
 come from a JSON config, with a --seed written into it before it is
-checked; every run writes a manifest sufficient to reproduce it.  Exit
+checked.  A run computes everything first, then writes its files and a
+manifest that names exactly those files and suffices to reproduce it.  Exit
 codes: 1 config error, 2 degenerate statistic or any other typed error (a
 rate underflow, an array over the memory budget), 3 hypothesis violation,
 4 I/O error or an invalid edge-list file.
@@ -16,6 +17,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -199,14 +201,14 @@ def _validated(section: str, build, **kwargs):
         raise ConfigError(section, str(exc)) from None
 
 
-def _manifest(cfg: RunConfig, out_dir: Path, outputs: list, extra: dict) -> None:
-    doc = {"config": {"command": cfg.command, **cfg.document}, "version": __version__, "outputs": outputs, **extra}
-    (out_dir / "manifest.json").write_text(json.dumps(doc, indent=2, default=float) + "\n")
+def _write_json(doc, path: Path) -> None:
+    path.write_text(json.dumps(doc, indent=2, default=float) + "\n")
 
 
-# each runner imports the sampler and study modules it uses, so a command
-# loads no module it does not run
-def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
+# each runner only computes: it returns {file name: writer of that file}
+# and the facts the manifest adds, and imports the sampler and study
+# modules it uses, so a command loads no module it does not run
+def _run_generate(cfg: RunConfig):
     from .generate import GenConfig, generate_graph, write_edge_list, write_layer_records
     model = cfg.document["model"]
     gen = _validated(
@@ -214,56 +216,43 @@ def _run_generate(cfg: RunConfig, out_dir: Path) -> None:
         seed=model["seed"], keep_layer_records=model.get("keep_layer_records", False),
     )
     g = generate_graph(gen, cfg.layer_distribution)
-    outputs = ["graph.edgelist"]
-    write_edge_list(g, out_dir / "graph.edgelist")
+    files = {"graph.edgelist": partial(write_edge_list, g)}
     if gen.keep_layer_records:
-        write_layer_records(g, out_dir / "layers.jsonl")
-        outputs.append("layers.jsonl")
-    _manifest(cfg, out_dir, outputs, {"seed": gen.seed, "n": g.n, "m": g.m, "edges": g.edge_count})
+        files["layers.jsonl"] = partial(write_layer_records, g)
+    return files, {"seed": gen.seed, "n": g.n, "m": g.m, "edges": g.edge_count}
 
 
-def _run_empirical(cfg: RunConfig, out_dir: Path) -> None:
+def _run_empirical(cfg: RunConfig):
     from .generate import read_edge_list
     from .stats import bidegree_distribution, degree_distribution
     g = read_edge_list(cfg.document["input"]["edge_list"])
     f1 = degree_distribution(g)
     f2 = bidegree_distribution(g)
-    outputs = []
-    pmf_to_csv(f1, out_dir / "degree_pmf.csv")
-    pmf_to_csv(size_biased(f1), out_dir / "size_biased_pmf.csv")
-    pmf_to_csv(f2, out_dir / "bidegree_pmf.csv")
-    outputs += ["degree_pmf.csv", "size_biased_pmf.csv", "bidegree_pmf.csv"]
     summary = {"n": g.n, "edges": g.edge_count, **functionals(f2, FUNCTIONALS)}
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
-    outputs.append("summary.json")
-    _manifest(cfg, out_dir, outputs, {"mass_defects": {"degree_pmf": 0.0, "bidegree_pmf": 0.0}})
+    files = {"degree_pmf.csv": partial(pmf_to_csv, f1), "size_biased_pmf.csv": partial(pmf_to_csv, size_biased(f1)),
+             "bidegree_pmf.csv": partial(pmf_to_csv, f2), "summary.json": partial(_write_json, summary)}
+    return files, {"mass_defects": {"degree_pmf": 0.0, "bidegree_pmf": 0.0}}
 
 
-def _run_theory(cfg: RunConfig, out_dir: Path) -> None:
+def _run_theory(cfg: RunConfig):
     params = _validated("theory", LimitParams, dist=cfg.layer_distribution, **cfg.document["theory"])
     summary, f1, f2 = limit_values(params, ("assortativity", "kendall", "spearman"))
-    pmf_to_csv(f1, out_dir / "limiting_degree_pmf.csv")
-    pmf_to_csv(f2, out_dir / "limiting_bidegree_pmf.csv")
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
-    _manifest(
-        cfg, out_dir,
-        ["limiting_degree_pmf.csv", "limiting_bidegree_pmf.csv", "summary.json"],
-        {"mass_defects": {"degree_pmf": f1.mass_defect, "bidegree_pmf": f2.mass_defect},
-         "tail_epsilon": params.tail_epsilon},
-    )
+    files = {"limiting_degree_pmf.csv": partial(pmf_to_csv, f1), "limiting_bidegree_pmf.csv": partial(pmf_to_csv, f2),
+             "summary.json": partial(_write_json, summary)}
+    return files, {"mass_defects": {"degree_pmf": f1.mass_defect, "bidegree_pmf": f2.mass_defect},
+                   "tail_epsilon": params.tail_epsilon}
 
 
-def _run_converge(cfg: RunConfig, out_dir: Path) -> None:
+def _run_converge(cfg: RunConfig):
     from .study import StudySpec, run_study
     spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.document["study"])
     report = run_study(spec)
     stem = f"study_seed{spec.seed}_{report.spec_hash}"
-    report.to_csv(out_dir / f"{stem}.csv")
-    report.to_json(out_dir / f"{stem}.json")
-    _manifest(cfg, out_dir, [f"{stem}.csv", f"{stem}.json"], {"seed": spec.seed, "spec_hash": report.spec_hash})
+    files = {f"{stem}.csv": report.to_csv, f"{stem}.json": report.to_json}
+    return files, {"seed": spec.seed, "spec_hash": report.spec_hash}
 
 
-def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
+def _run_tailfit(cfg: RunConfig):
     pred = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
     summary = dict(vars(pred))
     given = cfg.document.get("input", {})
@@ -277,8 +266,7 @@ def _run_tailfit(cfg: RunConfig, out_dir: Path) -> None:
         summary["fitted_slope"] = slope
         summary["fitted_slope_stderr"] = stderr
         summary["fit_range"] = list(fit_range)
-    (out_dir / "tail_prediction.json").write_text(json.dumps(summary, indent=2, default=float) + "\n")
-    _manifest(cfg, out_dir, ["tail_prediction.json"], {})
+    return {"tail_prediction.json": partial(_write_json, summary)}, {}
 
 
 _RUNNERS = {"generate": _run_generate, "empirical": _run_empirical, "theory": _run_theory,
@@ -286,9 +274,15 @@ _RUNNERS = {"generate": _run_generate, "empirical": _run_empirical, "theory": _r
 
 
 def dispatch(cfg: RunConfig, out_dir) -> None:
+    """Run cfg's command; once it has computed everything, write its files
+    and a manifest whose outputs name exactly those files."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _RUNNERS[cfg.command](cfg, out_dir)
+    files, facts = _RUNNERS[cfg.command](cfg)
+    for name, write in files.items():
+        write(out_dir / name)
+    _write_json({"config": {"command": cfg.command, **cfg.document}, "version": __version__,
+                 "outputs": list(files), **facts}, out_dir / "manifest.json")
 
 
 def main(argv=None) -> int:

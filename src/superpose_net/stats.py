@@ -24,8 +24,9 @@ def degree_distribution(g: GraphSample) -> Pmf1D:
     return Pmf1D(counts / g.n)
 
 
-def bidegree_distribution(g: GraphSample) -> Pmf2D:
-    """Joint degree law of a uniform directed adjacent pair; symmetric."""
+def bidegree_counts(g: GraphSample) -> np.ndarray:
+    """Directed adjacent pairs at each (degree, degree): a symmetric
+    integer table that sums to twice the edge count."""
     if g.edge_count == 0:
         raise EmptyGraph("bidegree distribution needs at least one edge")
     deg = g.degrees
@@ -36,8 +37,12 @@ def bidegree_distribution(g: GraphSample) -> Pmf2D:
     check_memory(16 * width * width, "empirical bidegree law")
     flat = np.bincount(s * width + t, minlength=width * width)
     flat += np.bincount(t * width + s, minlength=width * width)
-    joint = flat.reshape(width, width) / (2.0 * g.edge_count)
-    return Pmf2D(joint)
+    return flat.reshape(width, width)
+
+
+def bidegree_distribution(g: GraphSample) -> Pmf2D:
+    """Joint degree law of a uniform directed adjacent pair; symmetric."""
+    return Pmf2D(bidegree_counts(g) / (2.0 * g.edge_count))
 
 
 # -- per-layer subgraph counts --------------------------------------------

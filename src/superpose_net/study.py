@@ -23,7 +23,7 @@ from .layers import LayerTypeDistribution, cross_moment
 from .limits import DEFAULT_TAIL_EPSILON, LimitParams, limit_values, tail_prediction
 from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, Pmf1D, Pmf2D, checked_fit_range, functionals, size_biased,
                   tail_slope_fit)
-from .stats import bidegree_distribution, layer_subgraph_counts
+from .stats import bidegree_counts, layer_subgraph_counts
 
 ALL_METRICS = (
     "tv1", "tv2", "assortativity", "kendall", "spearman",
@@ -43,14 +43,11 @@ def _padded(*arrays) -> np.ndarray:
     return out
 
 
-def tv_distance_1d(f: Pmf1D, g: Pmf1D) -> float:
-    """Half L1 distance; each law's mass defect counts as mass the other
-    lacks.  Takes two 2-D laws alike, as tv_distance_2d."""
+def tv_distance_1d(f, g) -> float:
+    """Half L1 distance between two laws of one rank, 1-D or 2-D; each
+    law's mass defect counts as mass the other lacks."""
     a, b = _padded(f.probs, g.probs)
     return 0.5 * (float(np.abs(a - b).sum()) + f.mass_defect + g.mass_defect)
-
-
-tv_distance_2d = tv_distance_1d
 
 
 @dataclass(frozen=True)
@@ -193,13 +190,12 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
 
     def bideg_values(f: Pmf2D) -> dict:
         """The bidegree metrics of f, each degenerate one as functionals gives it."""
-        values = {"tv2": tv_distance_2d(f, f2)} if "tv2" in spec.metrics else {}
+        values = {"tv2": tv_distance_1d(f, f2)} if "tv2" in spec.metrics else {}
         return {**values, **functionals(f, correlations)}
 
     for ni, n in enumerate(spec.n_grid):
         per_metric: dict[str, list] = {}  # metric: [(value, reason it is None)]
-        bideg_counts = np.zeros((1, 1))
-        bideg_edges = 0
+        bideg_counts = np.zeros((1, 1))  # directed adjacent pairs per bidegree, summed over replications
         degree_counts = np.zeros(1)
 
         def note(metric, rep, value, reason=None):
@@ -224,10 +220,9 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                     for metric in bideg_metrics:
                         note(metric, rep, None, "no edges")
                 else:
-                    f_bideg = bidegree_distribution(g)
-                    bideg_counts = _padded(bideg_counts, f_bideg.probs * (2.0 * g.edge_count)).sum(axis=0)
-                    bideg_edges += g.edge_count
-                    values = bideg_values(f_bideg)
+                    table = bidegree_counts(g)
+                    bideg_counts = _padded(bideg_counts, table).sum(axis=0)
+                    values = bideg_values(Pmf2D(table / table.sum()))
                     for metric in bideg_metrics:
                         note(metric, rep, values[metric], values.get(f"{metric}_degenerate"))
 
@@ -243,8 +238,8 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
 
         agg = {metric: _summary(notes) for metric, notes in per_metric.items()}
 
-        if bideg_edges:  # the bidegree law pooled over all edges and replications
-            pooled = bideg_values(Pmf2D(bideg_counts / (2.0 * bideg_edges)))
+        if bideg_counts.any():  # the bidegree law pooled over all edges and replications
+            pooled = bideg_values(Pmf2D(bideg_counts / bideg_counts.sum()))
             agg.update({f"{k}_pooled": v for k, v in pooled.items()})
         if "tail_slope" in spec.metrics:
             try:

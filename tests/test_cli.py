@@ -268,6 +268,31 @@ class TestDispatch:
         digest = hashlib.sha256((tmp_path / "layers.jsonl").read_bytes()).hexdigest()
         assert digest == "bb99d5d8486aa3af21d8c39e5e708517445f9a3d0f708474b25ce724f7fd497c"
 
+    @pytest.mark.parametrize("case", ["generate", "generate_records", "empirical", "theory", "converge",
+                                      "tailfit", "tailfit_pmf"])
+    def test_manifest_lists_exactly_the_files_written(self, tmp_path, case):
+        edge_file = tmp_path / "path.edgelist"
+        edge_file.write_text("# superpose-net n=3 m=2 seed=0\n1 2\n2 3\n")
+        power_law = {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0, "x_min": 1, "x_max": 100}
+        command, doc = {
+            "generate": ("generate", MINIMAL_GENERATE),
+            "generate_records": ("generate", {**MINIMAL_GENERATE,
+                                              "model": {**MINIMAL_GENERATE["model"], "keep_layer_records": True}}),
+            "empirical": ("empirical", {"input": {"edge_list": str(edge_file)}}),
+            "theory": ("theory", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                                  "theory": {"mu": 1.0}}),
+            "converge": ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                                      "study": {**ONE_STUDY, "metrics": ["tv1", "assortativity"]}}),
+            "tailfit": ("tailfit", {"layer_distribution": power_law, "theory": {"mu": 1.0}}),
+            "tailfit_pmf": ("tailfit", {"layer_distribution": power_law, "theory": {"mu": 1.0},
+                                        "input": {"pmf_csv": str(power_pmf_csv(tmp_path / "pmf.csv"))}}),
+        }[case]
+        out = tmp_path / "out"
+        assert main([command, "--config", json.dumps(doc), "--out", str(out)]) == 0
+        outputs = json.loads((out / "manifest.json").read_text())["outputs"]
+        assert len(set(outputs)) == len(outputs)
+        assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == sorted(outputs)
+
     def test_layer_records_need_a_sample_that_kept_them(self, tmp_path):
         from superpose_net.errors import MissingRecords
         from superpose_net.generate import GenConfig, generate_graph, write_layer_records

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 from itertools import combinations
@@ -283,6 +284,65 @@ class TestFiniteNOracles:
         target = (1 - r) ** m
         assert target > 0.2
         self.within_3_se([np.mean(g.degrees == 0) for g in self.samples(d, n, m)], target)
+
+
+class TestWholeGraphLaw:
+    """The law of the whole graph at n = 4 against exact enumeration.  A
+    layer's edge set is one of the 64 subsets of the 6 pairs, and a graph
+    of three layers is the OR of three iid layers.  Consecutive triples of
+    one sample's records serve as the graphs, so this also checks that the
+    records come in iid order."""
+
+    N, LAYERS, GRAPHS = 4, 3, 20_000
+    P_BOUND = 1e-3  # fixed before the seed was chosen
+    PAIRS = list(combinations(range(N), 2))
+    BIT = np.full((N, N), -1)  # the bit of pair (i, j), 0-based; -1 off the pairs
+    BIT[tuple(zip(*PAIRS))] = range(len(PAIRS))
+
+    @classmethod
+    def one_layer_law(cls, dist) -> np.ndarray:
+        """Chance of each edge set of one layer, sizes clamped to N."""
+        law = np.zeros(1 << len(cls.PAIRS))
+        for x, y, p in zip(dist.sizes.tolist(), dist.strengths.tolist(), dist.probs.tolist()):
+            subsets = list(combinations(range(cls.N), min(x, cls.N)))
+            for nodes in subsets:
+                inside = [k for k, (i, j) in enumerate(cls.PAIRS) if i in nodes and j in nodes]
+                for r in range(len(inside) + 1):
+                    for chosen in combinations(inside, r):
+                        law[sum(1 << k for k in chosen)] += p / len(subsets) * y**r * (1 - y) ** (len(inside) - r)
+        return law
+
+    @staticmethod
+    def or_convolution(a, b) -> np.ndarray:
+        masks = np.arange(len(a))
+        return np.bincount((masks[:, None] | masks).ravel(), weights=np.outer(a, b).ravel(), minlength=len(a))
+
+    @classmethod
+    def p_value(cls, dist, seed) -> float:
+        """The G-test's p-value for GRAPHS graphs from one sample's records."""
+        cfg = GenConfig(n=cls.N, layers=cls.LAYERS * cls.GRAPHS, seed=seed, keep_layer_records=True)
+        records = generate_graph(cfg, dist).layer_records
+        edges = np.concatenate([r.edges for r in records]) - 1
+        bits = cls.BIT[edges[:, 0], edges[:, 1]]
+        assert np.all(bits >= 0)
+        masks = np.zeros(len(records), dtype=np.int64)
+        np.bitwise_or.at(masks, np.repeat(np.arange(len(records)), [len(r.edges) for r in records]), 1 << bits)
+        expected = cls.GRAPHS * functools.reduce(cls.or_convolution, [cls.one_layer_law(dist)] * cls.LAYERS)
+        observed = np.bincount(np.bitwise_or.reduce(masks.reshape(-1, cls.LAYERS), axis=1), minlength=len(expected))
+        small = expected < 5
+        if small.any():  # pool the cells that expect fewer than 5 graphs into one
+            observed = np.append(observed[~small], observed[small].sum())
+            expected = np.append(expected[~small], expected[small].sum())
+        seen = observed > 0
+        g = 2 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
+        return float(chi2.sf(g, len(observed) - 1))
+
+    @pytest.mark.parametrize("dist", [
+        LayerTypeDistribution.tabular([(2, 0.7, 0.3), (3, 0.5, 0.3), (4, 0.3, 0.2), (6, 0.9, 0.1), (1, 1.0, 0.1)]),
+        LayerTypeDistribution.tabular([(0, 0.5, 0.3), (2, 1.0, 0.3), (3, 0.4, 0.2), (5, 0.2, 0.2)]),
+    ], ids=["five_atoms", "size_0_and_strength_1"])
+    def test_g_test_against_exact_enumeration(self, dist):
+        assert self.p_value(dist, seed=0) > self.P_BOUND
 
 
 class TestGoldenStream:

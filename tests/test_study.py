@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from superpose_net import (
+    GenConfig,
     GraphSample,
     InsufficientSupport,
     LayerTypeDistribution,
@@ -12,16 +13,18 @@ from superpose_net import (
     Pmf1D,
     Pmf2D,
     StudySpec,
+    bidegree_counts,
+    generate_graph,
     kendall,
     limiting_laws,
     limiting_moments,
+    pearson_correlation,
     run_study,
     spearman,
     tail_slope_fit,
     tv_distance_1d,
-    tv_distance_2d,
 )
-from superpose_net.study import ALL_METRICS
+from superpose_net.study import ALL_METRICS, _cell_seed
 
 
 def delta1d(k):
@@ -49,8 +52,8 @@ class TestTvDistance:
     def test_2d(self):
         a = Pmf2D(np.array([[1.0]]))
         b = Pmf2D(np.array([[0.0, 0.5], [0.5, 0.0]]))
-        assert tv_distance_2d(a, a) == 0.0
-        assert tv_distance_2d(a, b) == 1.0
+        assert tv_distance_1d(a, a) == 0.0
+        assert tv_distance_1d(a, b) == 1.0
 
 
 class TestTailSlopeFit:
@@ -177,6 +180,21 @@ class TestRunStudy:
             replications=1, seed=0, metrics=("tail_slope",),
         ))
         assert report.rows[0]["note"] == "degenerate: only 1 positive-mass points in [10, 12]"
+
+    def test_pooled_law_sums_the_integer_pair_counts(self):
+        """The pooled law divides the replications' summed directed-pair
+        counts by their sum.  Counts rebuilt from each replication's law,
+        probs * 2E, are not whole numbers, and move this value by an ulp."""
+        dist = LayerTypeDistribution.power_law(3, 0.5, 1, 1, 2000)
+        spec = StudySpec(dist=dist, mu=1.0, n_grid=(20000, 100000), replications=4, seed=1,
+                         metrics=("assortativity",))
+        report = run_study(spec)
+        for ni, n in enumerate(spec.n_grid):
+            tables = [bidegree_counts(generate_graph(GenConfig(n=n, mu=1.0, seed=_cell_seed(1, ni, rep)), dist))
+                      for rep in range(spec.replications)]
+            width = max(len(t) for t in tables)
+            total = sum(np.pad(t, (0, width - len(t))) for t in tables)
+            assert report.summary[str(n)]["assortativity_pooled"] == pearson_correlation(Pmf2D(total / total.sum()))
 
     def test_summary_keeps_a_metric_degenerate_in_every_replication(self):
         # one layer of two nodes: every bidegree is (1, 1), a point mass
