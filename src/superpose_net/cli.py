@@ -247,9 +247,11 @@ def _run_converge(cfg: RunConfig):
     from .study import StudySpec, run_study
     spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.document["study"])
     report = run_study(spec)
-    stem = f"study_seed{spec.seed}_{report.spec_hash}"
-    files = {f"{stem}.csv": report.to_csv, f"{stem}.json": report.to_json}
-    return files, {"seed": spec.seed, "spec_hash": report.spec_hash}
+    spec_hash = spec.content_hash()
+    stem = f"study_seed{spec.seed}_{spec_hash}"
+    doc = {"spec_hash": spec_hash, "summary": report.summary, "theory": report.theory}
+    files = {f"{stem}.csv": report.to_csv, f"{stem}.json": partial(_write_json, doc)}
+    return files, {"seed": spec.seed, "spec_hash": spec_hash}
 
 
 def _run_tailfit(cfg: RunConfig):

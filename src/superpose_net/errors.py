@@ -34,7 +34,7 @@ def check_memory(need: float, what: str) -> None:
     than MEMORY_BUDGET bytes."""
     if need > MEMORY_BUDGET:
         raise MemoryBudgetExceeded(
-            f"{what} would take {need / 2**30:.1f} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
+            f"{what} would take {need / 2**30:.3g} GiB, over the {MEMORY_BUDGET / 2**30:g} GiB budget"
         )
 
 

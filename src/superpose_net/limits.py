@@ -138,8 +138,8 @@ def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
 
 
 def _check_budget(k: int, width: int) -> None:
-    # bytes of F'_2, T, T^T F'_2 and the width x width joint law
-    check_memory(8 * (k + width) ** 2, "bidegree law")
+    # bytes of F'_2, T, T^T F'_2, the width x width joint law and the sum that symmetrises it
+    check_memory(8 * ((k + width) ** 2 + width**2), "bidegree law")
 
 
 def fprime2_pmf(params: LimitParams) -> Pmf2D:

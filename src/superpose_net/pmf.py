@@ -20,6 +20,7 @@ from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
 _DEFAULT_T_LO = 10  # where a tail fit starts when no fit_range is given
+_WRITE_CELLS = 1 << 16  # cells of a law formatted per write; bounds the text held at once
 
 
 @dataclass(frozen=True)
@@ -167,22 +168,27 @@ def functionals(f: Pmf2D, names) -> dict:
 
 def pmf_to_csv(f: _Pmf, path) -> None:
     """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
-    per positive entry, then a `# mass_defect=` line.  Each distinct value and
-    support index is formatted once, and the lines gathered from those texts."""
-    index = np.nonzero(f.probs > 0)
-    values, inverse = np.unique(f.probs[index].astype(float), return_inverse=True)
-    texts = np.array([repr(v) + "\n" for v in values.tolist()], dtype=object)
-    ints = np.array([f"{i}," for i in range(max(f.probs.shape))], dtype=object)
-    rows = "".join(np.stack([ints[ix] for ix in index] + [texts[inverse]], axis=1).ravel().tolist())
-    header = ("s,prob", "s,t,prob")[f.probs.ndim - 1]
+    per positive entry, then a `# mass_defect=` line.  The lines go out a
+    block of rows of about _WRITE_CELLS cells at a time, each distinct value
+    of a block and each support index formatted once."""
+    probs = f.probs.reshape(-1, f.probs.shape[-1])  # a 1-D law as one row
+    ints = np.array([f"{i}," for i in range(max(probs.shape))], dtype=object)
     with open(path, "w") as fh:
-        fh.write(f"{header}\n{rows}# mass_defect={float(f.mass_defect)!r}\n")
+        fh.write(("s,prob\n", "s,t,prob\n")[f.probs.ndim - 1])
+        step = max(1, _WRITE_CELLS // probs.shape[1])
+        for first in range(0, len(probs), step):
+            i, j = np.nonzero(probs[first : first + step] > 0)
+            values, inverse = np.unique(probs[first + i, j].astype(float), return_inverse=True)
+            texts = np.array([repr(v) + "\n" for v in values.tolist()], dtype=object)
+            fields = (ints[first + i], ints[j])[2 - f.probs.ndim :] + (texts[inverse],)
+            fh.write("".join(np.stack(fields, axis=1).ravel().tolist()))
+        fh.write(f"# mass_defect={float(f.mass_defect)!r}\n")
 
 
 def pmf1d_from_csv(path) -> Pmf1D:
-    """Read a pmf_to_csv file of a 1-D law.  ValueError if a line after
-    the header is not `s,prob` with 0 <= s <= _MAX_SUPPORT, if a support
-    point appears twice, or if the mass is not 1."""
+    """Read a pmf_to_csv file of a 1-D law.  ValueError if a line after the
+    header is not `s,prob` with 0 <= s <= _MAX_SUPPORT and 0 <= prob <= 1,
+    if a support point appears twice, or if the mass is not 1."""
     entries = {}
     defect = 0.0
     with open(path) as fh:
@@ -196,11 +202,12 @@ def pmf1d_from_csv(path) -> Pmf1D:
                 if int(s) in entries:
                     raise ValueError(f"support point {int(s)} appears twice")
                 entries[int(s)] = float(p)
+                if not 0.0 <= entries[int(s)] <= 1.0:  # refuses inf and nan too
+                    raise ValueError(f"probability {p} at support point {s} is not in [0, 1]")
     if min(entries, default=0) < 0:
         raise ValueError(f"negative support point {min(entries)}")
     if max(entries, default=0) > _MAX_SUPPORT:
         raise ValueError(f"support point {max(entries)} is beyond the longest law, {_MAX_SUPPORT}")
     probs = np.zeros(max(entries, default=0) + 1)
-    for s, p in entries.items():
-        probs[s] = p
+    probs[list(entries)] = list(entries.values())
     return Pmf1D(probs, defect)

@@ -34,20 +34,18 @@ DEFAULT_METRICS = ALL_METRICS[:5]
 _MIN_TAIL_OBS = 50
 
 
-def _padded(*arrays) -> np.ndarray:
-    """The arrays, zero-padded at the end of each axis to one common shape,
-    stacked along a new first axis."""
-    out = np.zeros((len(arrays), *np.max([a.shape for a in arrays], axis=0)))
-    for dst, a in zip(out, arrays):
-        dst[tuple(slice(k) for k in a.shape)] = a
+def _pooled(total: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """total + counts, each zero-padded at the end of each axis to their common shape."""
+    out = np.zeros(np.maximum(total.shape, counts.shape))
+    out[tuple(map(slice, total.shape))] = total
+    out[tuple(map(slice, counts.shape))] += counts
     return out
 
 
 def tv_distance_1d(f, g) -> float:
     """Half L1 distance between two laws of one rank, 1-D or 2-D; each
     law's mass defect counts as mass the other lacks."""
-    a, b = _padded(f.probs, g.probs)
-    return 0.5 * (float(np.abs(a - b).sum()) + f.mass_defect + g.mass_defect)
+    return 0.5 * (float(np.abs(_pooled(f.probs, -g.probs)).sum()) + f.mass_defect + g.mass_defect)
 
 
 @dataclass(frozen=True)
@@ -111,7 +109,6 @@ class ConvergenceReport:
     adjacent pair.
     """
 
-    spec_hash: str
     rows: list = field(default_factory=list)           # dicts: n, replication, metric, value, note
     summary: dict = field(default_factory=dict)        # per-n aggregates
     theory: dict = field(default_factory=dict)
@@ -123,13 +120,6 @@ class ConvergenceReport:
             for row in self.rows:
                 val = "" if row["value"] is None else repr(row["value"])
                 out.writerow([row["n"], row["replication"], row["metric"], val, row.get("note", "")])
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(
-                {"spec_hash": self.spec_hash, "summary": self.summary, "theory": self.theory},
-                fh, indent=2, default=float,
-            )
 
 
 def _cell_seed(master: int, n_index: int, rep: int) -> int:
@@ -184,7 +174,7 @@ def _summary(notes) -> dict:
 
 def run_study(spec: StudySpec) -> ConvergenceReport:
     theory, f1, f2 = _theory_values(spec)
-    report = ConvergenceReport(spec_hash=spec.content_hash(), theory=theory)
+    report = ConvergenceReport(theory=theory)
     bideg_metrics = [m for m in ALL_METRICS if m in spec.metrics and (m == "tv2" or m in FUNCTIONALS)]
     correlations = [m for m in bideg_metrics if m in FUNCTIONALS]
 
@@ -210,7 +200,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             )
             g = generate_graph(cfg, spec.dist)
             counts = np.bincount(g.degrees)
-            degree_counts = _padded(degree_counts, counts).sum(axis=0)
+            degree_counts = _pooled(degree_counts, counts)
 
             if "tv1" in spec.metrics:
                 note("tv1", rep, tv_distance_1d(Pmf1D(counts / n), f1))
@@ -221,7 +211,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                         note(metric, rep, None, "no edges")
                 else:
                     table = bidegree_counts(g)
-                    bideg_counts = _padded(bideg_counts, table).sum(axis=0)
+                    bideg_counts = _pooled(bideg_counts, table)
                     values = bideg_values(Pmf2D(table / table.sum()))
                     for metric in bideg_metrics:
                         note(metric, rep, values[metric], values.get(f"{metric}_degenerate"))

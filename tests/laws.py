@@ -1,5 +1,7 @@
-"""Random layer-type distributions and pmf moments shared by the property
-and acceptance tests."""
+"""Random layer-type distributions, pmf moments and exact small-graph
+laws shared by the property, oracle and acceptance tests."""
+
+from itertools import combinations
 
 import numpy as np
 
@@ -42,3 +44,34 @@ def moment(f, k):
 def marginal(f2, axis):
     """The law of coordinate `axis` of a draw from the 2-D pmf f2."""
     return Pmf1D(f2.probs.sum(axis=1 - axis), f2.mass_defect)
+
+
+# two laws whose graphs on 4 nodes are enumerated exactly: every size from 0
+# to past 4, strengths in (0, 1) and of 1
+SMALL_GRAPH_LAWS = {
+    "five_atoms": LayerTypeDistribution.tabular([(2, 0.7, 0.3), (3, 0.5, 0.3), (4, 0.3, 0.2), (6, 0.9, 0.1),
+                                                 (1, 1.0, 0.1)]),
+    "size_0_and_strength_1": LayerTypeDistribution.tabular([(0, 0.5, 0.3), (2, 1.0, 0.3), (3, 0.4, 0.2),
+                                                            (5, 0.2, 0.2)]),
+}
+
+
+def edge_set_law(dist, n, layers):
+    """Chance of each edge set of a graph on n nodes that is the union of
+    `layers` iid layers of dist, layer sizes clamped to n.  Edge sets are
+    bit masks, bit k standing for the k-th pair of combinations(range(n), 2);
+    the graph's law is the OR-convolution of the exact one-layer law."""
+    pairs = list(combinations(range(n), 2))
+    one = np.zeros(1 << len(pairs))
+    for x, y, p in atoms(dist):
+        subsets = list(combinations(range(n), min(x, n)))
+        for nodes in subsets:
+            inside = [k for k, (i, j) in enumerate(pairs) if i in nodes and j in nodes]
+            for r in range(len(inside) + 1):
+                for chosen in combinations(inside, r):
+                    one[sum(1 << k for k in chosen)] += p / len(subsets) * y**r * (1 - y) ** (len(inside) - r)
+    masks = np.arange(len(one))
+    law = one
+    for _ in range(layers - 1):
+        law = np.bincount((masks[:, None] | masks).ravel(), weights=np.outer(law, one).ravel(), minlength=len(one))
+    return law

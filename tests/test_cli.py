@@ -292,6 +292,10 @@ class TestDispatch:
         outputs = json.loads((out / "manifest.json").read_text())["outputs"]
         assert len(set(outputs)) == len(outputs)
         assert sorted(p.name for p in out.iterdir() if p.name != "manifest.json") == sorted(outputs)
+        for path in out.glob("*.json"):  # one JSON writer: each file parses and ends in one newline
+            text = path.read_text()
+            json.loads(text)
+            assert text.endswith("\n") and not text.endswith("\n\n"), path.name
 
     def test_layer_records_need_a_sample_that_kept_them(self, tmp_path):
         from superpose_net.errors import MissingRecords
@@ -435,9 +439,11 @@ class TestMainExitCodes:
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", "",
-                                      "10000000000000,1.0\n", "1,0.0019\n1,1.0\n"],
+                                      "10000000000000,1.0\n", "1,0.0019\n1,1.0\n", "1,inf\n2,-inf\n",
+                                      "1,nan\n", "1,1e308\n2,1e308\n"],
                              ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows",
-                                  "s_beyond_longest_law", "s_twice"])
+                                  "s_beyond_longest_law", "s_twice", "inf_and_minus_inf", "nan",
+                                  "mass_overflows"])
     def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, rows):
         pmf_csv = tmp_path / "pmf.csv"
         pmf_csv.write_text("s,prob\n" + rows)
@@ -587,6 +593,13 @@ class TestMainExitCodes:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+
+    def test_budget_message_gives_three_significant_digits(self, tmp_path, capsys):
+        doc = {"layer_distribution": {"family": "constant", "size": 3, "strength": 0.5},
+               "model": {"n": 100, "mu": 1e300, "seed": 0}}
+        assert main(["generate", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["message"] == (
+            "sampled layers would take 1.86e+294 GiB, over the 1 GiB budget")
 
     @pytest.mark.parametrize("edges", ["", "# superpose-net n=0 m=0 seed=0\n"],
                              ids=["empty_file", "header_n_0"])

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from superpose_net.cli import main
 
-POOL = [b"\xff", b"\x00", b"\r", b"\t", b"#", b"-", b".", b"e", b"1" * 25]
+POOL = [b"\xff", b"\x00", b"\r", b"\t", b"#", b"-", b".", b"e", b"1" * 25, b"inf", b"nan"]
 KEYS = [b"n", b"m", b"seed", b"s", b"t", b"prob", b"x", b""]
 
 FILES = {

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 from itertools import combinations
@@ -18,6 +17,8 @@ from superpose_net import (
 )
 from superpose_net import generate
 from superpose_net.generate import _DENSE_STRENGTH, _unrank_pairs
+
+from laws import SMALL_GRAPH_LAWS, edge_set_law
 
 
 def layer_records(n, x, y, layers, seed):
@@ -287,35 +288,17 @@ class TestFiniteNOracles:
 
 
 class TestWholeGraphLaw:
-    """The law of the whole graph at n = 4 against exact enumeration.  A
-    layer's edge set is one of the 64 subsets of the 6 pairs, and a graph
-    of three layers is the OR of three iid layers.  Consecutive triples of
-    one sample's records serve as the graphs, so this also checks that the
-    records come in iid order."""
+    """The law of the whole graph at n = 4 against exact enumeration
+    (laws.edge_set_law).  A layer's edge set is one of the 64 subsets of
+    the 6 pairs, and a graph of three layers is the OR of three iid
+    layers.  Consecutive triples of one sample's records serve as the
+    graphs, so this also checks that the records come in iid order."""
 
     N, LAYERS, GRAPHS = 4, 3, 20_000
     P_BOUND = 1e-3  # fixed before the seed was chosen
     PAIRS = list(combinations(range(N), 2))
     BIT = np.full((N, N), -1)  # the bit of pair (i, j), 0-based; -1 off the pairs
     BIT[tuple(zip(*PAIRS))] = range(len(PAIRS))
-
-    @classmethod
-    def one_layer_law(cls, dist) -> np.ndarray:
-        """Chance of each edge set of one layer, sizes clamped to N."""
-        law = np.zeros(1 << len(cls.PAIRS))
-        for x, y, p in zip(dist.sizes.tolist(), dist.strengths.tolist(), dist.probs.tolist()):
-            subsets = list(combinations(range(cls.N), min(x, cls.N)))
-            for nodes in subsets:
-                inside = [k for k, (i, j) in enumerate(cls.PAIRS) if i in nodes and j in nodes]
-                for r in range(len(inside) + 1):
-                    for chosen in combinations(inside, r):
-                        law[sum(1 << k for k in chosen)] += p / len(subsets) * y**r * (1 - y) ** (len(inside) - r)
-        return law
-
-    @staticmethod
-    def or_convolution(a, b) -> np.ndarray:
-        masks = np.arange(len(a))
-        return np.bincount((masks[:, None] | masks).ravel(), weights=np.outer(a, b).ravel(), minlength=len(a))
 
     @classmethod
     def p_value(cls, dist, seed) -> float:
@@ -327,7 +310,7 @@ class TestWholeGraphLaw:
         assert np.all(bits >= 0)
         masks = np.zeros(len(records), dtype=np.int64)
         np.bitwise_or.at(masks, np.repeat(np.arange(len(records)), [len(r.edges) for r in records]), 1 << bits)
-        expected = cls.GRAPHS * functools.reduce(cls.or_convolution, [cls.one_layer_law(dist)] * cls.LAYERS)
+        expected = cls.GRAPHS * edge_set_law(dist, cls.N, cls.LAYERS)
         observed = np.bincount(np.bitwise_or.reduce(masks.reshape(-1, cls.LAYERS), axis=1), minlength=len(expected))
         small = expected < 5
         if small.any():  # pool the cells that expect fewer than 5 graphs into one
@@ -337,10 +320,7 @@ class TestWholeGraphLaw:
         g = 2 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
         return float(chi2.sf(g, len(observed) - 1))
 
-    @pytest.mark.parametrize("dist", [
-        LayerTypeDistribution.tabular([(2, 0.7, 0.3), (3, 0.5, 0.3), (4, 0.3, 0.2), (6, 0.9, 0.1), (1, 1.0, 0.1)]),
-        LayerTypeDistribution.tabular([(0, 0.5, 0.3), (2, 1.0, 0.3), (3, 0.4, 0.2), (5, 0.2, 0.2)]),
-    ], ids=["five_atoms", "size_0_and_strength_1"])
+    @pytest.mark.parametrize("dist", list(SMALL_GRAPH_LAWS.values()), ids=list(SMALL_GRAPH_LAWS))
     def test_g_test_against_exact_enumeration(self, dist):
         assert self.p_value(dist, seed=0) > self.P_BOUND
 

@@ -33,6 +33,7 @@ from superpose_net import (
     pearson_correlation,
     spearman,
 )
+from superpose_net import pmf
 from superpose_net.limits import _windows
 from superpose_net.pmf import Pmf1D, Pmf2D, pmf_to_csv
 
@@ -163,9 +164,10 @@ def reference_pmf2d_to_csv(f, path):
         fh.write(f"# mass_defect={float(f.mass_defect)!r}\n")
 
 
-def test_csv_writers_match_the_line_by_line_writer(tmp_path):
-    """The writer formats each distinct value once; laws whose values
-    repeat, or that have one positive entry or none, come out the same."""
+def test_csv_writers_match_the_line_by_line_writer(tmp_path, monkeypatch):
+    """The writer formats each distinct value of a block once; laws whose
+    values repeat, or that have one positive entry or none, come out the
+    same, whether a block holds the whole law or one row of a 2-D law."""
     params = _laws()[-1]
     f1, f2 = limiting_laws(params)
     g = generate_graph(GenConfig(n=500, mu=1.0, seed=2), LayerTypeDistribution.tabular([(3, 0.6, 0.5), (8, 0.2, 0.5)]))
@@ -179,6 +181,8 @@ def test_csv_writers_match_the_line_by_line_writer(tmp_path):
         (Pmf1D(np.array([0.2, 0.1, 0.4, 0.0, 0.2, 0.1])), reference_pmf1d_to_csv),
         (Pmf1D(np.zeros(3), mass_defect=1.0), reference_pmf1d_to_csv),
     ):
-        pmf_to_csv(law, tmp_path / "new.csv")
         reference(law, tmp_path / "old.csv")
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        for cells in (pmf._WRITE_CELLS, 1):
+            monkeypatch.setattr(pmf, "_WRITE_CELLS", cells)
+            pmf_to_csv(law, tmp_path / "new.csv")
+            assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,5 +1,6 @@
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,9 @@ from superpose_net import (
     spearman,
     tail_prediction,
 )
+from superpose_net import limits as limits_mod
 from superpose_net.limits import _binomial_windows
+from superpose_net.pmf import pmf_to_csv
 
 from laws import marginal, moment, random_tabular
 
@@ -288,6 +291,38 @@ class TestBidegreeMemoryBudget:
         with pytest.raises(MemoryBudgetExceeded):
             limiting_laws(LimitParams(1.0, d))
         assert time.perf_counter() - start < 2.0
+
+
+class TestTracedMemory:
+    """Peak bytes that tracemalloc sees on the theory side, on constant(3,
+    1/2) at mu = 300: K = 2, and f2 is 1147 x 1147, 10.5 MB."""
+
+    PARAMS = LimitParams(300.0, LayerTypeDistribution.constant(3, 0.5))
+
+    @staticmethod
+    def traced_peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_limiting_laws_stays_within_its_budget_count(self, monkeypatch):
+        """The check counts the arrays of K x width and width x width
+        entries; what it leaves out, the degree law and other arrays of
+        O(width) entries, stays under 1% of that."""
+        counted = []
+        monkeypatch.setattr(limits_mod, "check_memory", lambda need, what: counted.append(need))
+        limiting_laws(self.PARAMS)  # builds the layer law's cached arrays outside the trace
+        counted.clear()
+        peak = self.traced_peak(lambda: limiting_laws(self.PARAMS))
+        assert peak <= 1.01 * max(counted)
+
+    def test_pmf_to_csv_holds_under_twice_the_law(self, tmp_path):
+        f2 = limiting_laws(self.PARAMS)[1]
+        peak = self.traced_peak(lambda: pmf_to_csv(f2, tmp_path / "f2.csv"))
+        assert peak <= 2 * f2.probs.nbytes
 
 
 class TestAssortativity:

@@ -1,5 +1,7 @@
 import csv
 import dataclasses
+import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from superpose_net import (
     bidegree_counts,
     generate_graph,
     kendall,
+    limiting_degree_pmf,
     limiting_laws,
     limiting_moments,
     pearson_correlation,
@@ -25,6 +28,8 @@ from superpose_net import (
     tv_distance_1d,
 )
 from superpose_net.study import ALL_METRICS, _cell_seed
+
+from laws import SMALL_GRAPH_LAWS, edge_set_law
 
 
 def delta1d(k):
@@ -149,7 +154,6 @@ class TestRunStudy:
     def test_report_serialization(self, tmp_path):
         report = run_study(StudySpec(**self.SPEC))
         report.to_csv(tmp_path / "r.csv")
-        report.to_json(tmp_path / "r.json")
         header = (tmp_path / "r.csv").read_text().splitlines()[0]
         assert header == "n,replication,metric,value,note"
 
@@ -263,3 +267,50 @@ class TestRunStudy:
         # each of these used to pass the spec and fail inside run_study
         with pytest.raises(ValueError):
             StudySpec(**{**self.SPEC, **changes})
+
+
+class TestExactFiniteN:
+    """run_study at n = 4 and m = 3 layers (mu = 0.75) against exact
+    enumeration of the 64 edge sets (laws.edge_set_law).  Each graph's tv1
+    and assortativity are computed here from its edges alone: the TV
+    distance of its degree fractions to the limit f1, and np.corrcoef of
+    its 2E directed endpoint-degree pairs, or degenerate."""
+
+    N, MU, REPS = 4, 0.75, 2000
+    Z_BOUND = 4.0  # fixed before the seed was chosen
+    PAIRS = list(combinations(range(N), 2))
+    # E[tv1], E[assortativity | defined] and P(defined), from an independent probe
+    PROBE = {"five_atoms": (0.7113, -0.7693, 0.5729), "size_0_and_strength_1": (0.4319, -0.8467, 0.5391)}
+
+    @classmethod
+    def exact(cls, dist):
+        """E[tv1], E[assortativity | defined] and P(defined) over the law of the graph."""
+        law = edge_set_law(dist, cls.N, round(cls.MU * cls.N))
+        f1 = limiting_degree_pmf(LimitParams(cls.MU, dist))
+        tv, r, defined = np.zeros(len(law)), np.zeros(len(law)), np.zeros(len(law), dtype=bool)
+        for mask in range(len(law)):
+            edges = np.array([pair for k, pair in enumerate(cls.PAIRS) if mask >> k & 1], dtype=int).reshape(-1, 2)
+            deg = np.bincount(edges.ravel(), minlength=cls.N)
+            share = np.bincount(deg, minlength=len(f1.probs)) / cls.N
+            limit = np.pad(f1.probs, (0, len(share) - len(f1.probs)))
+            tv[mask] = 0.5 * (np.abs(share - limit).sum() + f1.mass_defect)
+            ends = deg[edges]
+            x, y = np.concatenate([ends[:, 0], ends[:, 1]]), np.concatenate([ends[:, 1], ends[:, 0]])
+            if len(x) and x.var() > 0:
+                defined[mask] = True
+                r[mask] = np.corrcoef(x, y)[0, 1]
+        p_defined = float(law @ defined)
+        return float(law @ tv), float(law @ (r * defined)) / p_defined, p_defined
+
+    @pytest.mark.parametrize("name", list(SMALL_GRAPH_LAWS))
+    def test_study_means_match_exact_enumeration(self, name):
+        dist = SMALL_GRAPH_LAWS[name]
+        e_tv, e_r, p_defined = self.exact(dist)
+        assert (e_tv, e_r, p_defined) == pytest.approx(self.PROBE[name], abs=5e-5)
+        spec = StudySpec(dist, self.MU, (self.N,), self.REPS, seed=0, metrics=("tv1", "assortativity"))
+        agg = run_study(spec).summary[str(self.N)]
+        tv1, r = agg["tv1"], agg["assortativity"]
+        z = {"tv1": (tv1["mean"] - e_tv) / tv1["se"], "assortativity": (r["mean"] - e_r) / r["se"],
+             "degenerate": (r["degenerate"] - self.REPS * (1 - p_defined))
+             / math.sqrt(self.REPS * p_defined * (1 - p_defined))}
+        assert all(abs(v) <= self.Z_BOUND for v in z.values()), z
