@@ -3,10 +3,11 @@
 Subcommands: generate, empirical, theory, converge, tailfit.  All inputs
 come from a JSON config, with a --seed written into it before it is
 checked.  A run computes everything first, then writes its files and a
-manifest that names exactly those files and suffices to reproduce it.  Exit
-codes: 1 config error, 2 degenerate statistic or any other typed error (a
-rate underflow, an array over the memory budget), 3 hypothesis violation,
-4 I/O error or an invalid edge-list file.
+manifest that names them and records the config, whose hash names
+converge's files.  One table gives the exit codes: 1 config error, 2
+degenerate statistic or any other typed error (a rate underflow, an array
+over the memory budget), 3 hypothesis violation, 4 I/O error or an
+invalid edge-list file.
 """
 
 from __future__ import annotations
@@ -36,7 +37,9 @@ from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, checked_fit_range, functionals, pm
                   tail_slope_fit)
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
-EXIT_CONFIG, EXIT_DEGENERATE, EXIT_HYPOTHESIS, EXIT_IO = 1, 2, 3, 4
+# (exit code, error kind) of each typed error; any other SuperposeError is (2, its class name)
+_EXITS = {ConfigError: (1, "config"), InsufficientSupport: (2, "degenerate"), DegenerateMarginal: (2, "degenerate"),
+          HypothesisViolation: (3, "hypothesis"), InvalidEdgeList: (4, "InvalidEdgeList")}
 
 
 @dataclass
@@ -47,6 +50,11 @@ class RunConfig:
     command: str
     document: dict
     layer_distribution: Optional[LayerTypeDistribution] = None
+
+    @property
+    def record(self) -> dict:
+        """The config as the manifest records it and converge hashes it."""
+        return {"command": self.command, **self.document}
 
 
 def _is_int(value) -> bool:
@@ -244,10 +252,11 @@ def _run_theory(cfg: RunConfig):
 
 
 def _run_converge(cfg: RunConfig):
+    import hashlib  # its OpenSSL import would cost every other command about 5 ms
     from .study import StudySpec, run_study
     spec = _validated("study", StudySpec, dist=cfg.layer_distribution, **cfg.document["study"])
     report = run_study(spec)
-    spec_hash = spec.content_hash()
+    spec_hash = hashlib.sha256(json.dumps(cfg.record, sort_keys=True).encode()).hexdigest()[:12]
     stem = f"study_seed{spec.seed}_{spec_hash}"
     doc = {"spec_hash": spec_hash, "summary": report.summary, "theory": report.theory}
     files = {f"{stem}.csv": report.to_csv, f"{stem}.json": partial(_write_json, doc)}
@@ -283,7 +292,7 @@ def dispatch(cfg: RunConfig, out_dir) -> None:
     files, facts = _RUNNERS[cfg.command](cfg)
     for name, write in files.items():
         write(out_dir / name)
-    _write_json({"config": {"command": cfg.command, **cfg.document}, "version": __version__,
+    _write_json({"config": cfg.record, "version": __version__,
                  "outputs": list(files), **facts}, out_dir / "manifest.json")
 
 
@@ -304,27 +313,18 @@ def main(argv=None) -> int:
         )
     args = parser.parse_args(argv)
 
-    def fail(code, kind, message):
-        print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
-        return code
-
     try:
         if args.threads < 1:
             raise ConfigError("--threads", f"must be >= 1, got {args.threads}")
         dispatch(parse_config(args.config, command=args.command, seed=args.seed), args.out)
-    except ConfigError as exc:
-        return fail(EXIT_CONFIG, "config", str(exc))
-    except (DegenerateMarginal, InsufficientSupport) as exc:
-        return fail(EXIT_DEGENERATE, "degenerate", str(exc))
-    except HypothesisViolation as exc:
-        return fail(EXIT_HYPOTHESIS, "hypothesis", str(exc))
-    except OSError as exc:
-        return fail(EXIT_IO, "io", str(exc))
-    except InvalidEdgeList as exc:
-        return fail(EXIT_IO, "InvalidEdgeList", str(exc))
     except SuperposeError as exc:
-        return fail(EXIT_DEGENERATE, type(exc).__name__, str(exc))
-    return 0
+        code, kind, message = *_EXITS.get(type(exc), (2, type(exc).__name__)), str(exc)
+    except OSError as exc:
+        code, kind, message = 4, "io", str(exc)
+    else:
+        return 0
+    print(json.dumps({"error": kind, "message": message}), file=sys.stderr)
+    return code
 
 
 def run() -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean
+from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean, check_memory
 
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
@@ -85,15 +85,18 @@ def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
 
 # -- correlation functionals ----------------------------------------------
 
-def _occupied(f: Pmf2D):
+def _occupied(f: Pmf2D, copies: int = 1):
     """The normalised law restricted to its rows and columns of positive
-    mass, and the support points those rows and columns stand for."""
+    mass, and the support points those rows and columns stand for;
+    MemoryBudgetExceeded first if `copies` arrays of its size would not fit."""
     rows = np.flatnonzero(f.probs.sum(axis=1) > 0)
     cols = np.flatnonzero(f.probs.sum(axis=0) > 0)
     if len(rows) == 0:
         raise ValueError("pmf carries no mass on its support")
+    check_memory(8 * copies * len(rows) * len(cols), "correlation arrays of the occupied bidegree law")
     joint = f.probs[np.ix_(rows, cols)]
-    return joint / joint.sum(), rows, cols
+    joint /= joint.sum()
+    return joint, rows, cols
 
 
 def _scored_correlation(f: Pmf2D, score, message: str) -> float:
@@ -123,22 +126,26 @@ def pearson_correlation(f: Pmf2D) -> float:
 def kendall(f: Pmf2D) -> float:
     """Tie-aware sign correlation of two independent draws from f.
 
-    Exact in O(occupied support size) via 2-D cumulative prefix sums.
+    Exact via 2-D cumulative prefix sums, in three arrays of the occupied support's size.
     """
-    joint, _, _ = _occupied(f)
+    joint, _, _ = _occupied(f, copies=3)
     m1 = joint.sum(axis=1)
     m2 = joint.sum(axis=0)
     d1 = 1.0 - m1 @ m1
     d2 = 1.0 - m2 @ m2
     if d1 <= 1e-30 or d2 <= 1e-30:
         raise DegenerateMarginal("a marginal is a point mass")
-    # cp[i, j] = P(Z1 <= i-1, Z2 <= j-1), zero-padded
-    cp = np.zeros((joint.shape[0] + 1, joint.shape[1] + 1))
-    cp[1:, 1:] = np.cumsum(np.cumsum(joint, axis=0), axis=1)
+    # c[i, j] = P(Z1 <= i, Z2 <= j)
+    c = np.cumsum(joint, axis=0)
+    np.cumsum(c, axis=1, out=c)
     # the draws are exchangeable, so E[sign] is twice the sum of
     # p_ij (P(Z1 < i, Z2 < j) - P(Z1 < i, Z2 > j))
-    below = cp[:-1, :-1] + cp[:-1, 1:] - cp[:-1, -1:]
-    e_sign = 2.0 * float(np.sum(joint * below))
+    below = np.zeros_like(joint)
+    below[1:, 1:] = c[:-1, :-1]
+    below[1:] += c[:-1]
+    below[1:] -= c[:-1, -1:]
+    below *= joint
+    e_sign = 2.0 * float(np.sum(below))
     return e_sign / math.sqrt(d1 * d2)
 
 

@@ -9,10 +9,8 @@ a study is a pure function of its spec.
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -88,14 +86,6 @@ class StudySpec:
             check_memory(16 * n, "degree arrays")  # as GraphSample.degrees allocates
         if self.fit_range is not None:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
-
-    def content_hash(self) -> str:
-        """12 hex digits of the SHA-256 of every field, dist as its family and atoms."""
-        payload = {f.name: getattr(self, f.name) for f in fields(self)}
-        payload["dist"] = {"family": self.dist.family, "sizes": self.dist.sizes.tolist(),
-                           "strengths": self.dist.strengths.tolist(), "probs": self.dist.probs.tolist()}
-        blob = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:12]
 
 
 @dataclass

@@ -307,6 +307,52 @@ class TestDispatch:
             write_layer_records(g, tmp_path / "layers.jsonl")
 
 
+class TestStudyFileNames:
+    """converge names its two study files study_seed<seed>_<hash>, <hash>
+    being 12 hex digits of the SHA-256 of the config its manifest records."""
+
+    DOC = {"layer_distribution": {"family": "constant", "size": 3, "strength": 0.5},
+           "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 3, "metrics": ["tv1"]}}
+
+    @staticmethod
+    def names(out: Path, doc: dict, *flags) -> list:
+        assert main(["converge", "--config", json.dumps(doc), "--out", str(out), *flags]) == 0
+        return sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+
+    def test_name_is_the_hash_of_the_recorded_config(self, tmp_path):
+        names = self.names(tmp_path, self.DOC)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        digest = hashlib.sha256(json.dumps(manifest["config"], sort_keys=True).encode()).hexdigest()[:12]
+        assert names == [f"study_seed3_{digest}.csv", f"study_seed3_{digest}.json"]
+        assert manifest["spec_hash"] == digest
+        assert json.loads((tmp_path / names[1]).read_text())["spec_hash"] == digest
+
+    @pytest.mark.parametrize("section, name, value", [
+        ("layer_distribution", "strength", 0.6), ("study", "mu", 0.5), ("study", "n_grid", [100, 200]),
+        ("study", "replications", 2), ("study", "seed", 4), ("study", "metrics", ["tv1", "tv2"]),
+        ("study", "tail_epsilon", 1e-9), ("study", "fit_range", [10, 40]),
+    ], ids=["law", "mu", "n_grid", "replications", "seed", "metrics", "tail_epsilon", "fit_range"])
+    def test_each_recorded_field_changes_the_hash(self, tmp_path, section, name, value):
+        changed = {**self.DOC, section: {**self.DOC[section], name: value}}
+        digests = {file.rsplit("_", 1)[1] for file in self.names(tmp_path / "a", self.DOC)}
+        assert digests.isdisjoint(file.rsplit("_", 1)[1] for file in self.names(tmp_path / "b", changed))
+
+    def test_seed_flag_names_as_the_config_seed(self, tmp_path):
+        seeded = {**self.DOC, "study": {**self.DOC["study"], "seed": 4}}
+        assert self.names(tmp_path / "flag", self.DOC, "--seed", "4") == self.names(tmp_path / "config", seeded)
+
+    @pytest.mark.parametrize("law, study, stem", [
+        ({"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0, "x_min": 1, "x_max": 100},
+         {"mu": 1.0, "n_grid": [200], "replications": 2, "seed": 1}, "study_seed1_f06166263f61"),
+        ({"family": "constant", "size": 4, "strength": 0.5},
+         {"mu": 0.5, "n_grid": [500, 2000], "replications": 3, "seed": 4,
+          "metrics": ["tv1", "tv2", "assortativity", "kendall", "spearman", "tail_slope", "subgraph_counts"]},
+         "study_seed4_a9ac7ef2c5fc"),
+    ], ids=["power_law", "constant"])
+    def test_names_are_pinned(self, tmp_path, law, study, stem):
+        assert self.names(tmp_path, {"layer_distribution": law, "study": study}) == [f"{stem}.csv", f"{stem}.json"]
+
+
 def test_reads_names_only_known_parts():
     """Every part _READS lists names layer_distribution, a section of
     _FIELDS or one of its fields, so a typo cannot make a needed field
@@ -334,6 +380,28 @@ class TestMainExitCodes:
         })
         code = main(["tailfit", "--config", doc, "--out", str(tmp_path)])
         assert code == 3
+
+    def test_every_typed_error_exits_as_documented(self, tmp_path, capsys, monkeypatch):
+        """Each SuperposeError of errors.py, then an OSError, raised by a
+        runner gives the exit code and error kind that README lists."""
+        from superpose_net import cli, errors
+        documented = {"ConfigError": (1, "config"), "InsufficientSupport": (2, "degenerate"),
+                      "DegenerateMarginal": (2, "degenerate"), "HypothesisViolation": (3, "hypothesis"),
+                      "InvalidEdgeList": (4, "InvalidEdgeList")}
+        typed = [obj for obj in vars(errors).values()
+                 if isinstance(obj, type) and issubclass(obj, errors.SuperposeError)]
+        assert set(documented) < {cls.__name__ for cls in typed}
+        cases = [(cls("field", "reason") if cls is ConfigError else cls("reason"),
+                  documented.get(cls.__name__, (2, cls.__name__))) for cls in typed]
+        doc = json.dumps(small_config("theory", tmp_path))
+        for exc, (code, kind) in [*cases, (OSError("reason"), (4, "io"))]:
+            def runner(cfg, exc=exc):
+                raise exc
+
+            monkeypatch.setitem(cli._RUNNERS, "theory", runner)
+            assert main(["theory", "--config", doc, "--out", str(tmp_path / "out")]) == code, exc
+            assert json.loads(capsys.readouterr().err) == {"error": kind, "message": str(exc)}
+        assert not list((tmp_path / "out").iterdir())
 
     def test_success_is_0(self, tmp_path):
         code = main(["theory", "--config", json.dumps({
@@ -502,6 +570,25 @@ class TestMainExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "MemoryBudgetExceeded"
         assert not (tmp_path / "limiting_bidegree_pmf.csv").exists()
+
+    def test_kendall_over_budget_is_2(self, tmp_path, capsys, monkeypatch):
+        """kendall checks its three copies of the occupied f2 against the
+        budget, which the limit laws' own check can admit."""
+        from superpose_net import errors
+        from superpose_net.layers import LayerTypeDistribution
+        from superpose_net.limits import LimitParams, fprime2_pmf, limiting_laws
+        params = LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5))
+        f2, k = limiting_laws(params)[1].probs, len(fprime2_pmf(params).probs)
+        occupied = np.count_nonzero(f2.sum(axis=1)) * np.count_nonzero(f2.sum(axis=0))
+        laws_need, kendall_need = 8 * ((k + len(f2)) ** 2 + f2.size), 24 * occupied
+        assert laws_need < kendall_need
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", (laws_need + kendall_need) // 2)
+        doc = {"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "theory": {"mu": 1.0}}
+        assert main(["theory", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "MemoryBudgetExceeded"
+        assert err["message"].startswith("correlation arrays of the occupied bidegree law")
+        assert not list(tmp_path.iterdir())
 
     def test_study_degree_arrays_over_budget_is_2_before_the_limit_laws(self, tmp_path, capsys, monkeypatch):
         import superpose_net.limits as limits_mod

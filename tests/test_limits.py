@@ -319,6 +319,14 @@ class TestTracedMemory:
         peak = self.traced_peak(lambda: limiting_laws(self.PARAMS))
         assert peak <= 1.01 * max(counted)
 
+    @pytest.mark.parametrize("functional, copies", [(kendall, 3.1), (spearman, 1.1)], ids=["kendall", "spearman"])
+    def test_rank_correlations_hold_a_few_copies_of_the_law(self, functional, copies):
+        """kendall's three arrays the size of the law are what its budget
+        check counts; spearman holds one, the normalised occupied law."""
+        f2 = limiting_laws(self.PARAMS)[1]
+        peak = self.traced_peak(lambda: functional(f2))
+        assert peak <= copies * f2.probs.nbytes
+
     def test_pmf_to_csv_holds_under_twice_the_law(self, tmp_path):
         f2 = limiting_laws(self.PARAMS)[1]
         peak = self.traced_peak(lambda: pmf_to_csv(f2, tmp_path / "f2.csv"))

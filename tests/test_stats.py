@@ -24,6 +24,7 @@ from superpose_net import (
     size_biased,
     spearman,
 )
+from superpose_net import errors
 from superpose_net.generate import LayerRecord
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
@@ -245,13 +246,14 @@ class TestFunctionals:
                 continue
             assert rank(padded) == pytest.approx(want, abs=1e-14)
 
-    def test_a_hub_costs_only_its_occupied_support(self):
+    def test_a_hub_costs_only_its_occupied_support(self, monkeypatch):
         """A star's bidegree law is dense up to the hub's degree but holds
-        mass on two rows and two columns; the functionals allocate for
-        those alone."""
+        mass on two rows and two columns; the functionals allocate, and
+        check against the budget, for those alone."""
         leaves = 2000
         edges = np.column_stack([np.ones(leaves, dtype=np.int64), np.arange(2, leaves + 2)])
         f2 = bidegree_distribution(GraphSample(n=leaves + 1, edges=edges))
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", f2.probs.nbytes)
         tracemalloc.start()
         try:
             got = functionals(f2, FUNCTIONALS)

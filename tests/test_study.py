@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import math
 from itertools import combinations
 
@@ -27,7 +26,7 @@ from superpose_net import (
     tail_slope_fit,
     tv_distance_1d,
 )
-from superpose_net.study import ALL_METRICS, _cell_seed
+from superpose_net.study import _cell_seed
 
 from laws import SMALL_GRAPH_LAWS, edge_set_law
 
@@ -235,28 +234,9 @@ class TestRunStudy:
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(200,),
                       replications=1, seed=0, metrics=("bogus",))
 
-    def test_content_hash_covers_every_field(self):
-        spec = StudySpec(**self.SPEC)
-        assert spec.content_hash() == "bce9bf4ca8f8"
-        changes = {
-            "dist": LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 0.5, 0.5)]),
-            "mu": 0.5, "n_grid": (200, 600), "replications": 4, "seed": 98, "metrics": ("tv1",),
-            "tail_epsilon": 1e-9, "fit_range": (10, 40),
-        }
-        assert sorted(changes) == sorted(f.name for f in dataclasses.fields(StudySpec))
-        for name, value in changes.items():
-            assert StudySpec(**{**self.SPEC, name: value}).content_hash() != spec.content_hash(), name
-
-    def test_constant_law_keeps_its_content_hash(self):
-        # constant(x, y) is built through tabular; its study files keep their names
-        spec = StudySpec(dist=LayerTypeDistribution.constant(4, 0.5), mu=0.5, n_grid=[500, 2000],
-                         replications=3, seed=4, metrics=list(ALL_METRICS))
-        assert spec.content_hash() == "f097580443e4"
-
     def test_list_n_grid_is_stored_as_the_tuple(self):
         listed = StudySpec(**{**self.SPEC, "n_grid": [200, 500]})
         assert listed.n_grid == (200, 500)
-        assert listed.content_hash() == StudySpec(**self.SPEC).content_hash()
 
     @pytest.mark.parametrize("changes", [
         {"n_grid": (1, 200)}, {"mu": 0.0}, {"mu": 0.001}, {"seed": -1}, {"tail_epsilon": 0.0},
