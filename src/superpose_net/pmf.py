@@ -20,7 +20,7 @@ from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean, check_mem
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
 _DEFAULT_T_LO = 10  # where a tail fit starts when no fit_range is given
-_WRITE_CELLS = 1 << 16  # cells of a law formatted per write; bounds the text held at once
+_BLOCK_CELLS = 1 << 16  # cells of a law per block of rows that pmf_to_csv writes or kendall sums
 
 
 @dataclass(frozen=True)
@@ -85,15 +85,15 @@ def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
 
 # -- correlation functionals ----------------------------------------------
 
-def _occupied(f: Pmf2D, copies: int = 1):
+def _occupied(f: Pmf2D):
     """The normalised law restricted to its rows and columns of positive
     mass, and the support points those rows and columns stand for;
-    MemoryBudgetExceeded first if `copies` arrays of its size would not fit."""
+    MemoryBudgetExceeded first if it would not fit."""
     rows = np.flatnonzero(f.probs.sum(axis=1) > 0)
     cols = np.flatnonzero(f.probs.sum(axis=0) > 0)
     if len(rows) == 0:
         raise ValueError("pmf carries no mass on its support")
-    check_memory(8 * copies * len(rows) * len(cols), "correlation arrays of the occupied bidegree law")
+    check_memory(8 * len(rows) * len(cols), "correlation arrays of the occupied bidegree law")
     joint = f.probs[np.ix_(rows, cols)]
     joint /= joint.sum()
     return joint, rows, cols
@@ -124,29 +124,25 @@ def pearson_correlation(f: Pmf2D) -> float:
 
 
 def kendall(f: Pmf2D) -> float:
-    """Tie-aware sign correlation of two independent draws from f.
-
-    Exact via 2-D cumulative prefix sums, in three arrays of the occupied support's size.
-    """
-    joint, _, _ = _occupied(f, copies=3)
-    m1 = joint.sum(axis=1)
-    m2 = joint.sum(axis=0)
-    d1 = 1.0 - m1 @ m1
-    d2 = 1.0 - m2 @ m2
+    """Tie-aware sign correlation of two independent draws from f, exact.
+    Summed a block of rows of about _BLOCK_CELLS occupied cells at a time,
+    it holds one copy of the occupied support."""
+    joint, _, _ = _occupied(f)
+    d1, d2 = (1.0 - m @ m for m in (joint.sum(axis=1), joint.sum(axis=0)))
     if d1 <= 1e-30 or d2 <= 1e-30:
         raise DegenerateMarginal("a marginal is a point mass")
-    # c[i, j] = P(Z1 <= i, Z2 <= j)
-    c = np.cumsum(joint, axis=0)
-    np.cumsum(c, axis=1, out=c)
-    # the draws are exchangeable, so E[sign] is twice the sum of
-    # p_ij (P(Z1 < i, Z2 < j) - P(Z1 < i, Z2 > j))
-    below = np.zeros_like(joint)
-    below[1:, 1:] = c[:-1, :-1]
-    below[1:] += c[:-1]
-    below[1:] -= c[:-1, -1:]
-    below *= joint
-    e_sign = 2.0 * float(np.sum(below))
-    return e_sign / math.sqrt(d1 * d2)
+    # the draws are exchangeable, so E[sign] is twice the sum over rows i of
+    # p_i @ (P(Z1 < i, Z2 < j) - P(Z1 < i, Z2 > j)) = p_i @ (2 below - seen - below[-1]),
+    # with seen[j] = P(Z1 < i, Z2 = j), from column sums carried past each block, and below its cumsum
+    step = max(1, _BLOCK_CELLS // joint.shape[1])
+    carry, half = np.zeros((1, joint.shape[1])), 0.0
+    for first in range(0, len(joint), step):
+        block = joint[first : first + step]
+        seen = np.cumsum(np.concatenate((carry, block[:-1])), axis=0)
+        below = np.cumsum(seen, axis=1)
+        half += float(np.einsum("ij,ij->", block, 2.0 * below - seen - below[:, -1:]))
+        carry = seen[-1:] + block[-1:]
+    return 2.0 * half / math.sqrt(d1 * d2)
 
 
 def spearman(f: Pmf2D) -> float:
@@ -176,13 +172,13 @@ def functionals(f: Pmf2D, names) -> dict:
 def pmf_to_csv(f: _Pmf, path) -> None:
     """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
     per positive entry, then a `# mass_defect=` line.  The lines go out a
-    block of rows of about _WRITE_CELLS cells at a time, each distinct value
+    block of rows of about _BLOCK_CELLS cells at a time, each distinct value
     of a block and each support index formatted once."""
     probs = f.probs.reshape(-1, f.probs.shape[-1])  # a 1-D law as one row
     ints = np.array([f"{i}," for i in range(max(probs.shape))], dtype=object)
     with open(path, "w") as fh:
         fh.write(("s,prob\n", "s,t,prob\n")[f.probs.ndim - 1])
-        step = max(1, _WRITE_CELLS // probs.shape[1])
+        step = max(1, _BLOCK_CELLS // probs.shape[1])
         for first in range(0, len(probs), step):
             i, j = np.nonzero(probs[first : first + step] > 0)
             values, inverse = np.unique(probs[first + i, j].astype(float), return_inverse=True)

@@ -138,13 +138,16 @@ def _theory_values(spec: StudySpec):
 def _tail_fit(degree_counts: np.ndarray, fit_range):
     """(slope, stderr, fit_range) of tail_slope_fit on the size-biased law
     of the node counts per degree.  fit_range defaults to (_DEFAULT_T_LO,
-    the largest degree that at least _MIN_TAIL_OBS nodes have).  Raises
-    InsufficientSupport when no node has an edge."""
+    the largest degree that at least _MIN_TAIL_OBS nodes have).
+    InsufficientSupport if no node has an edge or that window is empty."""
     if not degree_counts[1:].any():
         raise InsufficientSupport("no edges")
     if fit_range is None:
-        heavy = np.nonzero(degree_counts >= _MIN_TAIL_OBS)[0]
-        fit_range = (_DEFAULT_T_LO, int(heavy.max()) if len(heavy) else 0)
+        top = int(np.flatnonzero(degree_counts >= _MIN_TAIL_OBS).max(initial=0))
+        if top < _DEFAULT_T_LO:
+            rule = f"no degree of at least {_DEFAULT_T_LO} is held by {_MIN_TAIL_OBS} nodes"
+            raise InsufficientSupport(f"{rule}, so the default fit window is empty")
+        fit_range = (_DEFAULT_T_LO, top)
     f = size_biased(Pmf1D(degree_counts / degree_counts.sum()))
     return (*tail_slope_fit(f, fit_range), fit_range)
 

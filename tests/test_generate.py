@@ -288,29 +288,29 @@ class TestFiniteNOracles:
 
 
 class TestWholeGraphLaw:
-    """The law of the whole graph at n = 4 against exact enumeration
-    (laws.edge_set_law).  A layer's edge set is one of the 64 subsets of
-    the 6 pairs, and a graph of three layers is the OR of three iid
-    layers.  Consecutive triples of one sample's records serve as the
+    """The law of the whole graph at n = 4 and 5 against exact enumeration
+    (laws.edge_set_law).  A layer's edge set is one of the 2^(n(n-1)/2)
+    subsets of the pairs, and a graph of three layers is the OR of three
+    iid layers.  Consecutive triples of one sample's records serve as the
     graphs, so this also checks that the records come in iid order."""
 
-    N, LAYERS, GRAPHS = 4, 3, 20_000
+    LAYERS, GRAPHS = 3, 20_000
     P_BOUND = 1e-3  # fixed before the seed was chosen
-    PAIRS = list(combinations(range(N), 2))
-    BIT = np.full((N, N), -1)  # the bit of pair (i, j), 0-based; -1 off the pairs
-    BIT[tuple(zip(*PAIRS))] = range(len(PAIRS))
 
     @classmethod
-    def p_value(cls, dist, seed) -> float:
-        """The G-test's p-value for GRAPHS graphs from one sample's records."""
-        cfg = GenConfig(n=cls.N, layers=cls.LAYERS * cls.GRAPHS, seed=seed, keep_layer_records=True)
+    def p_value(cls, dist, n, seed) -> float:
+        """The G-test's p-value for GRAPHS graphs on n nodes from one sample's records."""
+        pairs = list(combinations(range(n), 2))
+        bit = np.full((n, n), -1)  # the bit of pair (i, j), 0-based; -1 off the pairs
+        bit[tuple(zip(*pairs))] = range(len(pairs))
+        cfg = GenConfig(n=n, layers=cls.LAYERS * cls.GRAPHS, seed=seed, keep_layer_records=True)
         records = generate_graph(cfg, dist).layer_records
         edges = np.concatenate([r.edges for r in records]) - 1
-        bits = cls.BIT[edges[:, 0], edges[:, 1]]
+        bits = bit[edges[:, 0], edges[:, 1]]
         assert np.all(bits >= 0)
         masks = np.zeros(len(records), dtype=np.int64)
         np.bitwise_or.at(masks, np.repeat(np.arange(len(records)), [len(r.edges) for r in records]), 1 << bits)
-        expected = cls.GRAPHS * edge_set_law(dist, cls.N, cls.LAYERS)
+        expected = cls.GRAPHS * edge_set_law(dist, n, cls.LAYERS)
         observed = np.bincount(np.bitwise_or.reduce(masks.reshape(-1, cls.LAYERS), axis=1), minlength=len(expected))
         small = expected < 5
         if small.any():  # pool the cells that expect fewer than 5 graphs into one
@@ -320,9 +320,12 @@ class TestWholeGraphLaw:
         g = 2 * float(np.sum(observed[seen] * np.log(observed[seen] / expected[seen])))
         return float(chi2.sf(g, len(observed) - 1))
 
-    @pytest.mark.parametrize("dist", list(SMALL_GRAPH_LAWS.values()), ids=list(SMALL_GRAPH_LAWS))
-    def test_g_test_against_exact_enumeration(self, dist):
-        assert self.p_value(dist, seed=0) > self.P_BOUND
+    @pytest.mark.parametrize("dist, n", [
+        pytest.param(dist, n, id=name if n == 4 else f"{name}-n{n}")
+        for n in (4, 5) for name, dist in SMALL_GRAPH_LAWS.items()
+    ])
+    def test_g_test_against_exact_enumeration(self, dist, n):
+        assert self.p_value(dist, n, seed=0) > self.P_BOUND
 
 
 class TestGoldenStream:

@@ -182,7 +182,7 @@ def test_csv_writers_match_the_line_by_line_writer(tmp_path, monkeypatch):
         (Pmf1D(np.zeros(3), mass_defect=1.0), reference_pmf1d_to_csv),
     ):
         reference(law, tmp_path / "old.csv")
-        for cells in (pmf._WRITE_CELLS, 1):
-            monkeypatch.setattr(pmf, "_WRITE_CELLS", cells)
+        for cells in (pmf._BLOCK_CELLS, 1):
+            monkeypatch.setattr(pmf, "_BLOCK_CELLS", cells)
             pmf_to_csv(law, tmp_path / "new.csv")
             assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

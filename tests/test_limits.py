@@ -22,6 +22,7 @@ from superpose_net import (
     generate_graph,
     increment_pmf,
     kendall,
+    limit_values,
     limiting_degree_pmf,
     limiting_laws,
     limiting_moments,
@@ -319,13 +320,24 @@ class TestTracedMemory:
         peak = self.traced_peak(lambda: limiting_laws(self.PARAMS))
         assert peak <= 1.01 * max(counted)
 
-    @pytest.mark.parametrize("functional, copies", [(kendall, 3.1), (spearman, 1.1)], ids=["kendall", "spearman"])
+    @pytest.mark.parametrize("functional, copies", [(kendall, 1.3), (spearman, 1.1), (pearson_correlation, 1.1)],
+                             ids=["kendall", "spearman", "pearson"])
     def test_rank_correlations_hold_a_few_copies_of_the_law(self, functional, copies):
-        """kendall's three arrays the size of the law are what its budget
-        check counts; spearman holds one, the normalised occupied law."""
+        """Each functional holds one copy of the law, the normalised
+        occupied support; kendall adds a block of rows' sums."""
         f2 = limiting_laws(self.PARAMS)[1]
         peak = self.traced_peak(lambda: functional(f2))
         assert peak <= copies * f2.probs.nbytes
+
+    def test_rank_correlations_stay_within_the_budget_count(self, monkeypatch):
+        """The laws' check counts f2 and one more array of its size, which
+        is room for the one copy each rank correlation holds."""
+        counted = []
+        monkeypatch.setattr(limits_mod, "check_memory", lambda need, what: counted.append(need))
+        limit_values(self.PARAMS, ("kendall", "spearman"))  # builds the layer law's cached arrays outside the trace
+        counted.clear()
+        peak = self.traced_peak(lambda: limit_values(self.PARAMS, ("kendall", "spearman")))
+        assert peak <= 1.15 * max(counted)
 
     def test_pmf_to_csv_holds_under_twice_the_law(self, tmp_path):
         f2 = limiting_laws(self.PARAMS)[1]

@@ -24,7 +24,7 @@ from superpose_net import (
     size_biased,
     spearman,
 )
-from superpose_net import errors
+from superpose_net import errors, pmf
 from superpose_net.generate import LayerRecord
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
@@ -180,21 +180,36 @@ class TestKendall:
         g = Pmf1D(np.array([0.2, 0.3, 0.5]))
         assert kendall(product_pmf(g, g)) == pytest.approx(0.0, abs=1e-14)
 
+    @staticmethod
+    def by_enumeration(probs) -> float:
+        """Brute force over all ((u1,u2),(z1,z2)) support pairs."""
+        rows, cols = probs.shape
+        num = 0.0
+        for u1 in range(rows):
+            for u2 in range(cols):
+                for z1 in range(rows):
+                    for z2 in range(cols):
+                        num += probs[u1, u2] * probs[z1, z2] * np.sign(u1 - z1) * np.sign(u2 - z2)
+        m1, m2 = probs.sum(axis=1), probs.sum(axis=0)
+        return num / np.sqrt((1 - m1 @ m1) * (1 - m2 @ m2))
+
     def test_exhaustive_enumeration_oracle(self, rng):
-        # brute force over all ((u1,u2),(z1,z2)) support pairs
         probs = rng.random((4, 4))
         f = Pmf2D(probs / probs.sum())
-        num = 0.0
-        m1 = f.probs.sum(axis=1)
-        m2 = f.probs.sum(axis=0)
-        for u1 in range(4):
-            for u2 in range(4):
-                for z1 in range(4):
-                    for z2 in range(4):
-                        num += (f.probs[u1, u2] * f.probs[z1, z2]
-                                * np.sign(u1 - z1) * np.sign(u2 - z2))
-        denom = np.sqrt((1 - m1 @ m1) * (1 - m2 @ m2))
-        assert kendall(f) == pytest.approx(num / denom, abs=1e-12)
+        assert kendall(f) == pytest.approx(self.by_enumeration(f.probs), abs=1e-12)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_block_seams_match_the_oracle(self, rng, monkeypatch, rows_per_block):
+        """Blocks of 1 to 3 rows carry the column sums across every seam,
+        past tied rows, all-zero rows and repeated values alike."""
+        for _ in range(12):
+            probs = rng.integers(0, 4, size=rng.integers(4, 8, size=2)).astype(float)
+            probs[rng.integers(len(probs))] = probs[0]  # a tied row
+            probs[rng.integers(len(probs))] = 0.0  # an all-zero row
+            f = Pmf2D(probs / probs.sum())
+            occupied_cols = np.count_nonzero(f.probs.sum(axis=0))
+            monkeypatch.setattr(pmf, "_BLOCK_CELLS", rows_per_block * occupied_cols)
+            assert kendall(f) == pytest.approx(self.by_enumeration(f.probs), abs=1e-12)
 
     @given(joint_pmfs())
     @settings(max_examples=150, deadline=None)

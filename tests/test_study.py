@@ -26,7 +26,7 @@ from superpose_net import (
     tail_slope_fit,
     tv_distance_1d,
 )
-from superpose_net.study import _cell_seed
+from superpose_net.study import _cell_seed, _tail_fit
 
 from laws import SMALL_GRAPH_LAWS, edge_set_law
 
@@ -79,6 +79,14 @@ class TestTailSlopeFit:
     def test_insufficient_support(self):
         with pytest.raises(InsufficientSupport):
             tail_slope_fit(self._power_pmf(2.0, hi=12), (10, 500))
+
+    @pytest.mark.parametrize("counts", [[40, 30, 20], [40, 60, 20]])
+    def test_empty_default_window_names_its_rule(self, counts):
+        """The default window runs from 10 to the largest degree that 50
+        nodes hold; when that degree is below 10 the rule is reported, not
+        an inverted range."""
+        with pytest.raises(InsufficientSupport, match=r"^no degree of at least 10 is held by 50 nodes, "):
+            _tail_fit(np.array(counts), None)
 
 
 class TestRunStudy:
@@ -165,7 +173,8 @@ class TestRunStudy:
         with open(tmp_path / "r.csv", newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[1:] == [
-            ["100", str(rep), "tail_slope", "", "degenerate: only 0 positive-mass points in [10, 0]"]
+            ["100", str(rep), "tail_slope", "",
+             "degenerate: no degree of at least 10 is held by 50 nodes, so the default fit window is empty"]
             for rep in range(2)
         ]
 
