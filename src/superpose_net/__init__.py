@@ -17,9 +17,8 @@ _EXPORTS = {
     "generate": ("GenConfig", "GraphSample", "generate_graph", "read_edge_list", "write_edge_list"),
     "layers": ("LayerTypeDistribution", "cross_moment", "edge_biased_distribution", "edge_mass"),
     "limits": (
-        "LimitParams", "MomentReport", "TailPrediction", "compound_poisson_pmf", "fprime2_pmf",
-        "increment_pmf", "limit_values", "limiting_degree_pmf", "limiting_laws",
-        "limiting_moments", "tail_prediction",
+        "LimitParams", "MomentReport", "TailPrediction", "limit_values", "limiting_degree_pmf",
+        "limiting_laws", "limiting_moments", "tail_prediction",
     ),
     "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
     "stats": ("bidegree_counts", "bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),

@@ -272,7 +272,11 @@ def _run_tailfit(cfg: RunConfig):
         fit_range = _validated("input", checked_fit_range, fit_range=fit_range)
     if "pmf_csv" in given:
         pmf = _validated("input.pmf_csv", pmf1d_from_csv, path=given["pmf_csv"])
-        fit_range = fit_range or (_DEFAULT_T_LO, len(pmf.probs) - 1)
+        top = len(pmf.probs) - 1
+        if fit_range is None and top < _DEFAULT_T_LO:
+            rule = f"the last support point of input.pmf_csv is {top}, below {_DEFAULT_T_LO}"
+            raise InsufficientSupport(f"{rule}, so the default fit window is empty")
+        fit_range = fit_range or (_DEFAULT_T_LO, top)
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope
         summary["fitted_slope_stderr"] = stderr

@@ -45,9 +45,9 @@ def _windows(trials, strengths):
     return lo, length
 
 
-def _binomial_windows(trials, strengths, weights):
-    """Yield (row, k, weights[row] * P(Bin(trials[row], strengths[row]) = k))
-    arrays over each atom's window, in row-major blocks of about _BLOCK_ENTRIES values.
+def _binomial_windows(trials, strengths):
+    """Yield (row, k, P(Bin(trials[row], strengths[row]) = k)) arrays over
+    each atom's window, in row-major blocks of about _BLOCK_ENTRIES values.
 
     A block is padded to its longest window.  Along each row the pmf is the
     running product of P(k)/P(k-1) = (n-k+1)p / (kq) from 1 at the
@@ -67,74 +67,7 @@ def _binomial_windows(trials, strengths, weights):
             pmf = np.where(p == 1.0, k == n, np.cumprod(ratio, axis=1))
         pmf /= pmf.sum(axis=1, keepdims=True)
         row = np.repeat(np.arange(first, first + len(n)), length[part])
-        yield row, k[inside], weights[row] * pmf[inside]
-
-
-def increment_pmf(params: LimitParams) -> Pmf1D:
-    """Size of one layer's degree contribution at a node it contains.
-
-    A finite mixture of Bin(x-1, y) laws weighted by x * P(x, y); exact,
-    on the support up to the largest window end.
-    """
-    dist = params.dist
-    p10 = cross_moment(dist, 1, 0)
-    if p10 <= 0.0:
-        raise ValueError("increment law undefined: mean layer size is zero")
-    keep = (dist.sizes > 0) & (dist.probs > 0)
-    x, y = dist.sizes[keep], dist.strengths[keep]
-    lo, length = _windows(x - 1, y)
-    size = int((lo + length).max())
-    check_memory(8 * size, "increment law")
-    out = np.zeros(size)
-    for _, k, value in _binomial_windows(x - 1, y, x * dist.probs[keep] / p10):
-        out += np.bincount(k, weights=value, minlength=size)
-    return Pmf1D(out)
-
-
-def compound_poisson_pmf(lam: float, g: Pmf1D, tail_epsilon: float = DEFAULT_TAIL_EPSILON) -> Pmf1D:
-    """Law of a Poisson(lam)-indexed sum of iid g-distributed increments.
-
-    Evaluated by the standard recursion
-        f(0) = exp(-lam (1 - g(0))),
-        f(s) = (lam / s) * sum_{k=1}^{s} k g(k) f(s - k),
-    truncated at the smallest support where the remaining tail mass drops
-    below tail_epsilon.  If the support cap is hit first (heavy-tailed
-    increments), the recorded mass defect exceeds tail_epsilon honestly.
-    """
-    if lam <= 0.0 or not math.isfinite(lam):
-        raise InvalidLambda(f"rate must be positive and finite, got {lam}")
-    gk = np.trim_zeros(g.probs, "b")
-    if len(gk) == 0:
-        raise ValueError("increment pmf carries no mass")
-    if len(gk) == 1:
-        return Pmf1D(np.array([1.0]))  # all increments are zero
-    kk = np.arange(len(gk)) * gk
-    acc = math.exp(-lam * (1.0 - gk[0]))
-    if acc == 0.0:
-        raise RateUnderflow(f"f(0) = exp(-lam (1 - g(0))) underflows to 0 at rate {lam:g}")
-    f = np.zeros(1024)  # doubled when full
-    f[0] = acc
-    s = 0
-    while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT:
-        s += 1
-        if s == len(f):
-            f = np.concatenate([f, np.zeros(len(f))])
-        lo = max(0, s - len(gk) + 1)
-        # a contiguous reversed copy: a strided view changes the dot's last bits
-        val = (lam / s) * float(kk[1 : s - lo + 1] @ f[lo:s][::-1].copy())
-        f[s] = val
-        acc += val
-    probs = f[: s + 1]
-    return Pmf1D(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
-
-
-def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
-    """Compound Poisson degree law with rate mu * P_10; the point mass at 0 if every layer is empty."""
-    p10 = cross_moment(params.dist, 1, 0)
-    if p10 <= 0.0:
-        return Pmf1D(np.array([1.0]))
-    g = increment_pmf(params)
-    return compound_poisson_pmf(params.mu * p10, g, params.tail_epsilon)
+        yield row, k[inside], pmf[inside]
 
 
 def _check_budget(k: int, width: int) -> None:
@@ -142,41 +75,97 @@ def _check_budget(k: int, width: int) -> None:
     check_memory(8 * ((k + width) ** 2 + width**2), "bidegree law")
 
 
-def fprime2_pmf(params: LimitParams) -> Pmf2D:
-    """Joint law of the two extra degrees produced by an edge's own layer.
+def _own_layer(params: LimitParams, joint: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The law m' of the extra degree D' that an edge's own layer gives one
+    endpoint and, if joint, the joint law F'_2 of the two endpoints' D'.
 
-    Mixture of Bin(x-2, y) x Bin(x-2, y) products over the edge-biased layer
-    law on the K x K windowed support, a block of rows at a time; exact and
-    symmetric.  K is one past the largest window end.  Raises
-    MemoryBudgetExceeded first if the bidegree law would not fit even with
-    a one-point degree law.
+    Given the edge-biased layer type (X, Y) they are independent Bin(X-2, Y)
+    draws, so m' = sum_a p_a r_a and F'_2 = sum_a p_a r_a (x) r_a over the
+    windowed rows r_a, both from one pass over the rows; F'_2 is summed a
+    block of rows at a time over the block's own index range, and is exact
+    and symmetric.  m' is summed the same way whether or not F'_2 is built.
+    Both are on the support 0..K-1, K one past the largest window end.
+    With joint, raises MemoryBudgetExceeded first if the bidegree law would
+    not fit even with a one-point degree law.
     """
     biased = edge_biased_distribution(params.dist)
-    lo, length = _windows(biased.sizes - 2, biased.strengths)
+    trials = biased.sizes - 2
+    lo, length = _windows(trials, biased.strengths)
     k = int((lo + length).max())
-    _check_budget(k, k + 1)
-    out = np.zeros((k, k))
-    for row, kk, value in _binomial_windows(biased.sizes - 2, biased.strengths, np.sqrt(biased.probs)):
+    if joint:
+        _check_budget(k, k + 1)
+    check_memory(8 * k, "own-layer law")
+    root = np.sqrt(biased.probs)
+    marginal = np.zeros(k)
+    fp2 = np.zeros((k, k)) if joint else None
+    for row, kk, pmf in _binomial_windows(trials, biased.strengths):
         lo, hi = kk.min(), kk.max() + 1
-        slab = np.zeros((row[-1] - row[0] + 1, hi - lo))
-        slab[row - row[0], kk - lo] = value
-        out[lo:hi, lo:hi] += slab.T @ slab
-    return Pmf2D(out)
+        marginal[lo:hi] += np.bincount(kk - lo, weights=biased.probs[row] * pmf)
+        if joint:
+            slab = np.zeros((row[-1] - row[0] + 1, hi - lo))
+            slab[row - row[0], kk - lo] = root[row] * pmf
+            fp2[lo:hi, lo:hi] += slab.T @ slab
+    return marginal, fp2
+
+
+def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf1D:
+    """The limiting degree law f1 from the mean degree nu = mu * P_21 and
+    the own-layer law m', by the recursion
+        f(0) = exp(-nu sum_j m'(j) / (j + 1)),
+        f(s) = (nu / s) * sum_{j=0}^{s-1} m'(j) f(s - 1 - j),
+    truncated at the smallest support where the remaining tail mass drops
+    below tail_epsilon.  If the support cap is hit first (heavy-tailed
+    layers), the recorded mass defect exceeds tail_epsilon honestly.
+
+    f1 is compound Poisson with rate mu * P_10 and increments from the
+    Bin(x-1, y) laws weighted by x * P(x, y).  Its standard recursion
+    f(s) = (lam / s) * sum_k k g(k) f(s - k) becomes the one above by
+    k Bin(x-1, y)(k) = (x-1) y Bin(x-2, y)(k-1) (derived, not quoted).
+    """
+    if not 0.0 < nu < math.inf:
+        raise InvalidLambda(f"the rate nu = mu * P_21 must be positive and finite, got {nu}")
+    acc = math.exp(-nu * float(marginal @ (1.0 / np.arange(1, len(marginal) + 1))))
+    if acc == 0.0:
+        raise RateUnderflow(f"f(0) = exp(-nu sum_j m'(j) / (j + 1)) underflows to 0 at nu = {nu:g}")
+    f = np.zeros(1024)  # doubled when full
+    f[0] = acc
+    s = 0
+    while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT:
+        s += 1
+        if s == len(f):
+            f = np.concatenate([f, np.zeros(len(f))])
+        lo = max(0, s - len(marginal))
+        # a contiguous reversed copy: a strided view changes the dot's last bits
+        val = (nu / s) * float(marginal[: s - lo] @ f[lo:s][::-1].copy())
+        f[s] = val
+        acc += val
+    probs = f[: s + 1]
+    return Pmf1D(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
+
+
+def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
+    """The limiting degree law f1, from the own-layer law m' alone; the
+    point mass at 0 if no layer can make an edge (P_21 = 0)."""
+    p21 = cross_moment(params.dist, 2, 1)
+    if p21 <= 0.0:
+        return Pmf1D(np.array([1.0]))
+    return _degree_law(params.mu * p21, _own_layer(params, joint=False)[0], params.tail_epsilon)
 
 
 def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     """The limiting degree law f1 and the joint degree law f2 of the
-    endpoints of a random edge.
+    endpoints of a random edge, from one pass over the binomial rows.
 
-    f2 is (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2 =
-    fprime2_pmf(params), i.e. T^T F'_2 T with T the K x (len(f1) + K)
-    Toeplitz matrix T[u, 1 + u + j] = f1(j); its zero first column is the
-    (1,1) shift.  f2 is exactly symmetric, as the two endpoints are
-    exchangeable.  F'_2 comes first: its budget check is cheap, and the
-    degree law can take seconds.
+    f2 is (1,1) plus independent D1, D2 ~ f1 plus the own-layer pair F'_2,
+    i.e. T^T F'_2 T with T the K x (len(f1) + K) Toeplitz matrix
+    T[u, 1 + u + j] = f1(j); its zero first column is the (1,1) shift.  f2
+    is exactly symmetric, as the two endpoints are exchangeable.  f1 comes
+    from the same m' as in limiting_degree_pmf, so it is the same law bit
+    for bit.  F'_2's budget check comes first: it is cheap, and the degree
+    law can take seconds.
     """
-    fp2 = fprime2_pmf(params).probs
-    f1 = limiting_degree_pmf(params)
+    marginal, fp2 = _own_layer(params, joint=True)
+    f1 = _degree_law(params.mu * edge_mass(params.dist), marginal, params.tail_epsilon)
     k = len(fp2)
     width = len(f1.probs) + k
     _check_budget(k, width)

@@ -1,11 +1,13 @@
-"""Random layer-type distributions, pmf moments and exact small-graph
-laws shared by the property, oracle and acceptance tests."""
+"""Random layer-type distributions, pmf moments, the reference increment
+law and exact small-graph laws shared by the property, oracle and
+acceptance tests."""
 
 from itertools import combinations
 
 import numpy as np
+from scipy.stats import binom
 
-from superpose_net import LayerTypeDistribution, Pmf1D
+from superpose_net import LayerTypeDistribution, Pmf1D, cross_moment
 from superpose_net.pmf import pmf_to_csv
 
 
@@ -34,6 +36,19 @@ def power_pmf_csv(path, length=60):
 def atoms(dist):
     """The (size, strength, probability) triples of a layer law."""
     return list(zip(dist.sizes.tolist(), dist.strengths.tolist(), dist.probs.tolist()))
+
+
+def reference_increment(dist):
+    """The law of one layer's contribution to the degree of a node it
+    holds: Bin(x-1, y) weighted by x * P(x, y) / P_10, one binom.pmf call
+    per atom over its full support."""
+    p10 = cross_moment(dist, 1, 0)
+    out = np.zeros(max(int(dist.sizes.max(initial=0)) - 1, 0) + 1)
+    for x, y, p in atoms(dist):
+        if x == 0 or p == 0:
+            continue
+        out[:x] += x * p / p10 * binom.pmf(np.arange(x), x - 1, y)
+    return out
 
 
 def moment(f, k):

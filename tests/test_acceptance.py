@@ -21,7 +21,6 @@ from superpose_net import (
     LayerTypeDistribution,
     LimitParams,
     StudySpec,
-    compound_poisson_pmf,
     cross_moment,
     generate_graph,
     kendall,
@@ -36,9 +35,8 @@ from superpose_net import (
     tail_prediction,
 )
 from superpose_net.cli import main
-from superpose_net.pmf import Pmf1D
 
-from laws import marginal, random_tabular
+from laws import marginal, random_tabular, reference_increment
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
 TWO_FOUR_ASSORT = 24 / 955
@@ -94,18 +92,17 @@ def test_criterion_02_assortativity_matches_closed_form():
 
 
 def test_criterion_03_recursion_matches_convolution_oracle():
-    """The compound Poisson recursion agrees with brute-force Poisson
-    mixture convolution to better than 1e-10 for lambda <= 5 and
-    increment supports up to 50."""
+    """The degree recursion on the own-layer law agrees with the
+    brute-force Poisson(lambda) mixture of convolution powers of the
+    increment law to better than 1e-10, for lambda = mu * P_10 <= 5 and
+    increment supports up to 50, over 20 randomized layer laws."""
     rng = _fresh_rng()
     for _ in range(20):
         lam = float(rng.uniform(0.1, 5.0))
-        width = int(rng.integers(2, 51))
-        raw = rng.random(width) * (rng.random(width) < 0.6)
-        if raw.sum() == 0:
-            raw[0] = 1.0
-        g = raw / raw.sum()
-        f = compound_poisson_pmf(lam, Pmf1D(g), tail_epsilon=1e-14)
+        dist = random_tabular(rng, max_size=int(rng.integers(2, 52)))
+        g = reference_increment(dist)
+        width = len(g)
+        f = limiting_degree_pmf(LimitParams(lam / cross_moment(dist, 1, 0), dist, tail_epsilon=1e-14))
         j_max = int(poisson.isf(1e-16, lam)) + 2
         brute = np.zeros((width - 1) * j_max + 1)
         conv = np.zeros_like(brute)

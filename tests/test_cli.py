@@ -28,11 +28,13 @@ MINIMAL_GENERATE = {
     "model": {"n": 100, "mu": 1, "seed": 7},
 }
 ONE_STUDY = {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0}
-# laws with P_21 = 0, by test id prefix: no layer links, every layer is empty, every layer has one node
+# laws with P_21 = 0, by test id prefix: no layer links, every layer is empty, every layer has one node,
+# every layer has one node or links none
 EDGELESS_LAWS = {
     "": {"family": "constant", "size": 5, "strength": 0.0},
     "size_0_": {"family": "constant", "size": 0, "strength": 0.5},
     "size_1_": {"family": "constant", "size": 1, "strength": 0.5},
+    "size_1_and_strength_0_": {"family": "tabular", "atoms": [[1, 0.5, 0.5], [4, 0.0, 0.5]]},
 }
 
 
@@ -560,7 +562,8 @@ class TestMainExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("the degree law was evaluated before the budget check")
 
-        monkeypatch.setattr(limits_mod, "limiting_degree_pmf", never)
+        for name in ("limiting_degree_pmf", "_degree_law"):
+            monkeypatch.setattr(limits_mod, name, never)
         code = main(["theory", "--config", json.dumps({
             "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.0,
                                    "b": 0.5, "x_min": 1, "x_max": 20_000},
@@ -576,9 +579,9 @@ class TestMainExitCodes:
         occupied f2: kendall holds one copy, so theory reports it."""
         from superpose_net import errors
         from superpose_net.layers import LayerTypeDistribution
-        from superpose_net.limits import LimitParams, fprime2_pmf, limiting_laws
+        from superpose_net.limits import LimitParams, _own_layer, limiting_laws
         params = LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5))
-        f2, k = limiting_laws(params)[1].probs, len(fprime2_pmf(params).probs)
+        f2, k = limiting_laws(params)[1].probs, len(_own_layer(params, joint=True)[1])
         occupied = np.count_nonzero(f2.sum(axis=1)) * np.count_nonzero(f2.sum(axis=0))
         laws_need, three_copies = 8 * ((k + len(f2)) ** 2 + f2.size), 24 * occupied
         assert laws_need < three_copies
@@ -594,7 +597,7 @@ class TestMainExitCodes:
         def never(*args, **kwargs):
             raise AssertionError("a limit law was evaluated before the budget check")
 
-        for name in ("limiting_laws", "limiting_degree_pmf"):
+        for name in ("limiting_laws", "limiting_degree_pmf", "_own_layer", "_degree_law"):
             monkeypatch.setattr(limits_mod, name, never)
         code = main(["converge", "--config", json.dumps({
             "layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5,
@@ -628,7 +631,8 @@ class TestMainExitCodes:
         assert err == {"error": "ZeroEdgeMass", "message": "P_21 = 0: the model produces no edges in the limit"}
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("prefix", ["", "size_0_"], ids=["strength_0", "size_0"])
+    @pytest.mark.parametrize("prefix", ["", "size_0_", "size_1_", "size_1_and_strength_0_"],
+                             ids=["strength_0", "size_0", "size_1", "size_1_and_strength_0"])
     def test_degree_law_of_an_edgeless_law_is_the_point_mass_at_0(self, tmp_path, prefix):
         doc = {"layer_distribution": EDGELESS_LAWS[prefix],
                "study": {**ONE_STUDY, "replications": 2, "metrics": ["tv1"]}}
@@ -745,7 +749,7 @@ class TestMainExitCodes:
         import superpose_net.limits as limits_mod
 
         calls = []
-        for name in ("limiting_degree_pmf", "limiting_laws", "limiting_moments"):
+        for name in ("limiting_degree_pmf", "limiting_laws", "limiting_moments", "_own_layer", "_degree_law"):
             real = getattr(limits_mod, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -757,7 +761,8 @@ class TestMainExitCodes:
             "layer_distribution": {"family": "tabular", "atoms": [[2, 1.0, 0.5], [4, 1.0, 0.5]]},
             "theory": {"mu": 1.0},
         }), "--out", str(tmp_path)]) == 0
-        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws", "limiting_moments"]
+        # one binomial pass and one degree recursion, both inside limiting_laws
+        assert sorted(calls) == ["_degree_law", "_own_layer", "limiting_laws", "limiting_moments"]
 
     def test_threads_flag_does_not_change_output(self, tmp_path):
         doc = json.dumps({
@@ -859,23 +864,30 @@ class TestProcessEntry:
         for name in written:
             assert (tmp_path / "process" / name).read_bytes() == (tmp_path / "in_process" / name).read_bytes()
 
-    @pytest.mark.parametrize("code, command, doc, edges", [
-        (1, "generate", {}, None),
+    @pytest.mark.parametrize("code, command, doc, input_file, error", [
+        (1, "generate", {}, None, {"error": "config"}),
         (2, "theory", {"layer_distribution": {"family": "constant", "size": 1000, "strength": 0.5},
-                       "theory": {"mu": 1.0}}, None),
+                       "theory": {"mu": 1.0}}, None, {"error": "RateUnderflow"}),
+        (2, "tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                               "b": 1.0, "x_min": 1, "x_max": 100},
+                        "theory": {"mu": 1.0}}, ("pmf_csv", "s,prob\n1,0.5\n2,0.25\n3,0.25\n"),
+         {"error": "degenerate", "message": "the last support point of input.pmf_csv is 3, below 10, "
+                                            "so the default fit window is empty"}),
         (3, "tailfit", {"layer_distribution": {"family": "power_law", "alpha": 2.5, "beta": 0.4,
                                                "b": 1.0, "x_min": 1, "x_max": 100},
-                        "theory": {"mu": 1.0}}, None),
-        (4, "empirical", None, "# superpose-net n=3 m=1 seed=0\n1 1\n"),
-    ], ids=["config", "rate_underflow", "hypothesis", "invalid_edge_list"])
-    def test_error_exit_writes_one_json_line(self, tmp_path, code, command, doc, edges):
-        if edges is not None:
-            (tmp_path / "g.edgelist").write_text(edges)
-            doc = {"input": {"edge_list": str(tmp_path / "g.edgelist")}}
+                        "theory": {"mu": 1.0}}, None, {"error": "hypothesis"}),
+        (4, "empirical", {}, ("edge_list", "# superpose-net n=3 m=1 seed=0\n1 1\n"), {"error": "InvalidEdgeList"}),
+    ], ids=["config", "rate_underflow", "tailfit_pmf_below_the_default_window", "hypothesis", "invalid_edge_list"])
+    def test_error_exit_writes_one_json_line(self, tmp_path, code, command, doc, input_file, error):
+        if input_file is not None:
+            field, body = input_file
+            (tmp_path / "input").write_text(body)
+            doc = {**doc, "input": {field: str(tmp_path / "input")}}
         proc = run_process(command, "--config", json.dumps(doc), "--out", str(tmp_path / "out"))
         assert proc.returncode == code
         assert proc.stdout == "" and proc.stderr.endswith("\n") and proc.stderr.count("\n") == 1
-        assert set(json.loads(proc.stderr)) == {"error", "message"}
+        reported = json.loads(proc.stderr)
+        assert set(reported) == {"error", "message"} and reported.items() >= error.items()
 
     def test_run_flushes_both_streams_and_exits_with_the_code(self):
         """Text without a newline stays in the buffers until a flush."""

@@ -1,12 +1,14 @@
 """The binomial-mixture kernel of limits.py against the direct route.
 
-The references below evaluate the increment law with one binom.pmf call
-per atom over its full support, and the limiting bidegree law from dense
-outer products of full-support Bin(x-2, y) rows plus a shift-and-add 2-D
-convolution.  The own-layer law fprime2_pmf, the core of the bidegree law,
-is checked against the closed-form moments of limiting_moments.  The pmf
-CSV writer is checked byte for byte against writers that emit one line
-per entry.
+The references below evaluate the own-layer law m' and the increment law
+with one binom.pmf call per atom over its full support, the limiting
+degree law by the compound Poisson recursion on that increment law, and
+the limiting bidegree law from dense outer products of full-support
+Bin(x-2, y) rows plus a shift-and-add 2-D convolution.  This direct route
+shares no binomial or recursion code with the engine's, which makes one
+windowed pass for m' and F'_2 and reads f1 off m'.  The own-layer laws are also checked against
+the closed-form moments of limiting_moments.  The pmf CSV writer is
+checked byte for byte against writers that emit one line per entry.
 """
 
 import math
@@ -21,45 +23,60 @@ from superpose_net import (
     LayerTypeDistribution,
     LimitParams,
     bidegree_distribution,
-    compound_poisson_pmf,
     cross_moment,
     edge_biased_distribution,
-    fprime2_pmf,
     generate_graph,
-    increment_pmf,
     kendall,
+    limiting_degree_pmf,
     limiting_laws,
     limiting_moments,
     pearson_correlation,
     spearman,
 )
 from superpose_net import pmf
-from superpose_net.limits import _windows
+from superpose_net.limits import _own_layer, _windows
 from superpose_net.pmf import Pmf1D, Pmf2D, pmf_to_csv
 
-from laws import atoms, random_tabular
+from laws import atoms, random_tabular, reference_increment
 
 
-def reference_increment(dist):
-    p10 = cross_moment(dist, 1, 0)
-    out = np.zeros(max(int(dist.sizes.max(initial=0)) - 1, 0) + 1)
-    for x, y, p in atoms(dist):
-        if x == 0 or p == 0:
-            continue
-        out[:x] += x * p / p10 * binom.pmf(np.arange(x), x - 1, y)
-    return out
+def reference_compound_poisson(lam, g, tail_epsilon):
+    """The compound Poisson law of rate lam and increment law g by the
+    standard recursion f(s) = (lam / s) * sum_k k g(k) f(s - k), truncated
+    as the engine truncates the degree law."""
+    g = np.trim_zeros(g, "b")
+    kg = np.arange(len(g)) * g
+    f = [math.exp(-lam * (1.0 - g[0]))]
+    acc = f[0]
+    while 1.0 - acc >= tail_epsilon:
+        s = len(f)
+        f.append(lam / s * sum(kg[k] * f[s - k] for k in range(1, min(s, len(g) - 1) + 1)))
+        acc += f[-1]
+    return Pmf1D(np.array(f), mass_defect=max(0.0, 1.0 - math.fsum(f)))
+
+
+def reference_degree(params):
+    g = reference_increment(params.dist)
+    return reference_compound_poisson(params.mu * cross_moment(params.dist, 1, 0), g, params.tail_epsilon)
+
+
+def reference_own_layer(dist):
+    """m' and F'_2: Bin(x-2, y) rows under the edge-biased weights."""
+    biased = edge_biased_distribution(dist)
+    support = np.arange(max(int(biased.sizes.max(initial=0)) - 2, 0) + 1)
+    m = np.zeros(len(support))
+    fp2 = np.zeros((len(support), len(support)))
+    for x, y, p in atoms(biased):
+        row = binom.pmf(support, x - 2, y)
+        m += p * row
+        fp2 += p * np.outer(row, row)
+    return m, fp2
 
 
 def reference_bidegree(params):
-    biased = edge_biased_distribution(params.dist)
-    top = max(int(biased.sizes.max(initial=0)) - 2, 0)
-    fp2 = np.zeros((top + 1, top + 1))
-    support = np.arange(top + 1)
-    for x, y, p in atoms(biased):
-        row = binom.pmf(support, x - 2, y)
-        fp2 += p * np.outer(row, row)
-    g = Pmf1D(reference_increment(params.dist))
-    f1 = compound_poisson_pmf(params.mu * cross_moment(params.dist, 1, 0), g, params.tail_epsilon)
+    fp2 = reference_own_layer(params.dist)[1]
+    top = len(fp2) - 1
+    f1 = reference_degree(params)
     base = np.outer(f1.probs, f1.probs)
     conv = np.zeros((base.shape[0] + top, base.shape[1] + top))
     for u, v in np.argwhere(fp2 > 0):
@@ -89,12 +106,19 @@ def _laws():
     return laws
 
 
-@pytest.mark.parametrize("params", _laws(), ids=[f"law{i}" for i in range(20)] + ["power_law_300"])
+LAW_IDS = [f"law{i}" for i in range(20)] + ["power_law_300"]
+
+
+@pytest.mark.parametrize("params", _laws(), ids=LAW_IDS)
 def test_kernel_matches_direct_route(params):
-    g, want_g = increment_pmf(params).probs, reference_increment(params.dist)
-    assert len(g) <= len(want_g)
-    assert want_g[len(g):].sum() <= 1e-15
-    assert np.max(np.abs(np.pad(g, (0, len(want_g) - len(g))) - want_g)) <= 1e-15
+    m, want_m = _own_layer(params, joint=False)[0], reference_own_layer(params.dist)[0]
+    assert len(m) <= len(want_m)
+    assert want_m[len(m):].sum() <= 1e-15
+    assert np.max(np.abs(np.pad(m, (0, len(want_m) - len(m))) - want_m)) <= 1e-15
+
+    f1, want_f1 = limiting_degree_pmf(params), reference_degree(params)
+    assert len(f1.probs) == len(want_f1.probs)
+    assert np.max(np.abs(f1.probs - want_f1.probs)) <= 1e-15
 
     got = limiting_laws(params)[1]
     want = reference_bidegree(params)
@@ -115,20 +139,30 @@ def test_kernel_matches_direct_route(params):
             assert a[name] == pytest.approx(b[name], abs=1e-11)
 
 
+@pytest.mark.parametrize("params", _laws(), ids=LAW_IDS)
+def test_degree_law_does_not_depend_on_the_route(params):
+    """f1 alone and f1 beside f2 are the same law bit for bit, so a tv1
+    value does not depend on whether tv2 was asked for too."""
+    alone, beside = limiting_degree_pmf(params), limiting_laws(params)[0]
+    assert np.array_equal(alone.probs, beside.probs)
+    assert alone.mass_defect == beside.mass_defect
+
+
 @pytest.mark.parametrize(
     "params",
     _laws()[:20] + [LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 10_000))],
     ids=[f"law{i}" for i in range(20)] + ["power_law_1e4"],
 )
 def test_fprime2_moments_match_closed_form(params):
-    f = fprime2_pmf(params).probs
+    m, f = _own_layer(params, joint=True)
+    assert np.array_equal(f, f.T)
     u = np.arange(len(f), dtype=float)
-    marginal = f.sum(axis=1)
-    mean = u @ marginal
     want = limiting_moments(params)
-    assert mean == pytest.approx(want.e_dprime, rel=1e-10)
-    assert u**2 @ marginal == pytest.approx(want.e_dprime2, rel=1e-10)
-    assert u @ f @ u - mean**2 == pytest.approx(want.cov_dprime, rel=1e-10)
+    for marginal in (f.sum(axis=1), m):
+        mean = u @ marginal
+        assert mean == pytest.approx(want.e_dprime, rel=1e-10)
+        assert u**2 @ marginal == pytest.approx(want.e_dprime2, rel=1e-10)
+    assert u @ f @ u - (u @ m) ** 2 == pytest.approx(want.cov_dprime, rel=1e-10)
 
 
 def test_windows_hold_all_the_mass():

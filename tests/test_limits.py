@@ -17,10 +17,8 @@ from superpose_net import (
     RateUnderflow,
     ZeroEdgeMass,
     bidegree_distribution,
-    compound_poisson_pmf,
-    fprime2_pmf,
+    edge_mass,
     generate_graph,
-    increment_pmf,
     kendall,
     limit_values,
     limiting_degree_pmf,
@@ -32,10 +30,10 @@ from superpose_net import (
     tail_prediction,
 )
 from superpose_net import limits as limits_mod
-from superpose_net.limits import _binomial_windows
+from superpose_net.limits import _binomial_windows, _degree_law, _own_layer
 from superpose_net.pmf import pmf_to_csv
 
-from laws import marginal, moment, random_tabular
+from laws import marginal, moment, random_tabular, reference_increment
 
 
 def brute_force_cpoi(lam, g, j_max=None):
@@ -52,20 +50,23 @@ def brute_force_cpoi(lam, g, j_max=None):
     return out
 
 
-def list_cpoi(lam, g, tail_epsilon=1e-10):
-    """Reference: the compound Poisson recursion with f kept in a list."""
-    gk = np.trim_zeros(g, "b")
-    kk = np.arange(len(gk)) * gk
-    f = [math.exp(-lam * (1.0 - gk[0]))]
+def list_degree_law(nu, m, tail_epsilon=1e-10):
+    """Reference: the degree recursion on the own-layer law m, with f kept in a list."""
+    f = [math.exp(-nu * float(m @ (1.0 / np.arange(1, len(m) + 1))))]
     acc = f[0]
     s = 0
     while 1.0 - acc >= tail_epsilon:
         s += 1
-        lo = max(0, s - len(gk) + 1)
-        val = (lam / s) * float(kk[1 : s - lo + 1] @ np.asarray(f[lo:s][::-1]))
+        lo = max(0, s - len(m))
+        val = (nu / s) * float(m[: s - lo] @ np.asarray(f[lo:s][::-1]))
         f.append(val)
         acc += val
     return np.array(f), max(0.0, 1.0 - math.fsum(f))
+
+
+def own_layer_marginal(dist):
+    """m', the law of the extra degree an edge's own layer gives one endpoint."""
+    return _own_layer(LimitParams(1.0, dist), joint=False)[0]
 
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
@@ -75,7 +76,7 @@ def dense_rows(trials, y):
     """Rows of P(Bin(trials[i], y) = k) over k = 0..trials[i] from the windowed
     kernel, zero outside each window."""
     out = np.zeros((len(trials), int(trials.max()) + 1))
-    for row, k, value in _binomial_windows(trials, np.full(len(trials), y), np.ones(len(trials))):
+    for row, k, value in _binomial_windows(trials, np.full(len(trials), y)):
         out[row, k] = value
     return out
 
@@ -83,7 +84,7 @@ def dense_rows(trials, y):
 def kernel_at(trials, y, k):
     """The windowed kernel's P(Bin(trials[i], y) = k[i]), zero outside the window."""
     out = np.zeros(len(trials))
-    for row, kk, value in _binomial_windows(trials, np.full(len(trials), y), np.ones(len(trials))):
+    for row, kk, value in _binomial_windows(trials, np.full(len(trials), y)):
         hit = kk == k[row]
         out[row[hit]] = value[hit]
     return out
@@ -116,42 +117,48 @@ class TestBinomialKernel:
 
 
 class TestIncrementPmf:
+    """The own-layer law m', which stands in for the increment law: the
+    Bin(x-2, y) mixture under the edge-biased weights (x)_2 y P(x, y) / P_21."""
+
     def test_constant_2_1(self):
-        g = increment_pmf(LimitParams(1.0, LayerTypeDistribution.constant(2, 1.0)))
-        assert g.probs == pytest.approx([0.0, 1.0])
+        assert own_layer_marginal(LayerTypeDistribution.constant(2, 1.0)) == pytest.approx([1.0])
 
     def test_constant_3_half(self):
-        g = increment_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5)))
-        assert g.probs == pytest.approx([0.25, 0.5, 0.25])
+        assert own_layer_marginal(LayerTypeDistribution.constant(3, 0.5)) == pytest.approx([0.5, 0.5])
 
     def test_two_atom_mixture(self):
-        g = increment_pmf(LimitParams(1.0, TWO_FOUR))
-        assert g.probs == pytest.approx([0.0, 1 / 3, 0.0, 2 / 3])
+        # edge-biased weights 2 * 1/2 and 12 * 1/2: 1/7 on Bin(0, 1), 6/7 on Bin(2, 1)
+        assert own_layer_marginal(TWO_FOUR) == pytest.approx([1 / 7, 0.0, 6 / 7])
 
 
 class TestCompoundPoisson:
+    """The degree law is compound Poisson with rate mu * P_10 and the
+    increment law; the engine reaches it by the recursion on m'."""
+
     def test_poisson_special_case(self):
-        f = compound_poisson_pmf(1.0, Pmf1D(np.array([0.0, 1.0])))
+        # m' = [1]: every own layer has two nodes, so f(s) = (nu / s) f(s - 1)
+        f = _degree_law(1.0, np.array([1.0]), 1e-10)
         assert f.probs[0] == pytest.approx(math.exp(-1))
         assert f.probs[: 8] == pytest.approx(poisson.pmf(np.arange(8), 1.0), abs=1e-12)
 
     def test_zero_increments(self):
-        f = compound_poisson_pmf(3.0, Pmf1D(np.array([1.0])))
-        assert f.probs.tolist() == [1.0]
+        # the rate mu * P_10 is 3, but layers of one node add nothing to any degree
+        f = limiting_degree_pmf(LimitParams(3.0, LayerTypeDistribution.constant(1, 0.5)))
+        assert f.probs.tolist() == [1.0] and f.mass_defect == 0.0
 
     def test_thinning_identity(self):
-        # rate 2 with Bernoulli(1/2) increments is Poisson(1)
-        f = compound_poisson_pmf(2.0, Pmf1D(np.array([0.5, 0.5])))
+        # rate mu * P_10 = 2 with Bernoulli(1/2) increments is Poisson(1)
+        f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(2, 0.5)))
         oracle = brute_force_cpoi(2.0, np.array([0.5, 0.5]))
         assert np.max(np.abs(f.probs - oracle[: len(f.probs)])) < 1e-12
         assert f.probs[:8] == pytest.approx(poisson.pmf(np.arange(8), 1.0), abs=1e-12)
 
     def test_brute_force_agreement(self, rng):
         for lam in (0.3, 1.7, 5.0):
-            w = rng.random(rng.integers(2, 12))
-            g = w / w.sum()
-            f = compound_poisson_pmf(lam, Pmf1D(g))
-            oracle = brute_force_cpoi(lam, g)
+            dist = random_tabular(rng, max_size=12)
+            p10 = dist.sizes @ dist.probs
+            f = limiting_degree_pmf(LimitParams(lam / p10, dist))
+            oracle = brute_force_cpoi(lam, reference_increment(dist))
             width = min(len(f.probs), len(oracle))
             assert np.max(np.abs(f.probs[:width] - oracle[:width])) < 1e-10
 
@@ -162,10 +169,9 @@ class TestCompoundPoisson:
     ], ids=["two_four", "power_law_1000", "long_constant_2000"])
     def test_equals_the_list_recursion(self, mu, dist):
         params = LimitParams(mu, dist)
-        g = increment_pmf(params)
-        lam = mu * dist.sizes @ dist.probs
-        f = compound_poisson_pmf(lam, g)
-        want, defect = list_cpoi(lam, g.probs)
+        m = own_layer_marginal(dist)
+        f = limiting_degree_pmf(params)
+        want, defect = list_degree_law(mu * edge_mass(dist), m)
         assert np.array_equal(f.probs, want)
         assert f.mass_defect == defect
 
@@ -176,11 +182,15 @@ class TestCompoundPoisson:
         assert time.perf_counter() - start < 1.0
 
     def test_invalid_lambda(self):
+        for nu in (0.0, math.inf):
+            with pytest.raises(InvalidLambda):
+                _degree_law(nu, np.array([0.5, 0.5]), 1e-10)
+        # mu * P_21 overflows a double
         with pytest.raises(InvalidLambda):
-            compound_poisson_pmf(0.0, Pmf1D(np.array([0.5, 0.5])))
+            limiting_degree_pmf(LimitParams(1e308, LayerTypeDistribution.constant(3, 1.0)))
 
     def test_truncation_defect_recorded(self):
-        f = compound_poisson_pmf(2.0, Pmf1D(np.array([0.0, 1.0])), tail_epsilon=1e-4)
+        f = _degree_law(2.0, np.array([1.0]), tail_epsilon=1e-4)
         assert 0 < f.mass_defect < 1e-4
 
 
@@ -194,11 +204,13 @@ class TestLimitingDegree:
         assert f.probs.tolist() == [1.0]
 
     def test_empty_layers_are_delta0(self):
-        params = LimitParams(1.0, LayerTypeDistribution.constant(0, 0.5))
-        f = limiting_degree_pmf(params)
+        f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(0, 0.5)))
         assert f.probs.tolist() == [1.0] and f.mass_defect == 0.0
-        with pytest.raises(ValueError, match="mean layer size is zero"):
-            increment_pmf(params)
+
+    def test_layers_with_nodes_but_no_edges_are_delta0(self):
+        """P_10 > 0 and P_21 = 0, as in test_zero_increments: layers hold nodes but link none."""
+        f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.tabular([(1, 0.5, 0.5), (4, 0.0, 0.5)])))
+        assert f.probs.tolist() == [1.0] and f.mass_defect == 0.0
 
     def test_mean_is_mu_p21(self):
         f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5)))
@@ -207,7 +219,7 @@ class TestLimitingDegree:
 
 class TestRateUnderflow:
     def test_underflowing_zero_mass_raises_quickly(self):
-        # lambda = mu * P_10 = 1000, so exp(-lambda (1 - g(0))) is 0.0
+        # nu = mu * P_21 = 499500 and sum_j m'(j) / (j + 1) is about 1/500, so f(0) is exp(-999) = 0.0
         params = LimitParams(1.0, LayerTypeDistribution.constant(1000, 0.5))
         start = time.perf_counter()
         with pytest.raises(RateUnderflow):
@@ -215,28 +227,30 @@ class TestRateUnderflow:
         assert time.perf_counter() - start < 1.0
 
     def test_largest_representable_rate_still_works(self):
-        f = compound_poisson_pmf(700.0, Pmf1D(np.array([0.0, 1.0])))
+        # nu = mu * P_21 = 700 with m' = [1], so f(0) = exp(-700)
+        f = limiting_degree_pmf(LimitParams(350.0, LayerTypeDistribution.constant(2, 1.0)))
         assert f.probs[0] > 0
         assert moment(f, 1) == pytest.approx(700.0, rel=1e-8)
 
 
+def fprime2(dist):
+    """F'_2, the joint law of the two extra degrees an edge's own layer gives."""
+    return _own_layer(LimitParams(1.0, dist), joint=True)[1]
+
+
 class TestFprime2:
     def test_constant_3_unit(self):
-        f = fprime2_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 1.0)))
-        assert f.probs[1, 1] == pytest.approx(1.0)
+        assert fprime2(LayerTypeDistribution.constant(3, 1.0))[1, 1] == pytest.approx(1.0)
 
     def test_constant_4_half(self):
-        f = fprime2_pmf(LimitParams(1.0, LayerTypeDistribution.constant(4, 0.5)))
-        assert f.probs[1, 1] == pytest.approx(0.25)
+        assert fprime2(LayerTypeDistribution.constant(4, 0.5))[1, 1] == pytest.approx(0.25)
 
     def test_size_two_is_delta00(self):
-        f = fprime2_pmf(LimitParams(1.0, LayerTypeDistribution.constant(2, 0.7)))
-        assert f.probs[0, 0] == pytest.approx(1.0)
+        assert fprime2(LayerTypeDistribution.constant(2, 0.7))[0, 0] == pytest.approx(1.0)
 
     def test_symmetry(self, rng):
-        d = random_tabular(rng)
-        f = fprime2_pmf(LimitParams(1.0, d))
-        assert np.array_equal(f.probs, f.probs.T)
+        f = fprime2(random_tabular(rng))
+        assert np.array_equal(f, f.T)
 
 
 class TestLimitingBidegree:
@@ -292,6 +306,12 @@ class TestBidegreeMemoryBudget:
         with pytest.raises(MemoryBudgetExceeded):
             limiting_laws(LimitParams(1.0, d))
         assert time.perf_counter() - start < 2.0
+
+    def test_degree_law_alone_needs_no_bidegree_budget(self):
+        """f1 is read off m', whose windows take 8 bytes a point, so the
+        degree law of a layer law whose bidegree law is refused still runs."""
+        f1 = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.power_law(3.0, 0.0, 0.5, 1, 20_000)))
+        assert len(f1.probs) == 16_368
 
 
 class TestTracedMemory:

@@ -118,7 +118,7 @@ class TestRunStudy:
         import superpose_net.limits as limits_mod
 
         calls = []
-        for name in ("limiting_degree_pmf", "limiting_laws"):
+        for name in ("limiting_degree_pmf", "limiting_laws", "_own_layer", "_degree_law"):
             real = getattr(limits_mod, name)
 
             def counted(*args, _name=name, _real=real, **kwargs):
@@ -130,7 +130,8 @@ class TestRunStudy:
             dist=LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), mu=1.0,
             n_grid=(200,), replications=1, seed=5, metrics=("kendall", "spearman"),
         ))
-        assert sorted(calls) == ["limiting_degree_pmf", "limiting_laws"]
+        # one binomial pass and one degree recursion, both inside limiting_laws
+        assert sorted(calls) == ["_degree_law", "_own_layer", "limiting_laws"]
         assert 0 < report.theory["kendall"] < 1
 
     def test_each_replication_computes_its_degrees_once(self, degree_passes):
