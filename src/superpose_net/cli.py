@@ -227,7 +227,7 @@ def _run_generate(cfg: RunConfig):
     files = {"graph.edgelist": partial(write_edge_list, g)}
     if gen.keep_layer_records:
         files["layers.jsonl"] = partial(write_layer_records, g)
-    return files, {"seed": gen.seed, "n": g.n, "m": g.m, "edges": g.edge_count}
+    return files, {"seed": gen.seed, "n": g.n, "m": g.m, "edges": g.edge_count, "raw_edges": g.raw_edges}
 
 
 def _run_empirical(cfg: RunConfig):

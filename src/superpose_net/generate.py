@@ -7,14 +7,13 @@ their types only through how many layers each atom gets: one multinomial
 draw, from one Philox stream keyed by the seed, so the output depends only
 on (seed, config, distribution).  The layers of one atom (one size, one
 strength) are then sampled a block at a time: node subsets as rows, and
-edges by one walk over the block's pairs.  A kept LayerRecord carries its
-atom; a GraphSample computes its degrees once, on first read.
+edges by one walk over the block's pairs.  Kept layers form a LayerTable, put
+in iid order by one gather; a GraphSample computes its degrees on first read.
 """
 
 from __future__ import annotations
 
 import functools
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,11 +27,9 @@ from .layers import LayerTypeDistribution
 _DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
-_WRITE_ROWS = 1 << 16  # edges formatted per write; bounds the text held at once
+_WRITE_ROWS = 1 << 16  # edges, or layers, formatted per block; bounds the text held at once
 # largest n whose edge codes i * n + j fit in an int64
 _MAX_NODES = math.isqrt(2**63 - 1)
-# bytes a kept LayerRecord holds beyond its node and edge arrays
-_RECORD_BYTES = 400
 
 
 @dataclass(frozen=True)
@@ -61,10 +58,12 @@ class GenConfig:
 
 
 @dataclass(frozen=True)
-class LayerRecord:
-    size: int
-    strength: float
-    nodes: np.ndarray
+class LayerTable:
+    """A sample's layers in iid order: layer k's size[k] nodes and links[k] edges follow those of 0..k-1."""
+    size: np.ndarray  # clamped to n
+    strength: np.ndarray
+    links: np.ndarray
+    nodes: np.ndarray  # 1-based
     edges: np.ndarray  # shape (E, 2), 1-based, i < j
 
 
@@ -76,7 +75,8 @@ class GraphSample:
     edges: np.ndarray  # shape (E, 2), 1-based, i < j, lexicographically sorted
     m: Optional[int] = None
     seed: Optional[int] = None
-    layer_records: Optional[list] = None
+    raw_edges: Optional[int] = None  # layer edges before the union
+    layer_records: Optional[LayerTable] = None
 
     @property
     def edge_count(self) -> int:
@@ -156,10 +156,10 @@ def _subsets(n: int, rows: int, x: int, rng: np.random.Generator) -> np.ndarray:
     return np.nonzero(mask)[1].reshape(rows, x)
 
 
-def _sample_group(n, x, y, count, rng, records):
+def _sample_group(n, x, y, count, rng, blocks):
     """Edge codes of count layers of one atom of size x <= n and strength
-    y, sampled in blocks of at most _DRAW_BUDGET draws.  Appends their
-    LayerRecords to records unless it is None."""
+    y, sampled in blocks of at most _DRAW_BUDGET draws.  Appends each
+    block's node rows and edges per layer to blocks unless it is None."""
     npairs = x * (x - 1) // 2
     step = max(1, _DRAW_BUDGET // max(npairs, x, 1))
     codes = []
@@ -176,9 +176,8 @@ def _sample_group(n, x, y, count, rng, records):
             r, c = _unrank_pairs(pair, x)
         a, b = nodes[row, r], nodes[row, c]
         codes.append(a * n + b)
-        if records is not None:
-            edges = np.split(np.stack([a + 1, b + 1], axis=1), np.searchsorted(row, np.arange(1, layers)))
-            records += (LayerRecord(x, y, nd, e) for nd, e in zip(nodes + 1, edges))
+        if blocks is not None:
+            blocks.append((nodes.ravel() + 1, np.bincount(row, minlength=layers)))
     return codes
 
 
@@ -189,14 +188,14 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     draws = float(dist.probs @ (pairs * dist.strengths))  # expected edge codes per layer
     # the codes are all held at once; one block at a time holds up to
     # _DRAW_BUDGET node labels and pair draws (one layer's, if it alone has
-    # more), at 8 bytes a label and, at a dense strength, 9 a draw.  The
-    # word per layer is the permutation that orders kept records; without
-    # records it still caps m where the layers draw no edges
+    # more), at 8 bytes a label and, at a dense strength, 9 a draw.  A word
+    # per layer, for the permutation of kept layers, caps m even without
+    # them; kept layers peak as they are reordered, at 11 words a layer, 4 a node, 5 an edge
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
     block = 8 * np.maximum(x, _DRAW_BUDGET) + 9 * np.maximum(pairs, _DRAW_BUDGET) * dense
     need = 8 * config.m * (1 + draws) + float(np.max(block, initial=0))
     if config.keep_layer_records:
-        need += config.m * (_RECORD_BYTES + 8 * float(dist.probs @ x) + 16 * draws)
+        need += config.m * (88 + 32 * float(dist.probs @ x) + 40 * draws)
     check_memory(need, "sampled layers")
 
 
@@ -211,21 +210,38 @@ def generate_graph(config: GenConfig, dist: LayerTypeDistribution) -> GraphSampl
     counts = rng.multinomial(m, dist.probs)
     sizes = np.minimum(dist.sizes, n)
     edged = (sizes >= 2) & (dist.strengths > 0)
-    atoms = np.flatnonzero((counts > 0) & edged)
-    records = [] if config.keep_layer_records else None
-    if records is not None:
-        # layers that draw no edge draw their nodes last, so the edges do
-        # not depend on whether records are kept
-        atoms = np.append(atoms, np.flatnonzero((counts > 0) & ~edged))
+    blocks = [] if config.keep_layer_records else None
+    # layers that draw no edge draw their nodes only for records, and last,
+    # so the edges do not depend on whether records are kept
+    atoms = np.concatenate([np.flatnonzero((counts > 0) & ok) for ok in (edged, ~edged & config.keep_layer_records)])
     codes = [np.empty(0, dtype=np.int64)]
     for atom in atoms.tolist():
-        codes += _sample_group(n, int(sizes[atom]), float(dist.strengths[atom]), int(counts[atom]), rng, records)
-    if records is not None:
-        # grouped by atom until here; in a uniform order the records are
-        # an iid sequence of layers
-        records = [records[k] for k in rng.permutation(m).tolist()]
-    edges = _edges_from_codes(np.concatenate(codes), n)
-    return GraphSample(n=n, edges=edges, m=m, seed=config.seed, layer_records=records)
+        codes += _sample_group(n, int(sizes[atom]), float(dist.strengths[atom]), int(counts[atom]), rng, blocks)
+    codes = np.concatenate(codes)
+    table = None
+    if blocks is not None:
+        # grouped by atom until here; in a uniform order the layers are an
+        # iid sequence.  Group g's nodes are one (layers, x[g]) array, so
+        # layer j in sampling order starts at node first[g] + j * x[g]
+        per, x = counts[atoms], sizes[atoms]
+        first = np.cumsum(per * x) - per * x - (np.cumsum(per) - per) * x
+        nodes, links = (np.concatenate(column) for column in zip(*blocks))
+        edge_start = np.cumsum(links) - links
+        order = rng.permutation(m)
+        group, links = np.take(np.repeat(np.arange(len(atoms)), per), order), np.take(links, order)
+        size, linked = x[group], np.flatnonzero(links)
+        kept = _runs(codes, edge_start[order[linked]], links[linked])
+        table = LayerTable(size, dist.strengths[atoms][group], links, _runs(nodes, first[group] + order * size, size),
+                           np.stack([kept // n + 1, kept % n + 1], axis=1))
+    return GraphSample(n=n, edges=_edges_from_codes(codes, n), m=m, seed=config.seed, raw_edges=len(codes),
+                       layer_records=table)
+
+
+def _runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """values[s : s + k] for each s and k of starts and lengths, end to end."""
+    index = np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    index += np.arange(len(index))
+    return np.take(values, index)
 
 
 def _edges_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
@@ -288,13 +304,14 @@ def read_edge_list(path) -> GraphSample:
 
 
 def write_layer_records(g: GraphSample, path) -> None:
-    if g.layer_records is None:
+    t = g.layer_records
+    if t is None:
         raise MissingRecords("sample was generated without keep_layer_records")
+    a = b = 0
     with open(path, "w") as fh:
-        for rec in g.layer_records:
-            fh.write(json.dumps({
-                "size": rec.size,
-                "strength": rec.strength,
-                "nodes": rec.nodes.tolist(),
-                "edges": rec.edges.tolist(),
-            }) + "\n")
+        for first in range(0, len(t.size), _WRITE_ROWS):
+            for x, y, k in zip(*(col[first : first + _WRITE_ROWS].tolist() for col in (t.size, t.strength, t.links))):
+                # json.dumps's text for these ints, lists and finite floats, at twice its speed
+                fh.write(f'{{"size": {x}, "strength": {y!r}, "nodes": {t.nodes[a : a + x].tolist()}, '
+                         f'"edges": {t.edges[b : b + k].tolist()}}}\n')
+                a, b = a + x, b + k

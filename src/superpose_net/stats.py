@@ -7,8 +7,6 @@ of the pmf module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import EmptyGraph, MissingRecords, check_memory
@@ -47,25 +45,14 @@ def bidegree_distribution(g: GraphSample) -> Pmf2D:
 
 # -- per-layer subgraph counts --------------------------------------------
 
-@dataclass(frozen=True)
-class SubgraphCountMeans:
-    links: float
-    two_stars: float
-    three_stars: float
-
-
-def layer_subgraph_counts(records) -> SubgraphCountMeans:
-    """Mean links, 2-stars, and 3-stars per layer graph, from the degrees
+def layer_subgraph_counts(records) -> dict:
+    """Mean links, 2-stars, and 3-stars per layer graph of a LayerTable, from the degrees
     within each layer: every endpoint keyed by (layer, node), in one pass."""
-    if not records:
+    if records is None:
         raise MissingRecords("no layer records available")
-    edges = np.concatenate([rec.edges for rec in records])
-    layer = np.repeat(np.arange(len(records)), [len(rec.edges) for rec in records])
+    m, edges = len(records.links), records.edges
     width = int(edges.max(initial=0)) + 1
-    d = np.unique(edges + (layer * width)[:, None], return_counts=True)[1].astype(float)
-    # integer sums below 2**53, so exact
-    return SubgraphCountMeans(
-        links=len(edges) / len(records),
-        two_stars=float(np.sum(d * (d - 1) / 2)) / len(records),
-        three_stars=float(np.sum(d * (d - 1) * (d - 2) / 6)) / len(records),
-    )
+    d = np.unique(edges + (np.repeat(np.arange(m), records.links) * width)[:, None], return_counts=True)[1]
+    d = d.astype(float)  # integer sums below 2**53, so exact
+    return {"links": len(edges) / m, "two_stars": float(np.sum(d * (d - 1) / 2)) / m,
+            "three_stars": float(np.sum(d * (d - 1) * (d - 2) / 6)) / m}

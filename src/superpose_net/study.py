@@ -129,9 +129,8 @@ def _theory_values(spec: StudySpec):
         theory["c_prime"] = tp.c_prime
         theory["c_double_prime"] = tp.c_double_prime
     if "subgraph_counts" in spec.metrics:
-        theory["links"] = cross_moment(spec.dist, 2, 1) / 2
-        theory["two_stars"] = cross_moment(spec.dist, 3, 2) / 2
-        theory["three_stars"] = cross_moment(spec.dist, 4, 3) / 6
+        theory.update(links=cross_moment(spec.dist, 2, 1) / 2, two_stars=cross_moment(spec.dist, 3, 2) / 2,
+                      three_stars=cross_moment(spec.dist, 4, 3) / 6)
     return theory, f1, f2
 
 
@@ -216,7 +215,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                     note("tail_slope", rep, None, str(exc))
 
             if "subgraph_counts" in spec.metrics:
-                for name, value in vars(layer_subgraph_counts(g.layer_records)).items():
+                for name, value in layer_subgraph_counts(g.layer_records).items():
                     note(name, rep, value)
 
         agg = {metric: _summary(notes) for metric, notes in per_metric.items()}

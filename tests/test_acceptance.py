@@ -241,10 +241,9 @@ def test_criterion_08_tail_prediction_closed_form_and_hypotheses():
             tail_prediction(1.0, violating)
 
 
-def _per_layer_counts(records):
+def _per_layer_counts(table):
     links, two, three = [], [], []
-    for rec in records:
-        e = rec.edges
+    for e in np.split(table.edges, np.cumsum(table.links)[:-1]):
         links.append(float(len(e)))
         if len(e) == 0:
             two.append(0.0)
@@ -265,7 +264,7 @@ def test_criterion_09_per_layer_subgraph_counts():
         LayerTypeDistribution.constant(4, 1.0),
     )
     sc = layer_subgraph_counts(g.layer_records)
-    assert (sc.links, sc.two_stars, sc.three_stars) == (6.0, 12.0, 4.0)
+    assert (sc["links"], sc["two_stars"], sc["three_stars"]) == (6.0, 12.0, 4.0)
 
     g = generate_graph(
         GenConfig(n=200, layers=10_000, seed=92, keep_layer_records=True),

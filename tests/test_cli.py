@@ -243,20 +243,31 @@ class TestDispatch:
         for name in ("graph.edgelist", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_generate_writes_layer_records(self, tmp_path):
-        """layers.jsonl holds one line per layer, each with its atom, its
-        sorted distinct nodes and its edges among them; their union is the graph."""
-        atoms = [[3, 0.5, 0.5], [0, 0.5, 0.25], [1, 1.0, 0.25]]
-        n = 20
+    @pytest.mark.parametrize("atoms, model, digests", [
+        ([[3, 0.5, 0.5], [0, 0.5, 0.25], [1, 1.0, 0.25]], {"n": 20, "m": 6, "seed": 3},
+         ("bb99d5d8486aa3af21d8c39e5e708517445f9a3d0f708474b25ce724f7fd497c",
+          "5495e39e83a38f5b733b7d955621ec8862b4a193b7bee79d9ff71980ffccfbdd")),
+        # a size above n, edgeless atoms (sizes 0 and 1, strength 0), dense
+        # and sparse strengths, and a few hundred layers
+        ([[45, 0.01, 0.05], [0, 0.5, 0.1], [1, 1.0, 0.1], [5, 0.0, 0.15], [4, 0.6, 0.3], [7, 0.15, 0.3]],
+         {"n": 30, "m": 300, "seed": 5},
+         ("4e7d92924f1bd656debe9ba9575b3349760fc3cec2fdd5f90907df870c8cec23",
+          "78a56cf07855bc2c80cae4135c384eebadb7de3a091cd90094befecf316e5206")),
+    ], ids=["small", "mixed_atoms"])
+    def test_generate_writes_layer_records(self, tmp_path, atoms, model, digests):
+        """layers.jsonl holds one line per layer, each with its atom (its
+        size clamped to n), its sorted distinct nodes and its edges among
+        them; their union is the graph.  Both files are pinned by hash."""
+        n = model["n"]
         assert main(["generate", "--config", json.dumps({
             "layer_distribution": {"family": "tabular", "atoms": atoms},
-            "model": {"n": n, "m": 6, "seed": 3, "keep_layer_records": True},
+            "model": {**model, "keep_layer_records": True},
         }), "--out", str(tmp_path)]) == 0
         records = [json.loads(line) for line in (tmp_path / "layers.jsonl").read_text().splitlines()]
-        assert len(records) == 6
+        assert len(records) == model["m"]
         union = set()
         for rec in records:
-            assert [rec["size"], rec["strength"]] in [atom[:2] for atom in atoms]
+            assert [rec["size"], rec["strength"]] in [[min(x, n), y] for x, y, _ in atoms]
             nodes = rec["nodes"]
             assert len(nodes) == rec["size"] and nodes == sorted(set(nodes))
             assert all(1 <= v <= n for v in nodes)
@@ -267,8 +278,9 @@ class TestDispatch:
         assert len(union) == len(body)
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["outputs"] == ["graph.edgelist", "layers.jsonl"]
-        digest = hashlib.sha256((tmp_path / "layers.jsonl").read_bytes()).hexdigest()
-        assert digest == "bb99d5d8486aa3af21d8c39e5e708517445f9a3d0f708474b25ce724f7fd497c"
+        assert manifest["raw_edges"] == sum(len(rec["edges"]) for rec in records) >= manifest["edges"] == len(body)
+        for name, digest in zip(("layers.jsonl", "graph.edgelist"), digests):
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
     @pytest.mark.parametrize("case", ["generate", "generate_records", "empirical", "theory", "converge",
                                       "tailfit", "tailfit_pmf"])

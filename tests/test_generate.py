@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -21,8 +22,8 @@ from superpose_net.generate import _DENSE_STRENGTH, _unrank_pairs
 from laws import SMALL_GRAPH_LAWS, edge_set_law
 
 
-def layer_records(n, x, y, layers, seed):
-    """Records of a constant-(x, y) graph of the given number of layers."""
+def layer_table(n, x, y, layers, seed):
+    """The layer table of a constant-(x, y) graph of the given number of layers."""
     cfg = GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True)
     return generate_graph(cfg, LayerTypeDistribution.constant(x, y)).layer_records
 
@@ -32,33 +33,31 @@ class TestGenerateLayer:
 
     def test_full_strength_full_size_is_complete(self):
         n = 8
-        (rec,) = layer_records(n, n, 1.0, 1, seed=0)
-        assert rec.nodes.tolist() == list(range(1, n + 1))
-        assert len(rec.edges) == n * (n - 1) // 2
-        assert len({tuple(e) for e in rec.edges.tolist()}) == len(rec.edges)
+        t = layer_table(n, n, 1.0, 1, seed=0)
+        assert t.nodes.tolist() == list(range(1, n + 1))
+        assert t.links.tolist() == [len(t.edges)] == [n * (n - 1) // 2]
+        assert len({tuple(e) for e in t.edges.tolist()}) == len(t.edges)
 
     def test_zero_strength_is_empty(self):
-        (rec,) = layer_records(20, 5, 0.0, 1, seed=0)
-        assert len(rec.nodes) == 5
-        assert len(rec.edges) == 0
+        t = layer_table(20, 5, 0.0, 1, seed=0)
+        assert len(t.nodes) == 5
+        assert len(t.edges) == 0 and t.links.tolist() == [0]
 
     def test_mean_edge_count(self):
         reps = 20_000
-        total = sum(len(r.edges) for r in layer_records(50, 4, 0.5, reps, seed=7))
+        total = len(layer_table(50, 4, 0.5, reps, seed=7).edges)
         mean = total / reps
         se = math.sqrt(6 * 0.25 / reps)
         assert abs(mean - 3.0) < 3 * se
 
     def test_size_clamped_to_n(self):
-        (rec,) = layer_records(5, 100, 0.3, 1, seed=0)
-        assert rec.nodes.tolist() == [1, 2, 3, 4, 5]
-        assert rec.size == 5
+        t = layer_table(5, 100, 0.3, 1, seed=0)
+        assert t.nodes.tolist() == [1, 2, 3, 4, 5]
+        assert t.size.tolist() == [5]
 
     def test_node_inclusion_uniform(self):
         n, x, reps = 20, 6, 20_000
-        hits = np.zeros(n)
-        for rec in layer_records(n, x, 0.0, reps, seed=3):
-            hits[rec.nodes - 1] += 1
+        hits = np.bincount(layer_table(n, x, 0.0, reps, seed=3).nodes - 1, minlength=n)
         p = x / n
         se = math.sqrt(p * (1 - p) / reps)
         assert np.all(np.abs(hits / reps - p) < 4 * se)
@@ -66,11 +65,8 @@ class TestGenerateLayer:
     def test_edge_probability_identity(self):
         # chance that a fixed pair is linked by one layer: P_21 / (n)_2
         n, reps = 30, 40_000
-        hits = 0
-        for rec in layer_records(n, 5, 0.6, reps, seed=11):
-            e = rec.edges
-            if len(e) and np.any((e[:, 0] == 1) & (e[:, 1] == 2)):
-                hits += 1
+        e = layer_table(n, 5, 0.6, reps, seed=11).edges
+        hits = np.count_nonzero((e[:, 0] == 1) & (e[:, 1] == 2))  # a layer's edges are distinct
         p = 5 * 4 * 0.6 / (n * (n - 1))
         se = math.sqrt(p * (1 - p) / reps)
         assert abs(hits / reps - p) < 3 * se
@@ -81,8 +77,8 @@ class TestGenerateLayer:
         n, reps = 7, 7000
         subsets = list(combinations(range(1, n + 1), x))
         counts = dict.fromkeys(subsets, 0)
-        for rec in layer_records(n, x, 0.0, reps, seed=17):
-            counts[tuple(rec.nodes.tolist())] += 1
+        for nodes in layer_table(n, x, 0.0, reps, seed=17).nodes.reshape(reps, x).tolist():
+            counts[tuple(nodes)] += 1
         assert sum(counts.values()) == reps
         expected = reps / len(subsets)
         stat = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -95,14 +91,16 @@ class TestGenerateLayer:
         assert (y > _DENSE_STRENGTH) == (y == 0.5)
         x, reps = 60, 5000
         npairs = x * (x - 1) // 2
-        records = layer_records(100, x, y, reps, seed=23)
-        first_last = np.zeros(2)
-        for r in records:
-            i, j = np.searchsorted(r.nodes, r.edges.T)
-            pair = i * (2 * x - i - 1) // 2 + j - i - 1
-            first_last += [np.count_nonzero(pair == 0), np.count_nonzero(pair == npairs - 1)]
+        t = layer_table(100, x, y, reps, seed=23)
+        # each endpoint's place among its layer's sorted nodes, from node
+        # keys that sort layer by layer
+        width = 101
+        layer = np.repeat(np.arange(reps), t.links)[:, None]
+        i, j = (np.searchsorted(np.arange(reps).repeat(x) * width + t.nodes, layer * width + t.edges) - layer * x).T
+        pair = i * (2 * x - i - 1) // 2 + j - i - 1
+        first_last = np.array([np.count_nonzero(pair == 0), np.count_nonzero(pair == npairs - 1)])
         assert np.all(np.abs(first_last - reps * y) < 4 * math.sqrt(reps * y * (1 - y)))
-        counts = np.bincount([len(r.edges) for r in records], minlength=npairs + 1)
+        counts = np.bincount(t.links, minlength=npairs + 1)
         pmf = binom.pmf(np.arange(npairs + 1), npairs, y)
         # pool the tails until every cell expects at least 5 layers
         lo, hi = binom.ppf([5 / reps, 1 - 5 / reps], npairs, y).astype(int)
@@ -149,7 +147,7 @@ class TestGenerateGraph:
         d = LayerTypeDistribution.constant(3, 0.5)
         cfg = GenConfig(n=1000, layers=1000, seed=5, keep_layer_records=True)
         g = generate_graph(cfg, d)
-        draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
+        draws = g.layer_records.links.astype(float)
         target = cross_moment(d, 2, 1) / 2
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3 * se
@@ -159,9 +157,8 @@ class TestGenerateGraph:
         d = LayerTypeDistribution.tabular([(3, 0.7, 0.5), (144, 0.1, 0.5)])
         cfg = GenConfig(n=1000, layers=4000, seed=8, keep_layer_records=True)
         g = generate_graph(cfg, d)
-        draws = np.array([len(r.edges) for r in g.layer_records], dtype=float)
-        sizes = {r.size for r in g.layer_records}
-        assert sizes == {3, 144}
+        draws = g.layer_records.links.astype(float)
+        assert set(g.layer_records.size.tolist()) == {3, 144}
         target = cross_moment(d, 2, 1) / 2
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - target) < 3 * se
@@ -183,9 +180,7 @@ class TestGenerateGraph:
     def test_union_of_layer_records_equals_edges(self):
         d = LayerTypeDistribution.tabular([(3, 0.8, 0.5), (5, 0.4, 0.5)])
         g = generate_graph(GenConfig(n=40, layers=150, seed=3, keep_layer_records=True), d)
-        union = set()
-        for r in g.layer_records:
-            union.update(map(tuple, r.edges.tolist()))
+        union = set(map(tuple, g.layer_records.edges.tolist()))
         assert union == set(map(tuple, g.edges.tolist()))
 
     def test_every_size_from_zero_to_n(self):
@@ -193,22 +188,20 @@ class TestGenerateGraph:
         n = 12
         d = LayerTypeDistribution.tabular([(x, 0.5, 1 / (n + 1)) for x in range(n + 1)])
         g = generate_graph(GenConfig(n=n, layers=400, seed=4, keep_layer_records=True), d)
-        union = set()
-        for r in g.layer_records:
-            assert len(r.nodes) == r.size
-            assert np.all(np.diff(r.nodes) > 0) and np.all((r.nodes >= 1) & (r.nodes <= n))
-            assert np.all(np.isin(r.edges, r.nodes)) and np.all(r.edges[:, 0] < r.edges[:, 1])
-            union.update(map(tuple, r.edges.tolist()))
-        assert {r.size for r in g.layer_records} == set(range(n + 1))
-        assert union == set(map(tuple, g.edges.tolist()))
+        t = g.layer_records
+        assert len(t.nodes) == t.size.sum() and len(t.edges) == t.links.sum()
+        for nodes, edges in zip(np.split(t.nodes, np.cumsum(t.size)[:-1]), np.split(t.edges, np.cumsum(t.links)[:-1])):
+            assert np.all(np.diff(nodes) > 0) and np.all((nodes >= 1) & (nodes <= n))
+            assert np.all(np.isin(edges, nodes)) and np.all(edges[:, 0] < edges[:, 1])
+        assert set(t.size.tolist()) == set(range(n + 1))
+        assert set(map(tuple, t.edges.tolist())) == set(map(tuple, g.edges.tolist()))
 
     def test_records_are_not_grouped_by_atom(self):
         # in an iid sequence of two equally likely types, each neighbour
         # pair differs with chance 1/2
         d = LayerTypeDistribution.tabular([(3, 0.5, 0.5), (4, 0.0, 0.5)])
         g = generate_graph(GenConfig(n=30, layers=2001, seed=13, keep_layer_records=True), d)
-        sizes = np.array([r.size for r in g.layer_records])
-        changes = np.count_nonzero(np.diff(sizes))
+        changes = np.count_nonzero(np.diff(g.layer_records.size))
         assert abs(changes - 1000) < 4 * math.sqrt(2000 / 4)
 
     def test_edges_do_not_depend_on_records(self):
@@ -218,8 +211,26 @@ class TestGenerateGraph:
         plain, kept = (generate_graph(GenConfig(n=50, layers=500, seed=31, keep_layer_records=keep), d)
                        for keep in (False, True))
         assert kept.edges.tobytes() == plain.edges.tobytes()
-        assert len(kept.layer_records) == 500
-        assert {r.size for r in kept.layer_records} == {0, 1, 4, 6, 9}
+        assert len(kept.layer_records.size) == 500
+        assert set(kept.layer_records.size.tolist()) == {0, 1, 4, 6, 9}
+
+    def test_records_peak_is_within_the_sampler_budget(self, monkeypatch):
+        """The bytes tracemalloc sees at the peak of generate_graph on a
+        mid-size power law stay under what check_sampler_budget counts, and
+        so do the bytes that keeping the layer table adds."""
+        d = LayerTypeDistribution.power_law(3, 0.5, 1, 1, 10_000)
+        counted = []
+        monkeypatch.setattr(generate, "check_memory", lambda need, what: counted.append(need))
+        peaks = []
+        for keep in (False, True):
+            tracemalloc.start()
+            try:
+                generate_graph(GenConfig(n=200_000, mu=1.0, seed=1, keep_layer_records=keep), d)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= counted[1]
+        assert peaks[1] - peaks[0] <= counted[1] - counted[0]
 
     def test_each_atom_sampled_once(self, monkeypatch):
         # one group per atom that draws edges, however many layers there are
@@ -236,7 +247,7 @@ class TestGenerateGraph:
         generate_graph(cfg, d)
         monkeypatch.undo()
         kept = generate_graph(GenConfig(n=cfg.n, layers=cfg.layers, seed=cfg.seed, keep_layer_records=True), d)
-        types = {(r.size, r.strength) for r in kept.layer_records}
+        types = set(zip(kept.layer_records.size.tolist(), kept.layer_records.strength.tolist()))
         assert len(calls) == len(set(calls))
         assert set(calls) == {(x, y) for x, y in types if x >= 2 and y > 0}
 
@@ -292,7 +303,7 @@ class TestWholeGraphLaw:
     (laws.edge_set_law).  A layer's edge set is one of the 2^(n(n-1)/2)
     subsets of the pairs, and a graph of three layers is the OR of three
     iid layers.  Consecutive triples of one sample's records serve as the
-    graphs, so this also checks that the records come in iid order."""
+    graphs, so this also checks that the table's layers come in iid order."""
 
     LAYERS, GRAPHS = 3, 20_000
     P_BOUND = 1e-3  # fixed before the seed was chosen
@@ -304,12 +315,12 @@ class TestWholeGraphLaw:
         bit = np.full((n, n), -1)  # the bit of pair (i, j), 0-based; -1 off the pairs
         bit[tuple(zip(*pairs))] = range(len(pairs))
         cfg = GenConfig(n=n, layers=cls.LAYERS * cls.GRAPHS, seed=seed, keep_layer_records=True)
-        records = generate_graph(cfg, dist).layer_records
-        edges = np.concatenate([r.edges for r in records]) - 1
+        table = generate_graph(cfg, dist).layer_records
+        edges = table.edges - 1
         bits = bit[edges[:, 0], edges[:, 1]]
         assert np.all(bits >= 0)
-        masks = np.zeros(len(records), dtype=np.int64)
-        np.bitwise_or.at(masks, np.repeat(np.arange(len(records)), [len(r.edges) for r in records]), 1 << bits)
+        masks = np.zeros(len(table.links), dtype=np.int64)
+        np.bitwise_or.at(masks, np.repeat(np.arange(len(table.links)), table.links), 1 << bits)
         expected = cls.GRAPHS * edge_set_law(dist, n, cls.LAYERS)
         observed = np.bincount(np.bitwise_or.reduce(masks.reshape(-1, cls.LAYERS), axis=1), minlength=len(expected))
         small = expected < 5

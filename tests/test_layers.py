@@ -105,9 +105,9 @@ class TestCrossMoment:
 
 
 def record_types(dist, n, layers, seed):
-    """The (size, strength) atom of every record of one sampled graph."""
-    g = generate_graph(GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True), dist)
-    return [(r.size, r.strength) for r in g.layer_records]
+    """The (size, strength) atom of every layer of one sampled graph, from its table."""
+    t = generate_graph(GenConfig(n=n, layers=layers, seed=seed, keep_layer_records=True), dist).layer_records
+    return list(zip(t.size.tolist(), t.strength.tolist()))
 
 
 class TestSampling:

@@ -25,7 +25,7 @@ from superpose_net import (
     spearman,
 )
 from superpose_net import errors, pmf
-from superpose_net.generate import LayerRecord
+from superpose_net.generate import LayerTable
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
 from laws import marginal
@@ -315,24 +315,25 @@ class TestStreamingAgreement:
         assert spearman(f2) == pytest.approx(rs, abs=1e-12)
 
 
+def one_layer(nodes, edges) -> LayerTable:
+    return LayerTable(size=np.array([len(nodes)]), strength=np.array([1.0]), links=np.array([len(edges)]),
+                      nodes=np.array(nodes), edges=np.array(edges))
+
+
 class TestLayerSubgraphCounts:
     def test_triangle(self):
-        rec = LayerRecord(3, 1.0, np.array([1, 2, 3]),
-                          np.array([[1, 2], [1, 3], [2, 3]]))
-        sc = layer_subgraph_counts([rec])
-        assert (sc.links, sc.two_stars, sc.three_stars) == (3, 3, 0)
+        sc = layer_subgraph_counts(one_layer([1, 2, 3], [[1, 2], [1, 3], [2, 3]]))
+        assert (sc["links"], sc["two_stars"], sc["three_stars"]) == (3, 3, 0)
 
     def test_three_star(self):
-        rec = LayerRecord(4, 1.0, np.array([1, 2, 3, 4]),
-                          np.array([[1, 2], [1, 3], [1, 4]]))
-        sc = layer_subgraph_counts([rec])
-        assert (sc.links, sc.two_stars, sc.three_stars) == (3, 3, 1)
+        sc = layer_subgraph_counts(one_layer([1, 2, 3, 4], [[1, 2], [1, 3], [1, 4]]))
+        assert (sc["links"], sc["two_stars"], sc["three_stars"]) == (3, 3, 1)
 
     def test_complete_layers_exact(self):
         d = LayerTypeDistribution.constant(4, 1.0)
         g = generate_graph(GenConfig(n=50, layers=200, seed=6, keep_layer_records=True), d)
         sc = layer_subgraph_counts(g.layer_records)
-        assert (sc.links, sc.two_stars, sc.three_stars) == (6.0, 12.0, 4.0)
+        assert (sc["links"], sc["two_stars"], sc["three_stars"]) == (6.0, 12.0, 4.0)
 
     @pytest.mark.parametrize("dist, n", [
         (LayerTypeDistribution.power_law(3, 0.5, 1, 1, 300), 2_000),
@@ -340,23 +341,21 @@ class TestLayerSubgraphCounts:
         (LayerTypeDistribution.tabular([(3, 0.7, 0.5), (500, 0.02, 0.5)]), 200),
     ], ids=["power_law", "edgeless_atoms", "size_above_n"])
     def test_equals_the_per_layer_loop(self, dist, n):
-        records = generate_graph(GenConfig(n=n, mu=1.0, seed=4, keep_layer_records=True), dist).layer_records
+        table = generate_graph(GenConfig(n=n, mu=1.0, seed=4, keep_layer_records=True), dist).layer_records
         links, two, three = [], [], []
-        for rec in records:
-            deg = np.bincount(rec.edges.ravel()).astype(float)
-            links.append(len(rec.edges))
+        for edges in np.split(table.edges, np.cumsum(table.links)[:-1]):
+            deg = np.bincount(edges.ravel()).astype(float)
+            links.append(len(edges))
             two.append(float(np.sum(deg * (deg - 1) / 2)))
             three.append(float(np.sum(deg * (deg - 1) * (deg - 2) / 6)))
-        sc = layer_subgraph_counts(records)
-        assert (sc.links, sc.two_stars, sc.three_stars) == (np.mean(links), np.mean(two), np.mean(three))
+        sc = layer_subgraph_counts(table)
+        assert (sc["links"], sc["two_stars"], sc["three_stars"]) == (np.mean(links), np.mean(two), np.mean(three))
 
     def test_missing_records(self):
         from superpose_net import MissingRecords
 
         with pytest.raises(MissingRecords):
             layer_subgraph_counts(None)
-        with pytest.raises(MissingRecords):
-            layer_subgraph_counts([])
 
 
 class TestCsv:
