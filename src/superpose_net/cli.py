@@ -264,8 +264,7 @@ def _run_converge(cfg: RunConfig):
 
 
 def _run_tailfit(cfg: RunConfig):
-    pred = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
-    summary = dict(vars(pred))
+    summary = _validated("theory", tail_prediction, mu=cfg.document["theory"]["mu"], dist=cfg.layer_distribution)
     given = cfg.document.get("input", {})
     fit_range = given.get("fit_range")
     if fit_range is not None:

@@ -14,10 +14,6 @@ class ZeroMean(SuperposeError):
     """Size-biasing requested for a distribution with zero mean."""
 
 
-class InvalidLambda(SuperposeError):
-    """Compound Poisson rate must be positive."""
-
-
 class RateUnderflow(SuperposeError):
     """Compound Poisson rate so large that P(sum = 0) underflows to zero."""
 

@@ -85,9 +85,8 @@ class GraphSample:
     @functools.cached_property
     def degrees(self) -> np.ndarray:
         """Distinct-neighbor counts per node, computed on first read; read-only."""
-        check_memory(16 * self.n, "degree arrays")
-        d = np.bincount(self.edges[:, 0] - 1, minlength=self.n)
-        d += np.bincount(self.edges[:, 1] - 1, minlength=self.n)
+        check_memory(8 * (self.n + 1), "degree arrays")
+        d = np.bincount(self.edges.ravel(), minlength=self.n + 1)[1:]
         d.flags.writeable = False
         return d
 
@@ -174,10 +173,10 @@ def _sample_group(n, x, y, count, rng, blocks):
             r, c = (t[pair] for t in np.triu_indices(x, 1))
         else:
             r, c = _unrank_pairs(pair, x)
-        a, b = nodes[row, r], nodes[row, c]
-        codes.append(a * n + b)
+        codes.append(nodes[row, r] * n + nodes[row, c])
         if blocks is not None:
             blocks.append((nodes.ravel() + 1, np.bincount(row, minlength=layers)))
+        del nodes, row, pair, r, c  # so that the next block draws without them
     return codes
 
 
@@ -185,17 +184,19 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     """Raise MemoryBudgetExceeded if sampling the graph would not fit."""
     x = np.minimum(dist.sizes, config.n).astype(float)  # the sampler clamps sizes to n
     pairs = x * (x - 1) / 2
-    draws = float(dist.probs @ (pairs * dist.strengths))  # expected edge codes per layer
-    # the codes are all held at once; one block at a time holds up to
-    # _DRAW_BUDGET node labels and pair draws (one layer's, if it alone has
-    # more), at 8 bytes a label and, at a dense strength, 9 a draw.  A word
-    # per layer, for the permutation of kept layers, caps m even without
-    # them; kept layers peak as they are reordered, at 11 words a layer, 4 a node, 5 an edge
+    codes = config.m * float(dist.probs @ (pairs * dist.strengths))  # expected edge codes
+    # a word a layer (the permutation of kept layers), and the largest of three peaks: sampling holds
+    # the codes so far and one block of an atom's layers, at 26 bytes a label as it draws the subsets,
+    # then 8 a label, 9 a pair at a dense strength and 64 an edge; joining the codes holds 16 bytes a
+    # code; the union 9 a code and 16 a distinct edge.  Kept layers add 11 words a layer, 4 a node and
+    # 5 an edge as they are reordered
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
-    block = 8 * np.maximum(x, _DRAW_BUDGET) + 9 * np.maximum(pairs, _DRAW_BUDGET) * dense
-    need = 8 * config.m * (1 + draws) + float(np.max(block, initial=0))
+    layers = np.minimum(config.m, np.maximum(1, _DRAW_BUDGET // np.maximum(np.maximum(pairs, x), 1)))
+    block = layers * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 64 * dist.strengths))
+    edges = min(codes, config.n * (config.n - 1) / 2)
+    need = 8 * config.m + max(8 * codes + float(np.max(block, initial=0)), 16 * codes, 9 * codes + 16 * edges)
     if config.keep_layer_records:
-        need += config.m * (88 + 32 * float(dist.probs @ x) + 40 * draws)
+        need += config.m * (88 + 32 * float(dist.probs @ x)) + 40 * codes
     check_memory(need, "sampled layers")
 
 
@@ -245,11 +246,17 @@ def _runs(values: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.nda
 
 
 def _edges_from_codes(codes: np.ndarray, n: int) -> np.ndarray:
-    """Sorted distinct (E, 2) 1-based edges from codes i * n + j, 0-based."""
-    # sort and drop repeats: np.unique's hash pass is many times slower
-    codes = np.sort(codes)
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    return np.stack([codes // n + 1, codes % n + 1], axis=1)
+    """Sorted distinct (E, 2) 1-based edges from codes i * n + j, 0-based;
+    sorts and compacts codes in place, so it holds a flag a code besides."""
+    codes.sort()  # then drop repeats: np.unique's hash pass is many times slower
+    distinct = np.ones(len(codes), dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=distinct[1:])
+    kept = np.count_nonzero(distinct)
+    codes[:kept] = codes[distinct]
+    edges = np.empty((kept, 2), dtype=np.int64)
+    np.divmod(codes[:kept], n, out=(edges[:, 0], edges[:, 1]))
+    edges += 1
+    return edges
 
 
 # -- edge-list files ------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HypothesisViolation, InvalidLambda, RateUnderflow, check_memory
+from .errors import HypothesisViolation, RateUnderflow, check_memory
 from .layers import LayerTypeDistribution, cross_moment, edge_biased_distribution, edge_mass
 from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D, functionals
 
@@ -75,7 +75,7 @@ def _check_budget(k: int, width: int) -> None:
     check_memory(8 * ((k + width) ** 2 + width**2), "bidegree law")
 
 
-def _own_layer(params: LimitParams, joint: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def _own_layer(dist: LayerTypeDistribution, joint: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """The law m' of the extra degree D' that an edge's own layer gives one
     endpoint and, if joint, the joint law F'_2 of the two endpoints' D'.
 
@@ -88,7 +88,7 @@ def _own_layer(params: LimitParams, joint: bool) -> tuple[np.ndarray, np.ndarray
     With joint, raises MemoryBudgetExceeded first if the bidegree law would
     not fit even with a one-point degree law.
     """
-    biased = edge_biased_distribution(params.dist)
+    biased = edge_biased_distribution(dist)
     trials = biased.sizes - 2
     lo, length = _windows(trials, biased.strengths)
     k = int((lo + length).max())
@@ -116,14 +116,13 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf1D:
     truncated at the smallest support where the remaining tail mass drops
     below tail_epsilon.  If the support cap is hit first (heavy-tailed
     layers), the recorded mass defect exceeds tail_epsilon honestly.
+    RateUnderflow if f(0) is 0, as it is at nu = inf.
 
     f1 is compound Poisson with rate mu * P_10 and increments from the
     Bin(x-1, y) laws weighted by x * P(x, y).  Its standard recursion
     f(s) = (lam / s) * sum_k k g(k) f(s - k) becomes the one above by
     k Bin(x-1, y)(k) = (x-1) y Bin(x-2, y)(k-1) (derived, not quoted).
     """
-    if not 0.0 < nu < math.inf:
-        raise InvalidLambda(f"the rate nu = mu * P_21 must be positive and finite, got {nu}")
     acc = math.exp(-nu * float(marginal @ (1.0 / np.arange(1, len(marginal) + 1))))
     if acc == 0.0:
         raise RateUnderflow(f"f(0) = exp(-nu sum_j m'(j) / (j + 1)) underflows to 0 at nu = {nu:g}")
@@ -149,7 +148,7 @@ def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
     p21 = cross_moment(params.dist, 2, 1)
     if p21 <= 0.0:
         return Pmf1D(np.array([1.0]))
-    return _degree_law(params.mu * p21, _own_layer(params, joint=False)[0], params.tail_epsilon)
+    return _degree_law(params.mu * p21, _own_layer(params.dist, joint=False)[0], params.tail_epsilon)
 
 
 def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
@@ -164,7 +163,7 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     for bit.  F'_2's budget check comes first: it is cheap, and the degree
     law can take seconds.
     """
-    marginal, fp2 = _own_layer(params, joint=True)
+    marginal, fp2 = _own_layer(params.dist, joint=True)
     f1 = _degree_law(params.mu * edge_mass(params.dist), marginal, params.tail_epsilon)
     k = len(fp2)
     width = len(f1.probs) + k
@@ -242,20 +241,13 @@ def limit_values(params: LimitParams, metrics) -> tuple[dict, Pmf1D | None, Pmf2
     return values, f1, f2
 
 
-@dataclass(frozen=True)
-class TailPrediction:
-    marginal_exponent: float
-    c_prime: float
-    c_double_prime: float
+def tail_prediction(mu: float, dist: LayerTypeDistribution) -> dict:
+    """{"marginal_exponent", "c_prime", "c_double_prime"}: the power-law tail exponent and constants
+    of the limiting bidegree law of the power_law layer law dist, read from its alpha, beta and b.
 
-
-def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
-    """Power-law tail exponent and constants of the limiting bidegree law
-    of the power_law layer law dist, read from its alpha, beta and b.
-
-    The amplitude pmf(x_max) * x_max**alpha of the size pmf is taken from
-    the exact normalization of the concrete truncated distribution.  power_law itself holds alpha > 2
-    and 0 <= beta < 1; the other violated hypotheses are reported together.
+    The amplitude pmf(x_max) * x_max**alpha of the size pmf is taken from the exact normalization
+    of the concrete truncated distribution.  power_law itself holds alpha > 2 and 0 <= beta < 1;
+    the other violated hypotheses are reported together.
     """
     if dist.family != "power_law":
         raise ValueError(f"tail predictions need a power_law layer law, got {dist.family}")
@@ -272,12 +264,9 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> TailPrediction:
     exponent = (alpha - 2) / (1 - beta)
     try:
         a = float(dist.probs[-1]) * float(dist.params["x_max"]) ** alpha
-        pred = TailPrediction(
-            marginal_exponent=exponent,
-            c_prime=a * b**exponent / ((1 - beta) * p21),
-            c_double_prime=mu * a**2 * b ** (2 * exponent) / ((1 - beta) ** 2 * p21),
-        )
-        if not all(map(math.isfinite, vars(pred).values())):
+        pred = {"marginal_exponent": exponent, "c_prime": a * b**exponent / ((1 - beta) * p21),
+                "c_double_prime": mu * a**2 * b ** (2 * exponent) / ((1 - beta) ** 2 * p21)}
+        if not all(map(math.isfinite, pred.values())):
             raise OverflowError  # a float product that overflows is inf, not an error
         return pred
     except OverflowError:

@@ -83,7 +83,7 @@ class StudySpec:
             # values for a grid that would not fit
             cfg = GenConfig(n=n, mu=self.mu, keep_layer_records="subgraph_counts" in self.metrics)
             check_sampler_budget(cfg, self.dist)
-            check_memory(16 * n, "degree arrays")  # as GraphSample.degrees allocates
+            check_memory(8 * (n + 1), "degree arrays")  # as GraphSample.degrees allocates
         if self.fit_range is not None:
             object.__setattr__(self, "fit_range", checked_fit_range(self.fit_range))
 
@@ -125,9 +125,7 @@ def _theory_values(spec: StudySpec):
         theory["bidegree_mass_defect"] = f2.mass_defect
     if "tail_slope" in spec.metrics and spec.dist.family == "power_law":
         tp = tail_prediction(spec.mu, spec.dist)
-        theory["tail_slope"] = tp.marginal_exponent
-        theory["c_prime"] = tp.c_prime
-        theory["c_double_prime"] = tp.c_double_prime
+        theory.update(tail_slope=tp.pop("marginal_exponent"), **tp)
     if "subgraph_counts" in spec.metrics:
         theory.update(links=cross_moment(spec.dist, 2, 1) / 2, two_stars=cross_moment(spec.dist, 3, 2) / 2,
                       three_stars=cross_moment(spec.dist, 4, 3) / 6)

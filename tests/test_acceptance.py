@@ -227,9 +227,9 @@ def test_criterion_08_tail_prediction_closed_form_and_hypotheses():
     pred = tail_prediction(1.0, dist)
     a = float(dist.probs[dist.sizes == 2000][0]) * 2000.0**3.0  # pmf(x_max) * x_max**alpha
     p21 = cross_moment(dist, 2, 1)
-    assert pred.marginal_exponent == pytest.approx(2.0, abs=1e-12)
-    assert pred.c_prime == pytest.approx(2.0 * a / p21, rel=1e-12)
-    assert pred.c_double_prime == pytest.approx(4.0 * a * a / p21, rel=1e-12)
+    assert pred["marginal_exponent"] == pytest.approx(2.0, abs=1e-12)
+    assert pred["c_prime"] == pytest.approx(2.0 * a / p21, rel=1e-12)
+    assert pred["c_double_prime"] == pytest.approx(4.0 * a * a / p21, rel=1e-12)
 
     # alpha <= 2 and beta outside [0, 1) are refused by the power_law law itself
     for alpha, beta in [(2.0, 0.5), (3.0, 1.0)]:

@@ -593,7 +593,7 @@ class TestMainExitCodes:
         from superpose_net.layers import LayerTypeDistribution
         from superpose_net.limits import LimitParams, _own_layer, limiting_laws
         params = LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5))
-        f2, k = limiting_laws(params)[1].probs, len(_own_layer(params, joint=True)[1])
+        f2, k = limiting_laws(params)[1].probs, len(_own_layer(params.dist, joint=True)[1])
         occupied = np.count_nonzero(f2.sum(axis=1)) * np.count_nonzero(f2.sum(axis=0))
         laws_need, three_copies = 8 * ((k + len(f2)) ** 2 + f2.size), 24 * occupied
         assert laws_need < three_copies
@@ -700,7 +700,7 @@ class TestMainExitCodes:
                "model": {"n": 100, "mu": 1e300, "seed": 0}}
         assert main(["generate", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["message"] == (
-            "sampled layers would take 1.86e+294 GiB, over the 1 GiB budget")
+            "sampled layers would take 2.98e+294 GiB, over the 1 GiB budget")
 
     @pytest.mark.parametrize("edges", ["", "# superpose-net n=0 m=0 seed=0\n"],
                              ids=["empty_file", "header_n_0"])
@@ -880,6 +880,8 @@ class TestProcessEntry:
         (1, "generate", {}, None, {"error": "config"}),
         (2, "theory", {"layer_distribution": {"family": "constant", "size": 1000, "strength": 0.5},
                        "theory": {"mu": 1.0}}, None, {"error": "RateUnderflow"}),
+        (2, "theory", {"layer_distribution": {"family": "constant", "size": 3, "strength": 1.0},
+                       "theory": {"mu": 1e308}}, None, {"error": "RateUnderflow"}),
         (2, "tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                                "b": 1.0, "x_min": 1, "x_max": 100},
                         "theory": {"mu": 1.0}}, ("pmf_csv", "s,prob\n1,0.5\n2,0.25\n3,0.25\n"),
@@ -889,7 +891,8 @@ class TestProcessEntry:
                                                "b": 1.0, "x_min": 1, "x_max": 100},
                         "theory": {"mu": 1.0}}, None, {"error": "hypothesis"}),
         (4, "empirical", {}, ("edge_list", "# superpose-net n=3 m=1 seed=0\n1 1\n"), {"error": "InvalidEdgeList"}),
-    ], ids=["config", "rate_underflow", "tailfit_pmf_below_the_default_window", "hypothesis", "invalid_edge_list"])
+    ], ids=["config", "rate_underflow", "rate_overflowing_a_double", "tailfit_pmf_below_the_default_window",
+            "hypothesis", "invalid_edge_list"])
     def test_error_exit_writes_one_json_line(self, tmp_path, code, command, doc, input_file, error):
         if input_file is not None:
             field, body = input_file

@@ -232,6 +232,27 @@ class TestGenerateGraph:
         assert peaks[1] <= counted[1]
         assert peaks[1] - peaks[0] <= counted[1] - counted[0]
 
+    @pytest.mark.parametrize("d, n, m", [
+        (LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), 2_000_000, 2_000_000),
+        (LayerTypeDistribution.constant(50, 0.1), 1000, 20_000),
+        (LayerTypeDistribution.constant(50, 0.01), 1000, 20_000),
+    ], ids=["two_atom_n_2e6", "constant_50_on_1000_nodes", "sparse_constant_50_on_1000_nodes"])
+    def test_peak_is_within_the_sampler_budget(self, monkeypatch, d, n, m):
+        """Without records, the bytes tracemalloc sees at the peak of
+        generate_graph stay under what check_sampler_budget counts: one
+        block of dense layers as it codes its pairs, the union of codes
+        that mostly differ (n = 2e6) or mostly repeat (n = 1000), and a
+        block drawn while the one before it is still held (sparse)."""
+        counted = []
+        monkeypatch.setattr(generate, "check_memory", lambda need, what: counted.append(need))
+        tracemalloc.start()
+        try:
+            generate_graph(GenConfig(n=n, layers=m, seed=1), d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0]
+
     def test_each_atom_sampled_once(self, monkeypatch):
         # one group per atom that draws edges, however many layers there are
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 200)

@@ -111,7 +111,7 @@ LAW_IDS = [f"law{i}" for i in range(20)] + ["power_law_300"]
 
 @pytest.mark.parametrize("params", _laws(), ids=LAW_IDS)
 def test_kernel_matches_direct_route(params):
-    m, want_m = _own_layer(params, joint=False)[0], reference_own_layer(params.dist)[0]
+    m, want_m = _own_layer(params.dist, joint=False)[0], reference_own_layer(params.dist)[0]
     assert len(m) <= len(want_m)
     assert want_m[len(m):].sum() <= 1e-15
     assert np.max(np.abs(np.pad(m, (0, len(want_m) - len(m))) - want_m)) <= 1e-15
@@ -154,7 +154,7 @@ def test_degree_law_does_not_depend_on_the_route(params):
     ids=[f"law{i}" for i in range(20)] + ["power_law_1e4"],
 )
 def test_fprime2_moments_match_closed_form(params):
-    m, f = _own_layer(params, joint=True)
+    m, f = _own_layer(params.dist, joint=True)
     assert np.array_equal(f, f.T)
     u = np.arange(len(f), dtype=float)
     want = limiting_moments(params)

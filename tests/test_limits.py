@@ -9,7 +9,6 @@ from scipy.stats import binom, poisson
 from superpose_net import (
     GenConfig,
     HypothesisViolation,
-    InvalidLambda,
     LayerTypeDistribution,
     LimitParams,
     MemoryBudgetExceeded,
@@ -66,7 +65,7 @@ def list_degree_law(nu, m, tail_epsilon=1e-10):
 
 def own_layer_marginal(dist):
     """m', the law of the extra degree an edge's own layer gives one endpoint."""
-    return _own_layer(LimitParams(1.0, dist), joint=False)[0]
+    return _own_layer(dist, joint=False)[0]
 
 
 TWO_FOUR = LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)])
@@ -181,12 +180,9 @@ class TestCompoundPoisson:
         limiting_degree_pmf(params)
         assert time.perf_counter() - start < 1.0
 
-    def test_invalid_lambda(self):
-        for nu in (0.0, math.inf):
-            with pytest.raises(InvalidLambda):
-                _degree_law(nu, np.array([0.5, 0.5]), 1e-10)
-        # mu * P_21 overflows a double
-        with pytest.raises(InvalidLambda):
+    def test_rate_overflowing_a_double_is_rate_underflow(self):
+        # nu = mu * P_21 = 6e308 is inf, so f(0) = exp(-nu / 2) is 0
+        with pytest.raises(RateUnderflow, match="nu = inf"):
             limiting_degree_pmf(LimitParams(1e308, LayerTypeDistribution.constant(3, 1.0)))
 
     def test_truncation_defect_recorded(self):
@@ -235,7 +231,7 @@ class TestRateUnderflow:
 
 def fprime2(dist):
     """F'_2, the joint law of the two extra degrees an edge's own layer gives."""
-    return _own_layer(LimitParams(1.0, dist), joint=True)[1]
+    return _own_layer(dist, joint=True)[1]
 
 
 class TestFprime2:
@@ -459,9 +455,9 @@ class TestRankCorrelations:
 class TestTailPrediction:
     def test_exponent_examples(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100)
-        assert tail_prediction(1.0, d).marginal_exponent == pytest.approx(2.0)
+        assert tail_prediction(1.0, d)["marginal_exponent"] == pytest.approx(2.0)
         d2 = LayerTypeDistribution.power_law(2.5, 0.6, 1.0, 1, 100)
-        assert tail_prediction(1.0, d2).marginal_exponent == pytest.approx(1.25)
+        assert tail_prediction(1.0, d2)["marginal_exponent"] == pytest.approx(1.25)
 
     def test_hypothesis_violation(self):
         d = LayerTypeDistribution.power_law(2.5, 0.4, 1.0, 1, 100)
@@ -477,7 +473,7 @@ class TestTailPrediction:
     def test_constants_positive(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 2000)
         pred = tail_prediction(1.0, d)
-        assert pred.c_prime > 0 and pred.c_double_prime > 0
+        assert pred["c_prime"] > 0 and pred["c_double_prime"] > 0
 
     @pytest.mark.parametrize("mu", [0.0, -1.0])
     def test_nonpositive_mu_rejected(self, mu):
@@ -517,4 +513,4 @@ class TestTailValidityWindow:
         sb = size_biased(Pmf1D(f1.probs / f1.probs.sum()))
         slope, _ = tail_slope_fit(sb, (20, 200))
         pred = tail_prediction(1.0, d)
-        assert abs(slope - pred.marginal_exponent) < 0.15
+        assert abs(slope - pred["marginal_exponent"]) < 0.15
