@@ -9,14 +9,13 @@ import importlib
 __version__ = "0.4.0"
 
 _EXPORTS = {
-    "errors": ("ConfigError", "DegenerateMarginal", "EmptyGraph", "HypothesisViolation", "InsufficientSupport",
-               "InvalidEdgeList", "MemoryBudgetExceeded", "MissingRecords", "RateUnderflow", "SuperposeError",
-               "ZeroEdgeMass", "ZeroMean"),
+    "errors": ("ConfigError", "Degenerate", "EmptyGraph", "HypothesisViolation", "InvalidEdgeList",
+               "MemoryBudgetExceeded", "MissingRecords", "RateUnderflow", "SuperposeError", "ZeroEdgeMass", "ZeroMean"),
     "generate": ("GenConfig", "GraphSample", "generate_graph", "read_edge_list", "write_edge_list"),
     "layers": ("LayerTypeDistribution", "cross_moment", "edge_biased_distribution", "edge_mass"),
     "limits": ("LimitParams", "MomentReport", "limit_values", "limiting_degree_pmf", "limiting_laws",
                "limiting_moments", "tail_prediction"),
-    "pmf": ("Pmf1D", "Pmf2D", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
+    "pmf": ("Pmf", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
     "stats": ("bidegree_counts", "bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
     "study": ("ConvergenceReport", "StudySpec", "run_study", "tv_distance_1d"),
 }

@@ -23,14 +23,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .errors import (
-    ConfigError,
-    DegenerateMarginal,
-    HypothesisViolation,
-    InsufficientSupport,
-    InvalidEdgeList,
-    SuperposeError,
-)
+from .errors import ConfigError, Degenerate, HypothesisViolation, InvalidEdgeList, SuperposeError
 from .layers import LayerTypeDistribution
 from .limits import LimitParams, limit_values, tail_prediction
 from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, checked_fit_range, functionals, pmf1d_from_csv, pmf_to_csv, size_biased,
@@ -38,8 +31,8 @@ from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, checked_fit_range, functionals, pm
 
 COMMANDS = ("generate", "empirical", "theory", "converge", "tailfit")
 # (exit code, error kind) of each typed error; any other SuperposeError is (2, its class name)
-_EXITS = {ConfigError: (1, "config"), InsufficientSupport: (2, "degenerate"), DegenerateMarginal: (2, "degenerate"),
-          HypothesisViolation: (3, "hypothesis"), InvalidEdgeList: (4, "InvalidEdgeList")}
+_EXITS = {ConfigError: (1, "config"), Degenerate: (2, "degenerate"), HypothesisViolation: (3, "hypothesis"),
+          InvalidEdgeList: (4, "InvalidEdgeList")}
 
 
 @dataclass
@@ -274,7 +267,7 @@ def _run_tailfit(cfg: RunConfig):
         top = len(pmf.probs) - 1
         if fit_range is None and top < _DEFAULT_T_LO:
             rule = f"the last support point of input.pmf_csv is {top}, below {_DEFAULT_T_LO}"
-            raise InsufficientSupport(f"{rule}, so the default fit window is empty")
+            raise Degenerate(f"{rule}, so the default fit window is empty")
         fit_range = fit_range or (_DEFAULT_T_LO, top)
         slope, stderr = tail_slope_fit(pmf, fit_range)
         summary["fitted_slope"] = slope

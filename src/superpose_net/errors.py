@@ -38,8 +38,9 @@ class EmptyGraph(SuperposeError):
     """The graph has no nodes, or no edges where an operation needs one."""
 
 
-class DegenerateMarginal(SuperposeError):
-    """Correlation undefined: a marginal has zero variance."""
+class Degenerate(SuperposeError):
+    """A statistic is undefined on its input: a correlation whose marginal
+    has zero variance, or a tail fit with too few positive-mass points."""
 
 
 class InvalidEdgeList(SuperposeError):
@@ -60,10 +61,6 @@ class HypothesisViolation(SuperposeError):
     def __init__(self, violations):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
-
-
-class InsufficientSupport(SuperposeError):
-    """Too few positive-mass points in the requested fit range."""
 
 
 class ConfigError(SuperposeError):

@@ -122,13 +122,13 @@ def _unrank_pairs(e: np.ndarray, x: int) -> tuple[np.ndarray, np.ndarray]:
     t = x * (x - 1) // 2 - 1 - e
     k = ((np.sqrt(8.0 * t + 1) - 1) // 2).astype(np.int64)
     # the float root can be one off once 8t+1 is not exact in a double;
-    # settle k as the largest integer with k(k+1)/2 <= t
+    # settle k as the largest integer with k(k+1)/2 <= t, testing
+    # (k+1)(k+2)/2 <= t as k(k+3)/2 < t so that one temporary does
     k -= k * (k + 1) // 2 > t
-    k += (k + 1) * (k + 2) // 2 <= t
-    r = x - 2 - k
-    offset = r * (2 * x - r - 1) // 2
-    c = e - offset + r + 1
-    return r, c
+    k += k * (k + 3) // 2 < t
+    del t
+    r = np.subtract(x - 2, k, out=k)
+    return r, e + r + 1 - r * (2 * x - r - 1) // 2
 
 
 def _subsets(n: int, rows: int, x: int, rng: np.random.Generator) -> np.ndarray:
@@ -167,16 +167,24 @@ def _sample_group(n, x, y, count, rng, blocks):
         nodes = _subsets(n, layers, x, rng)
         # one Bernoulli(y) walk over the block's pairs, layer after layer
         row, pair = np.divmod(_pair_indices(layers * npairs, y, rng), max(npairs, 1))
+        if blocks is not None:
+            blocks.append((nodes.ravel() + 1, np.bincount(row, minlength=layers)))
         # a pair table takes about a fifth of the time per pair that
         # unranking takes per edge; its size stays within the draw budget
         if npairs <= min(4 * len(pair), _DRAW_BUDGET):
             r, c = (t[pair] for t in np.triu_indices(x, 1))
         else:
             r, c = _unrank_pairs(pair, x)
-        codes.append(nodes[row, r] * n + nodes[row, c])
-        if blocks is not None:
-            blocks.append((nodes.ravel() + 1, np.bincount(row, minlength=layers)))
-        del nodes, row, pair, r, c  # so that the next block draws without them
+        row *= x  # each endpoint as its flat position in nodes.ravel()
+        r += row
+        c += row
+        del row, pair  # each index is freed once it is used
+        code = nodes.ravel()[r]
+        del r
+        code *= n
+        code += nodes.ravel()[c]
+        codes.append(code)
+        del nodes, c, code  # so that the next block draws without them
     return codes
 
 
@@ -187,12 +195,14 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     codes = config.m * float(dist.probs @ (pairs * dist.strengths))  # expected edge codes
     # a word a layer (the permutation of kept layers), and the largest of three peaks: sampling holds
     # the codes so far and one block of an atom's layers, at 26 bytes a label as it draws the subsets,
-    # then 8 a label, 9 a pair at a dense strength and 64 an edge; joining the codes holds 16 bytes a
-    # code; the union 9 a code and 16 a distinct edge.  Kept layers add 11 words a layer, 4 a node and
-    # 5 an edge as they are reordered
+    # then 8 a label, 9 a pair at a dense strength and 40 an edge, and 18 a pair of one layer where
+    # the block decodes from a pair table; joining the codes holds 16 bytes a code; the union 9 a code
+    # and 16 a distinct edge.  Kept layers add 11 words a layer, 4 a node and 5 an edge as they are
+    # reordered
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
     layers = np.minimum(config.m, np.maximum(1, _DRAW_BUDGET // np.maximum(np.maximum(pairs, x), 1)))
-    block = layers * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 64 * dist.strengths))
+    table = pairs <= np.minimum(4 * layers * pairs * dist.strengths, _DRAW_BUDGET)  # as _sample_group decides
+    block = layers * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 40 * dist.strengths)) + 18 * pairs * table
     edges = min(codes, config.n * (config.n - 1) / 2)
     need = 8 * config.m + max(8 * codes + float(np.max(block, initial=0)), 16 * codes, 9 * codes + 16 * edges)
     if config.keep_layer_records:
@@ -273,6 +283,8 @@ def read_edge_list(path) -> GraphSample:
     """Graph of a file of "i j" lines, below "# key=value" header lines.
 
     n, m and seed come from the header (n defaults to the largest id).
+    Node ids are checked against n, so an n that is not an integer is an
+    error; m and seed are only recorded, and are None unless integers.
     Repeated edges and both orientations merge into one edge.  Raises
     InvalidEdgeList for a line that is not two integers, a node id
     outside 1..n, or a self-loop.
@@ -288,9 +300,8 @@ def read_edge_list(path) -> GraphSample:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # raised for a file without edges
             ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
-        n, m, seed = (
-            int(meta[key]) if meta.get(key, "None") != "None" else None for key in ("n", "m", "seed")
-        )
+        n = int(meta["n"]) if meta.get("n", "None") != "None" else None
+        m, seed = (int(meta[key]) if meta.get(key, "").removeprefix("-").isdecimal() else None for key in ("m", "seed"))
     except ValueError as exc:
         raise InvalidEdgeList(f"{path}: {exc}") from None
     if ids.size == 0:

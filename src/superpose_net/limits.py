@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import HypothesisViolation, RateUnderflow, check_memory
 from .layers import LayerTypeDistribution, cross_moment, edge_biased_distribution, edge_mass
-from .pmf import _MAX_SUPPORT, Pmf1D, Pmf2D, functionals
+from .pmf import _MAX_SUPPORT, Pmf, functionals
 
 _BLOCK_ENTRIES = 1 << 14  # binomial pmf values evaluated at once; bounds temporaries
 DEFAULT_TAIL_EPSILON = 1e-10  # tail mass a truncated degree law may leave out
@@ -108,7 +108,7 @@ def _own_layer(dist: LayerTypeDistribution, joint: bool) -> tuple[np.ndarray, np
     return marginal, fp2
 
 
-def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf1D:
+def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf:
     """The limiting degree law f1 from the mean degree nu = mu * P_21 and
     the own-layer law m', by the recursion
         f(0) = exp(-nu sum_j m'(j) / (j + 1)),
@@ -139,19 +139,19 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf1D:
         f[s] = val
         acc += val
     probs = f[: s + 1]
-    return Pmf1D(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
+    return Pmf(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
 
 
-def limiting_degree_pmf(params: LimitParams) -> Pmf1D:
+def limiting_degree_pmf(params: LimitParams) -> Pmf:
     """The limiting degree law f1, from the own-layer law m' alone; the
     point mass at 0 if no layer can make an edge (P_21 = 0)."""
     p21 = cross_moment(params.dist, 2, 1)
     if p21 <= 0.0:
-        return Pmf1D(np.array([1.0]))
+        return Pmf(np.array([1.0]))
     return _degree_law(params.mu * p21, _own_layer(params.dist, joint=False)[0], params.tail_epsilon)
 
 
-def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
+def limiting_laws(params: LimitParams) -> tuple[Pmf, Pmf]:
     """The limiting degree law f1 and the joint degree law f2 of the
     endpoints of a random edge, from one pass over the binomial rows.
 
@@ -171,7 +171,7 @@ def limiting_laws(params: LimitParams) -> tuple[Pmf1D, Pmf2D]:
     t = np.lib.stride_tricks.sliding_window_view(np.pad(f1.probs, (k, k - 1)), width)[::-1].copy()
     joint = t.T @ fp2 @ t
     joint = (joint + joint.T) / 2  # the matrix products leave f2 asymmetric in the last bits
-    return f1, Pmf2D(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
+    return f1, Pmf(joint, mass_defect=max(0.0, 1.0 - float(joint.sum())))
 
 
 @dataclass(frozen=True)
@@ -221,10 +221,10 @@ def limiting_moments(params: LimitParams) -> MomentReport:
     )
 
 
-def limit_values(params: LimitParams, metrics) -> tuple[dict, Pmf1D | None, Pmf2D | None]:
+def limit_values(params: LimitParams, metrics) -> tuple[dict, Pmf | None, Pmf | None]:
     """The limit values of the named metrics: the closed-form assortativity,
-    kendall and spearman of f2 (both if either is named), then the moment
-    report the assortativity is read from; and the laws f1 and f2 that the
+    then kendall and spearman of f2, each if named, then the moment report
+    the assortativity is read from; and the laws f1 and f2 that the
     metrics read (tv2, kendall and spearman both, tv1 f1; None if unread)."""
     metrics = set(metrics)
     f1 = f2 = None
@@ -234,8 +234,7 @@ def limit_values(params: LimitParams, metrics) -> tuple[dict, Pmf1D | None, Pmf2
         f1 = limiting_degree_pmf(params)
     moments = limiting_moments(params) if "assortativity" in metrics else None
     values = {"assortativity": moments.assortativity} if moments else {}
-    if {"kendall", "spearman"} & metrics:
-        values.update(functionals(f2, ("kendall", "spearman")))
+    values.update(functionals(f2, [name for name in ("kendall", "spearman") if name in metrics]))
     if moments:
         values["moments"] = vars(moments)
     return values, f1, f2

@@ -1,8 +1,8 @@
 """The dense-law format: pmfs over an integer support starting at 0, their
 correlation functionals and tail-slope fit, and their CSV files.
 
-Pmf1D/Pmf2D are dense arrays with a recorded mass defect for laws
-truncated from infinite support (always 0 for empirical laws).  The
+A Pmf is a dense array of rank 1 or 2 with a recorded mass defect for
+laws truncated from infinite support (always 0 for empirical laws).  The
 correlation functionals (Pearson, Kendall, mid-rank Spearman) are
 evaluated exactly by summation over the occupied support, the rows and
 columns with mass; they apply alike to empirical and limiting laws.
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMarginal, InsufficientSupport, ZeroMean, check_memory
+from .errors import Degenerate, ZeroMean, check_memory
 
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
@@ -24,7 +24,8 @@ _BLOCK_CELLS = 1 << 16  # cells of a law per block of rows that pmf_to_csv write
 
 
 @dataclass(frozen=True)
-class _Pmf:
+class Pmf:
+    """A law on 0..S or on (0..S1) x (0..S2): probs of shape (S+1,) or (S1+1, S2+1)."""
     probs: np.ndarray
     mass_defect: float = 0.0
 
@@ -36,21 +37,13 @@ class _Pmf:
             raise ValueError("negative probability mass")
 
 
-class Pmf1D(_Pmf):
-    """probs has shape (S+1,)."""
-
-
-class Pmf2D(_Pmf):
-    """probs has shape (S1+1, S2+1)."""
-
-
-def size_biased(f: Pmf1D) -> Pmf1D:
+def size_biased(f: Pmf) -> Pmf:
     """Reweight by the argument; the common marginal of any bidegree law."""
     weights = np.arange(len(f.probs)) * f.probs
     total = math.fsum(weights.tolist())
     if total <= 0.0:
         raise ZeroMean("size-biasing needs a positive-mean distribution")
-    return Pmf1D(weights / total, mass_defect=0.0)
+    return Pmf(weights / total, mass_defect=0.0)
 
 
 def checked_fit_range(fit_range) -> tuple:
@@ -62,7 +55,7 @@ def checked_fit_range(fit_range) -> tuple:
     return tuple(fit_range)
 
 
-def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
+def tail_slope_fit(f: Pmf, fit_range) -> tuple[float, float]:
     """Least-squares slope magnitude of log pmf against log support.
 
     Needs at least 5 positive-mass points inside the range; s = 0, whose
@@ -72,20 +65,20 @@ def tail_slope_fit(f: Pmf1D, fit_range) -> tuple[float, float]:
     support = np.arange(len(f.probs))
     mask = (support >= max(t_lo, 1)) & (support <= t_hi) & (f.probs > 0)
     if mask.sum() < 5:
-        raise InsufficientSupport(f"only {int(mask.sum())} positive-mass points in [{t_lo}, {t_hi}]")
+        raise Degenerate(f"only {int(mask.sum())} positive-mass points in [{t_lo}, {t_hi}]")
     x = np.log(support[mask].astype(float))
     y = np.log(f.probs[mask])
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     dof = len(x) - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
-    stderr = math.sqrt(float(resid @ resid) / dof / sxx) if dof > 0 else float("inf")
+    stderr = math.sqrt(float(resid @ resid) / dof / sxx)
     return abs(float(slope)), stderr
 
 
 # -- correlation functionals ----------------------------------------------
 
-def _occupied(f: Pmf2D):
+def _occupied(f: Pmf):
     """The normalised law restricted to its rows and columns of positive
     mass, and the support points those rows and columns stand for;
     MemoryBudgetExceeded first if it would not fit."""
@@ -99,10 +92,10 @@ def _occupied(f: Pmf2D):
     return joint, rows, cols
 
 
-def _scored_correlation(f: Pmf2D, score, message: str) -> float:
+def _scored_correlation(f: Pmf, score, message: str) -> float:
     """Pearson correlation of score(m1, x1)[Z1] and score(m2, x2)[Z2] for
     (Z1, Z2) ~ f with occupied support points x1, x2 and marginals m1, m2
-    on them; DegenerateMarginal(message) if a score has zero variance."""
+    on them; Degenerate(message) if a score has zero variance."""
     joint, x1, x2 = _occupied(f)
     m1 = joint.sum(axis=1)
     m2 = joint.sum(axis=0)
@@ -112,25 +105,25 @@ def _scored_correlation(f: Pmf2D, score, message: str) -> float:
     v1 = m1 @ r1**2 - e1 * e1
     v2 = m2 @ r2**2 - e2 * e2
     if v1 <= 1e-30 or v2 <= 1e-30:
-        raise DegenerateMarginal(message)
+        raise Degenerate(message)
     cov = r1 @ joint @ r2 - e1 * e2
     return float(cov / math.sqrt(v1 * v2))
 
 
-def pearson_correlation(f: Pmf2D) -> float:
+def pearson_correlation(f: Pmf) -> float:
     """Pearson correlation of the joint law; the assortativity of a
     bidegree pmf."""
     return _scored_correlation(f, lambda m, x: x.astype(float), "marginal variance is zero")
 
 
-def kendall(f: Pmf2D) -> float:
+def kendall(f: Pmf) -> float:
     """Tie-aware sign correlation of two independent draws from f, exact.
     Summed a block of rows of about _BLOCK_CELLS occupied cells at a time,
     it holds one copy of the occupied support."""
     joint, _, _ = _occupied(f)
     d1, d2 = (1.0 - m @ m for m in (joint.sum(axis=1), joint.sum(axis=0)))
     if d1 <= 1e-30 or d2 <= 1e-30:
-        raise DegenerateMarginal("a marginal is a point mass")
+        raise Degenerate("a marginal is a point mass")
     # the draws are exchangeable, so E[sign] is twice the sum over rows i of
     # p_i @ (P(Z1 < i, Z2 < j) - P(Z1 < i, Z2 > j)) = p_i @ (2 below - seen - below[-1]),
     # with seen[j] = P(Z1 < i, Z2 = j), from column sums carried past each block, and below its cumsum
@@ -145,7 +138,7 @@ def kendall(f: Pmf2D) -> float:
     return 2.0 * half / math.sqrt(d1 * d2)
 
 
-def spearman(f: Pmf2D) -> float:
+def spearman(f: Pmf) -> float:
     """Pearson correlation of the mid-rank transforms of the two margins."""
     return _scored_correlation(f, lambda m, x: np.cumsum(m) - 0.5 * m, "a marginal is a point mass")
 
@@ -154,14 +147,14 @@ def spearman(f: Pmf2D) -> float:
 FUNCTIONALS = {"assortativity": pearson_correlation, "kendall": kendall, "spearman": spearman}
 
 
-def functionals(f: Pmf2D, names) -> dict:
+def functionals(f: Pmf, names) -> dict:
     """The named FUNCTIONALS of f; one whose marginal is degenerate is
     None, with the reason under <name>_degenerate."""
     out = {}
     for name in names:
         try:
             out[name] = FUNCTIONALS[name](f)
-        except DegenerateMarginal as exc:
+        except Degenerate as exc:
             out[name] = None
             out[f"{name}_degenerate"] = str(exc)
     return out
@@ -169,7 +162,7 @@ def functionals(f: Pmf2D, names) -> dict:
 
 # -- CSV serialization ----------------------------------------------------
 
-def pmf_to_csv(f: _Pmf, path) -> None:
+def pmf_to_csv(f: Pmf, path) -> None:
     """Write a law of rank 1 or 2: an `s,prob` or `s,t,prob` header, a line
     per positive entry, then a `# mass_defect=` line.  The lines go out a
     block of rows of about _BLOCK_CELLS cells at a time, each distinct value
@@ -188,14 +181,17 @@ def pmf_to_csv(f: _Pmf, path) -> None:
         fh.write(f"# mass_defect={float(f.mass_defect)!r}\n")
 
 
-def pmf1d_from_csv(path) -> Pmf1D:
-    """Read a pmf_to_csv file of a 1-D law.  ValueError if a line after the
-    header is not `s,prob` with 0 <= s <= _MAX_SUPPORT and 0 <= prob <= 1,
-    if a support point appears twice, or if the mass is not 1."""
+def pmf1d_from_csv(path) -> Pmf:
+    """Read a pmf_to_csv file of a 1-D law.  ValueError if the first line is
+    not the header `s,prob`, if a line after it is not `s,prob` with
+    0 <= s <= _MAX_SUPPORT and 0 <= prob <= 1, if a support point appears
+    twice, or if the mass is not 1."""
     entries = {}
     defect = 0.0
     with open(path) as fh:
-        fh.readline()
+        header = fh.readline().strip()
+        if header != "s,prob":
+            raise ValueError(f"first line {header!r} is not the header s,prob")
         for line in fh:
             line = line.strip()
             if line.startswith("# mass_defect="):
@@ -213,4 +209,4 @@ def pmf1d_from_csv(path) -> Pmf1D:
         raise ValueError(f"support point {max(entries)} is beyond the longest law, {_MAX_SUPPORT}")
     probs = np.zeros(max(entries, default=0) + 1)
     probs[list(entries)] = list(entries.values())
-    return Pmf1D(probs, defect)
+    return Pmf(probs, defect)

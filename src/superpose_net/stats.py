@@ -11,15 +11,15 @@ import numpy as np
 
 from .errors import EmptyGraph, MissingRecords, check_memory
 from .generate import GraphSample
-from .pmf import Pmf1D, Pmf2D
+from .pmf import Pmf
 
 
-def degree_distribution(g: GraphSample) -> Pmf1D:
+def degree_distribution(g: GraphSample) -> Pmf:
     """Fraction of nodes at each degree."""
     if g.n < 1:
         raise EmptyGraph("degree distribution needs at least one node")
     counts = np.bincount(g.degrees)
-    return Pmf1D(counts / g.n)
+    return Pmf(counts / g.n)
 
 
 def bidegree_counts(g: GraphSample) -> np.ndarray:
@@ -38,9 +38,9 @@ def bidegree_counts(g: GraphSample) -> np.ndarray:
     return flat.reshape(width, width)
 
 
-def bidegree_distribution(g: GraphSample) -> Pmf2D:
+def bidegree_distribution(g: GraphSample) -> Pmf:
     """Joint degree law of a uniform directed adjacent pair; symmetric."""
-    return Pmf2D(bidegree_counts(g) / (2.0 * g.edge_count))
+    return Pmf(bidegree_counts(g) / (2.0 * g.edge_count))
 
 
 # -- per-layer subgraph counts --------------------------------------------

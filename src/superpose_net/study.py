@@ -15,12 +15,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InsufficientSupport, check_memory
+from .errors import Degenerate, check_memory
 from .generate import GenConfig, check_sampler_budget, generate_graph
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import DEFAULT_TAIL_EPSILON, LimitParams, limit_values, tail_prediction
-from .pmf import (_DEFAULT_T_LO, FUNCTIONALS, Pmf1D, Pmf2D, checked_fit_range, functionals, size_biased,
-                  tail_slope_fit)
+from .pmf import _DEFAULT_T_LO, FUNCTIONALS, Pmf, checked_fit_range, functionals, size_biased, tail_slope_fit
 from .stats import bidegree_counts, layer_subgraph_counts
 
 ALL_METRICS = (
@@ -136,16 +135,16 @@ def _tail_fit(degree_counts: np.ndarray, fit_range):
     """(slope, stderr, fit_range) of tail_slope_fit on the size-biased law
     of the node counts per degree.  fit_range defaults to (_DEFAULT_T_LO,
     the largest degree that at least _MIN_TAIL_OBS nodes have).
-    InsufficientSupport if no node has an edge or that window is empty."""
+    Degenerate if no node has an edge or that window is empty."""
     if not degree_counts[1:].any():
-        raise InsufficientSupport("no edges")
+        raise Degenerate("no edges")
     if fit_range is None:
         top = int(np.flatnonzero(degree_counts >= _MIN_TAIL_OBS).max(initial=0))
         if top < _DEFAULT_T_LO:
             rule = f"no degree of at least {_DEFAULT_T_LO} is held by {_MIN_TAIL_OBS} nodes"
-            raise InsufficientSupport(f"{rule}, so the default fit window is empty")
+            raise Degenerate(f"{rule}, so the default fit window is empty")
         fit_range = (_DEFAULT_T_LO, top)
-    f = size_biased(Pmf1D(degree_counts / degree_counts.sum()))
+    f = size_biased(Pmf(degree_counts / degree_counts.sum()))
     return (*tail_slope_fit(f, fit_range), fit_range)
 
 
@@ -168,7 +167,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
     bideg_metrics = [m for m in ALL_METRICS if m in spec.metrics and (m == "tv2" or m in FUNCTIONALS)]
     correlations = [m for m in bideg_metrics if m in FUNCTIONALS]
 
-    def bideg_values(f: Pmf2D) -> dict:
+    def bideg_values(f: Pmf) -> dict:
         """The bidegree metrics of f, each degenerate one as functionals gives it."""
         values = {"tv2": tv_distance_1d(f, f2)} if "tv2" in spec.metrics else {}
         return {**values, **functionals(f, correlations)}
@@ -193,7 +192,7 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             degree_counts = _pooled(degree_counts, counts)
 
             if "tv1" in spec.metrics:
-                note("tv1", rep, tv_distance_1d(Pmf1D(counts / n), f1))
+                note("tv1", rep, tv_distance_1d(Pmf(counts / n), f1))
 
             if bideg_metrics:
                 if g.edge_count == 0:
@@ -202,14 +201,14 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
                 else:
                     table = bidegree_counts(g)
                     bideg_counts = _pooled(bideg_counts, table)
-                    values = bideg_values(Pmf2D(table / table.sum()))
+                    values = bideg_values(Pmf(table / table.sum()))
                     for metric in bideg_metrics:
                         note(metric, rep, values[metric], values.get(f"{metric}_degenerate"))
 
             if "tail_slope" in spec.metrics:
                 try:
                     note("tail_slope", rep, _tail_fit(counts, spec.fit_range)[0])
-                except InsufficientSupport as exc:
+                except Degenerate as exc:
                     note("tail_slope", rep, None, str(exc))
 
             if "subgraph_counts" in spec.metrics:
@@ -219,13 +218,13 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
         agg = {metric: _summary(notes) for metric, notes in per_metric.items()}
 
         if bideg_counts.any():  # the bidegree law pooled over all edges and replications
-            pooled = bideg_values(Pmf2D(bideg_counts / bideg_counts.sum()))
+            pooled = bideg_values(Pmf(bideg_counts / bideg_counts.sum()))
             agg.update({f"{k}_pooled": v for k, v in pooled.items()})
         if "tail_slope" in spec.metrics:
             try:
                 slope, stderr, fit_range = _tail_fit(degree_counts, spec.fit_range)
                 agg.update(tail_slope_pooled=slope, tail_slope_pooled_stderr=stderr, fit_range=list(fit_range))
-            except InsufficientSupport:
+            except Degenerate:
                 agg["tail_slope_pooled"] = None
 
         report.summary[str(n)] = agg

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 from scipy.stats import binom
 
-from superpose_net import LayerTypeDistribution, Pmf1D, cross_moment
+from superpose_net import LayerTypeDistribution, Pmf, cross_moment
 from superpose_net.pmf import pmf_to_csv
 
 
@@ -29,7 +29,7 @@ def random_tabular(rng, max_size=8, max_atoms=5, min_strength=0.0, require_edges
 def power_pmf_csv(path, length=60):
     """Write p(s) proportional to (s + 1)^-2 on 0..length-1 as a pmf file; return its path."""
     weights = (np.arange(length) + 1.0) ** -2
-    pmf_to_csv(Pmf1D(weights / weights.sum()), path)
+    pmf_to_csv(Pmf(weights / weights.sum()), path)
     return path
 
 
@@ -58,7 +58,7 @@ def moment(f, k):
 
 def marginal(f2, axis):
     """The law of coordinate `axis` of a draw from the 2-D pmf f2."""
-    return Pmf1D(f2.probs.sum(axis=1 - axis), f2.mass_defect)
+    return Pmf(f2.probs.sum(axis=1 - axis), f2.mass_defect)
 
 
 # two laws whose graphs on 4 nodes are enumerated exactly: every size from 0

@@ -15,7 +15,7 @@ import pytest
 from scipy.stats import poisson
 
 from superpose_net import (
-    DegenerateMarginal,
+    Degenerate,
     GenConfig,
     HypothesisViolation,
     LayerTypeDistribution,
@@ -83,7 +83,7 @@ def test_criterion_02_assortativity_matches_closed_form():
             params = LimitParams(mu, d)
             try:
                 rho = pearson_correlation(limiting_laws(params)[1])
-            except DegenerateMarginal:
+            except Degenerate:
                 ok = False
                 break
             assert rho == pytest.approx(limiting_moments(params).assortativity, abs=1e-6)

@@ -399,9 +399,8 @@ class TestMainExitCodes:
         """Each SuperposeError of errors.py, then an OSError, raised by a
         runner gives the exit code and error kind that README lists."""
         from superpose_net import cli, errors
-        documented = {"ConfigError": (1, "config"), "InsufficientSupport": (2, "degenerate"),
-                      "DegenerateMarginal": (2, "degenerate"), "HypothesisViolation": (3, "hypothesis"),
-                      "InvalidEdgeList": (4, "InvalidEdgeList")}
+        documented = {"ConfigError": (1, "config"), "Degenerate": (2, "degenerate"),
+                      "HypothesisViolation": (3, "hypothesis"), "InvalidEdgeList": (4, "InvalidEdgeList")}
         typed = [obj for obj in vars(errors).values()
                  if isinstance(obj, type) and issubclass(obj, errors.SuperposeError)]
         assert set(documented) < {cls.__name__ for cls in typed}
@@ -520,15 +519,15 @@ class TestMainExitCodes:
         assert json.loads(capsys.readouterr().err)["error"] == "config"
         assert not list(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("rows", ["1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", "",
-                                      "10000000000000,1.0\n", "1,0.0019\n1,1.0\n", "1,inf\n2,-inf\n",
-                                      "1,nan\n", "1,1e308\n2,1e308\n"],
+    @pytest.mark.parametrize("text", [*("s,prob\n" + rows for rows in [
+        "1,abc\n", "1,0.5\n", "1,0.5,0.5\n", "-1,1.0\n", "", "10000000000000,1.0\n", "1,0.0019\n1,1.0\n",
+        "1,inf\n2,-inf\n", "1,nan\n", "1,1e308\n2,1e308\n"]), "0,0.25\n1,0.75\n# mass_defect=0.25\n"],
                              ids=["not_a_number", "mass_not_one", "three_fields", "negative_s", "no_rows",
                                   "s_beyond_longest_law", "s_twice", "inf_and_minus_inf", "nan",
-                                  "mass_overflows"])
-    def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, rows):
+                                  "mass_overflows", "no_header"])
+    def test_bad_pmf_csv_is_config_error(self, tmp_path, capsys, text):
         pmf_csv = tmp_path / "pmf.csv"
-        pmf_csv.write_text("s,prob\n" + rows)
+        pmf_csv.write_text(text)
         doc = {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                       "b": 1, "x_min": 1, "x_max": 100},
                "theory": {"mu": 1.0}, "input": {"pmf_csv": str(pmf_csv)}}
@@ -567,6 +566,21 @@ class TestMainExitCodes:
         assert code == 4
         assert json.loads(capsys.readouterr().err)["error"] == "InvalidEdgeList"
         assert not (tmp_path / "out" / "summary.json").exists()
+
+    @pytest.mark.parametrize("comment", ["# made by tool seed=abc\n", "# run m=1.5\n"], ids=["seed_abc", "m_1_5"])
+    def test_unread_header_values_are_ignored(self, tmp_path, capsys, comment):
+        """m and seed are not read from a graph, so one that is not an
+        integer changes nothing; node ids are checked against n, so n
+        stays strict."""
+        codes = {}
+        for name, text in (("plain", ""), ("commented", comment), ("n_abc", comment + "# n=abc\n")):
+            (tmp_path / f"{name}.edgelist").write_text(text + "1 2\n2 3\n")
+            doc = {"input": {"edge_list": str(tmp_path / f"{name}.edgelist")}}
+            codes[name] = main(["empirical", "--config", json.dumps(doc), "--out", str(tmp_path / name)])
+        assert codes == {"plain": 0, "commented": 0, "n_abc": 4}
+        assert json.loads(capsys.readouterr().err)["error"] == "InvalidEdgeList"
+        assert (tmp_path / "commented" / "summary.json").read_bytes() == \
+            (tmp_path / "plain" / "summary.json").read_bytes()
 
     def test_memory_budget_is_2(self, tmp_path, capsys, monkeypatch):
         import superpose_net.limits as limits_mod

@@ -18,7 +18,7 @@ import pytest
 from scipy.stats import binom
 
 from superpose_net import (
-    DegenerateMarginal,
+    Degenerate,
     GenConfig,
     LayerTypeDistribution,
     LimitParams,
@@ -35,7 +35,7 @@ from superpose_net import (
 )
 from superpose_net import pmf
 from superpose_net.limits import _own_layer, _windows
-from superpose_net.pmf import Pmf1D, Pmf2D, pmf_to_csv
+from superpose_net.pmf import Pmf, pmf_to_csv
 
 from laws import atoms, random_tabular, reference_increment
 
@@ -52,7 +52,7 @@ def reference_compound_poisson(lam, g, tail_epsilon):
         s = len(f)
         f.append(lam / s * sum(kg[k] * f[s - k] for k in range(1, min(s, len(g) - 1) + 1)))
         acc += f[-1]
-    return Pmf1D(np.array(f), mass_defect=max(0.0, 1.0 - math.fsum(f)))
+    return Pmf(np.array(f), mass_defect=max(0.0, 1.0 - math.fsum(f)))
 
 
 def reference_degree(params):
@@ -83,7 +83,7 @@ def reference_bidegree(params):
         conv[u : u + base.shape[0], v : v + base.shape[1]] += fp2[u, v] * base
     shifted = np.zeros((conv.shape[0] + 1, conv.shape[1] + 1))
     shifted[1:, 1:] = conv
-    return Pmf2D(shifted, mass_defect=max(0.0, 1.0 - math.fsum(shifted.ravel().tolist())))
+    return Pmf(shifted, mass_defect=max(0.0, 1.0 - math.fsum(shifted.ravel().tolist())))
 
 
 def _functionals(f2):
@@ -91,7 +91,7 @@ def _functionals(f2):
     for name, fn in (("pearson", pearson_correlation), ("kendall", kendall), ("spearman", spearman)):
         try:
             out[name] = fn(f2)
-        except DegenerateMarginal:
+        except Degenerate:
             out[name] = None
     return out
 
@@ -208,12 +208,12 @@ def test_csv_writers_match_the_line_by_line_writer(tmp_path, monkeypatch):
     for law, reference in (
         (f1, reference_pmf1d_to_csv),
         (f2, reference_pmf2d_to_csv),
-        (Pmf1D(np.array([0.0, 0.5, 0.0, 0.5])), reference_pmf1d_to_csv),
+        (Pmf(np.array([0.0, 0.5, 0.0, 0.5])), reference_pmf1d_to_csv),
         (bidegree_distribution(g), reference_pmf2d_to_csv),
-        (Pmf2D(np.array([[0.0, 0.25, 0.25], [0.25, 0.0, 0.25]])), reference_pmf2d_to_csv),
-        (Pmf2D(np.array([[0.0, 0.0], [0.0, 1.0]])), reference_pmf2d_to_csv),
-        (Pmf1D(np.array([0.2, 0.1, 0.4, 0.0, 0.2, 0.1])), reference_pmf1d_to_csv),
-        (Pmf1D(np.zeros(3), mass_defect=1.0), reference_pmf1d_to_csv),
+        (Pmf(np.array([[0.0, 0.25, 0.25], [0.25, 0.0, 0.25]])), reference_pmf2d_to_csv),
+        (Pmf(np.array([[0.0, 0.0], [0.0, 1.0]])), reference_pmf2d_to_csv),
+        (Pmf(np.array([0.2, 0.1, 0.4, 0.0, 0.2, 0.1])), reference_pmf1d_to_csv),
+        (Pmf(np.zeros(3), mass_defect=1.0), reference_pmf1d_to_csv),
     ):
         reference(law, tmp_path / "old.csv")
         for cells in (pmf._BLOCK_CELLS, 1):

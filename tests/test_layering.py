@@ -48,7 +48,7 @@ def test_the_sampler_imports_neither_the_limits_nor_the_layers_above_it():
 
 def test_the_check_sees_each_import_form(tmp_path):
     path = tmp_path / "m.py"
-    for line in ("from .stats import Pmf1D", "from . import generate", "import superpose_net.study",
+    for line in ("from .stats import Pmf", "from . import generate", "import superpose_net.study",
                  "from superpose_net.cli import main", "from superpose_net import stats"):
         path.write_text(f"import math\n{line}\n")
         assert imported_modules(path) & ABOVE, line

@@ -12,7 +12,7 @@ from superpose_net import (
     LayerTypeDistribution,
     LimitParams,
     MemoryBudgetExceeded,
-    Pmf1D,
+    Pmf,
     RateUnderflow,
     ZeroEdgeMass,
     bidegree_distribution,
@@ -510,7 +510,7 @@ class TestTailValidityWindow:
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 100_000)
         params = LimitParams(1.0, d, tail_epsilon=1e-7)
         f1 = limiting_degree_pmf(params)
-        sb = size_biased(Pmf1D(f1.probs / f1.probs.sum()))
+        sb = size_biased(Pmf(f1.probs / f1.probs.sum()))
         slope, _ = tail_slope_fit(sb, (20, 200))
         pred = tail_prediction(1.0, d)
         assert abs(slope - pred["marginal_exponent"]) < 0.15

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from scipy.stats import kendalltau, spearmanr
 
 from superpose_net import (
-    DegenerateMarginal,
+    Degenerate,
     EmptyGraph,
     GenConfig,
     GraphSample,
     LayerTypeDistribution,
-    Pmf1D,
-    Pmf2D,
+    Pmf,
     ZeroMean,
     bidegree_distribution,
     degree_distribution,
@@ -46,13 +45,13 @@ def pmf2(entries):
     probs = np.zeros((s_max + 1, t_max + 1))
     for (s, t), p in entries.items():
         probs[s, t] = p
-    return Pmf2D(probs)
+    return Pmf(probs)
 
 
 def product_pmf(f, g):
     joint = np.outer(f.probs, g.probs)
     defect = 1.0 - (1.0 - f.mass_defect) * (1.0 - g.mass_defect)
-    return Pmf2D(joint, defect)
+    return Pmf(joint, defect)
 
 
 def pmf2d_from_csv(path):
@@ -72,7 +71,7 @@ def pmf2d_from_csv(path):
     probs = np.zeros((s_max + 1, t_max + 1))
     for (s, t), p in entries.items():
         probs[s, t] = p
-    return Pmf2D(probs, defect)
+    return Pmf(probs, defect)
 
 
 def joint_pmfs(max_val=4):
@@ -81,7 +80,7 @@ def joint_pmfs(max_val=4):
         arr = np.array(flat).reshape(max_val + 1, max_val + 1)
         if arr.sum() == 0:
             arr[0, 0] = 1.0
-        return Pmf2D(arr / arr.sum())
+        return Pmf(arr / arr.sum())
     return st.lists(cell, min_size=(max_val + 1) ** 2, max_size=(max_val + 1) ** 2).map(normalize)
 
 
@@ -135,15 +134,15 @@ class TestBidegreeDistribution:
 
 class TestSizeBiased:
     def test_point_mass_fixed(self):
-        assert size_biased(Pmf1D(np.array([0, 0, 0, 1.0]))).probs[3] == 1.0
+        assert size_biased(Pmf(np.array([0, 0, 0, 1.0]))).probs[3] == 1.0
 
     def test_two_point(self):
-        f = Pmf1D(np.array([0.0, 2 / 3, 1 / 3]))
+        f = Pmf(np.array([0.0, 2 / 3, 1 / 3]))
         assert size_biased(f).probs == pytest.approx([0, 0.5, 0.5])
 
     def test_delta0_raises(self):
         with pytest.raises(ZeroMean):
-            size_biased(Pmf1D(np.array([1.0])))
+            size_biased(Pmf(np.array([1.0])))
 
 
 class TestPearson:
@@ -151,11 +150,11 @@ class TestPearson:
         assert pearson_correlation(bidegree_distribution(path3())) == pytest.approx(-1.0)
 
     def test_regular_graph_degenerate(self):
-        with pytest.raises(DegenerateMarginal):
+        with pytest.raises(Degenerate):
             pearson_correlation(bidegree_distribution(k4()))
 
     def test_product_is_zero(self):
-        g = Pmf1D(np.array([0.3, 0.5, 0.2]))
+        g = Pmf(np.array([0.3, 0.5, 0.2]))
         assert pearson_correlation(product_pmf(g, g)) == pytest.approx(0.0, abs=1e-14)
 
     @given(joint_pmfs())
@@ -163,10 +162,10 @@ class TestPearson:
     def test_transpose_invariance_and_range(self, f):
         try:
             rho = pearson_correlation(f)
-        except DegenerateMarginal:
+        except Degenerate:
             return
         assert -1 - 1e-9 <= rho <= 1 + 1e-9
-        assert pearson_correlation(Pmf2D(f.probs.T)) == pytest.approx(rho, abs=1e-12)
+        assert pearson_correlation(Pmf(f.probs.T)) == pytest.approx(rho, abs=1e-12)
 
 
 class TestKendall:
@@ -177,7 +176,7 @@ class TestKendall:
         assert kendall(pmf2({(0, 1): 0.5, (1, 0): 0.5})) == pytest.approx(-1.0)
 
     def test_product_is_zero(self):
-        g = Pmf1D(np.array([0.2, 0.3, 0.5]))
+        g = Pmf(np.array([0.2, 0.3, 0.5]))
         assert kendall(product_pmf(g, g)) == pytest.approx(0.0, abs=1e-14)
 
     @staticmethod
@@ -195,7 +194,7 @@ class TestKendall:
 
     def test_exhaustive_enumeration_oracle(self, rng):
         probs = rng.random((4, 4))
-        f = Pmf2D(probs / probs.sum())
+        f = Pmf(probs / probs.sum())
         assert kendall(f) == pytest.approx(self.by_enumeration(f.probs), abs=1e-12)
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
@@ -206,7 +205,7 @@ class TestKendall:
             probs = rng.integers(0, 4, size=rng.integers(4, 8, size=2)).astype(float)
             probs[rng.integers(len(probs))] = probs[0]  # a tied row
             probs[rng.integers(len(probs))] = 0.0  # an all-zero row
-            f = Pmf2D(probs / probs.sum())
+            f = Pmf(probs / probs.sum())
             occupied_cols = np.count_nonzero(f.probs.sum(axis=0))
             monkeypatch.setattr(pmf, "_BLOCK_CELLS", rows_per_block * occupied_cols)
             assert kendall(f) == pytest.approx(self.by_enumeration(f.probs), abs=1e-12)
@@ -216,7 +215,7 @@ class TestKendall:
     def test_range(self, f):
         try:
             tau = kendall(f)
-        except DegenerateMarginal:
+        except Degenerate:
             return
         assert -1 - 1e-9 <= tau <= 1 + 1e-9
 
@@ -229,11 +228,11 @@ class TestSpearman:
         assert spearman(pmf2({(0, 1): 0.5, (1, 0): 0.5})) == pytest.approx(-1.0)
 
     def test_product_is_zero(self):
-        g = Pmf1D(np.array([0.1, 0.4, 0.5]))
+        g = Pmf(np.array([0.1, 0.4, 0.5]))
         assert spearman(product_pmf(g, g)) == pytest.approx(0.0, abs=1e-14)
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateMarginal):
+        with pytest.raises(Degenerate):
             spearman(pmf2({(1, 0): 0.5, (1, 1): 0.5}))
 
 
@@ -253,11 +252,11 @@ class TestFunctionals:
     @given(joint_pmfs(), st.lists(st.integers(0, 5), max_size=8), st.lists(st.integers(0, 5), max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_rank_functionals_ignore_empty_rows_and_columns(self, f, rows, cols):
-        padded = Pmf2D(np.insert(np.insert(f.probs, rows, 0.0, axis=0), cols, 0.0, axis=1))
+        padded = Pmf(np.insert(np.insert(f.probs, rows, 0.0, axis=0), cols, 0.0, axis=1))
         for rank in (kendall, spearman):
             try:
                 want = rank(f)
-            except DegenerateMarginal:
+            except Degenerate:
                 continue
             assert rank(padded) == pytest.approx(want, abs=1e-14)
 
@@ -302,7 +301,7 @@ def sparse_support():
     s, t = values[rng.integers(0, 8, size=(2, 300))]
     probs = np.zeros((60, 60))
     np.add.at(probs, (np.concatenate([s, t]), np.concatenate([t, s])), 1.0 / 600)
-    return Pmf2D(probs), s, t
+    return Pmf(probs), s, t
 
 
 class TestStreamingAgreement:
@@ -360,7 +359,7 @@ class TestLayerSubgraphCounts:
 
 class TestCsv:
     def test_pmf1d_round_trip(self, tmp_path):
-        f = Pmf1D(np.array([0.25, 0.5, 0.125]), mass_defect=0.125)
+        f = Pmf(np.array([0.25, 0.5, 0.125]), mass_defect=0.125)
         path = tmp_path / "f.csv"
         pmf_to_csv(f, path)
         lines = path.read_text().splitlines()
@@ -371,7 +370,7 @@ class TestCsv:
         assert back.mass_defect == f.mass_defect
 
     def test_pmf2d_round_trip(self, tmp_path):
-        f = Pmf2D(np.array([[0.5, 0.25], [0.25, 0.0]]))
+        f = Pmf(np.array([[0.5, 0.25], [0.25, 0.0]]))
         path = tmp_path / "f2.csv"
         pmf_to_csv(f, path)
         assert path.read_text().splitlines()[0] == "s,t,prob"

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from superpose_net import (
+    Degenerate,
     GenConfig,
     GraphSample,
-    InsufficientSupport,
     LayerTypeDistribution,
     LimitParams,
-    Pmf1D,
-    Pmf2D,
+    Pmf,
     StudySpec,
     bidegree_counts,
     generate_graph,
@@ -34,28 +33,28 @@ from laws import SMALL_GRAPH_LAWS, edge_set_law
 def delta1d(k):
     p = np.zeros(k + 1)
     p[k] = 1.0
-    return Pmf1D(p)
+    return Pmf(p)
 
 
 class TestTvDistance:
     def test_identical_is_zero(self):
-        f = Pmf1D(np.array([0.5, 0.5]))
+        f = Pmf(np.array([0.5, 0.5]))
         assert tv_distance_1d(f, f) == 0.0
 
     def test_disjoint_supports(self):
         assert tv_distance_1d(delta1d(0), delta1d(1)) == 1.0
 
     def test_half(self):
-        assert tv_distance_1d(Pmf1D(np.array([0.5, 0.5])), delta1d(0)) == pytest.approx(0.5)
+        assert tv_distance_1d(Pmf(np.array([0.5, 0.5])), delta1d(0)) == pytest.approx(0.5)
 
     def test_mass_defect_counts(self):
-        f = Pmf1D(np.array([0.9]), mass_defect=0.1)
-        g = Pmf1D(np.array([0.9]), mass_defect=0.1)
+        f = Pmf(np.array([0.9]), mass_defect=0.1)
+        g = Pmf(np.array([0.9]), mass_defect=0.1)
         assert tv_distance_1d(f, g) == pytest.approx(0.1)
 
     def test_2d(self):
-        a = Pmf2D(np.array([[1.0]]))
-        b = Pmf2D(np.array([[0.0, 0.5], [0.5, 0.0]]))
+        a = Pmf(np.array([[1.0]]))
+        b = Pmf(np.array([[0.0, 0.5], [0.5, 0.0]]))
         assert tv_distance_1d(a, a) == 0.0
         assert tv_distance_1d(a, b) == 1.0
 
@@ -65,7 +64,7 @@ class TestTailSlopeFit:
         t = np.arange(hi + 1, dtype=float)
         p = np.zeros(hi + 1)
         p[lo:] = t[lo:] ** -exponent
-        return Pmf1D(p / p.sum())
+        return Pmf(p / p.sum())
 
     def test_exact_power_law_slope_two(self):
         slope, stderr = tail_slope_fit(self._power_pmf(2.0), (10, 500))
@@ -77,7 +76,7 @@ class TestTailSlopeFit:
         assert slope == pytest.approx(1.25, abs=0.01)
 
     def test_insufficient_support(self):
-        with pytest.raises(InsufficientSupport):
+        with pytest.raises(Degenerate):
             tail_slope_fit(self._power_pmf(2.0, hi=12), (10, 500))
 
     @pytest.mark.parametrize("counts", [[40, 30, 20], [40, 60, 20]])
@@ -85,7 +84,7 @@ class TestTailSlopeFit:
         """The default window runs from 10 to the largest degree that 50
         nodes hold; when that degree is below 10 the rule is reported, not
         an inverted range."""
-        with pytest.raises(InsufficientSupport, match=r"^no degree of at least 10 is held by 50 nodes, "):
+        with pytest.raises(Degenerate, match=r"^no degree of at least 10 is held by 50 nodes, "):
             _tail_fit(np.array(counts), None)
 
 
@@ -113,6 +112,17 @@ class TestRunStudy:
         assert report.theory["assortativity"] == limiting_moments(params).assortativity
         assert report.theory["kendall"] == kendall(f2)
         assert report.theory["spearman"] == spearman(f2)
+
+    def test_theory_row_holds_only_the_named_rank_correlations(self, monkeypatch):
+        import superpose_net.pmf as pmf_mod
+
+        def never(f):
+            raise AssertionError("spearman was evaluated but not named")
+
+        monkeypatch.setitem(pmf_mod.FUNCTIONALS, "spearman", never)
+        report = run_study(StudySpec(**{**self.SPEC, "n_grid": (200,), "metrics": ("kendall",)}))
+        assert sorted(report.theory) == ["bidegree_mass_defect", "kendall"]
+        assert report.theory["kendall"] == kendall(limiting_laws(LimitParams(self.SPEC["mu"], self.SPEC["dist"]))[1])
 
     def test_bidegree_law_is_evaluated_once(self, monkeypatch):
         import superpose_net.limits as limits_mod
@@ -207,7 +217,7 @@ class TestRunStudy:
                       for rep in range(spec.replications)]
             width = max(len(t) for t in tables)
             total = sum(np.pad(t, (0, width - len(t))) for t in tables)
-            assert report.summary[str(n)]["assortativity_pooled"] == pearson_correlation(Pmf2D(total / total.sum()))
+            assert report.summary[str(n)]["assortativity_pooled"] == pearson_correlation(Pmf(total / total.sum()))
 
     def test_summary_keeps_a_metric_degenerate_in_every_replication(self):
         # one layer of two nodes: every bidegree is (1, 1), a point mass
