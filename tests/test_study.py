@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 from itertools import combinations
 
@@ -25,7 +27,8 @@ from superpose_net import (
     tail_slope_fit,
     tv_distance_1d,
 )
-from superpose_net.study import _cell_seed, _tail_fit
+from superpose_net.cli import main
+from superpose_net.study import ALL_METRICS, _cell_seed, _tail_fit
 
 from laws import SMALL_GRAPH_LAWS, edge_set_law
 
@@ -267,6 +270,27 @@ class TestRunStudy:
         # each of these used to pass the spec and fail inside run_study
         with pytest.raises(ValueError):
             StudySpec(**{**self.SPEC, **changes})
+
+
+class TestStudyFiles:
+    """Pin the bytes of converge's study CSV and JSON: a change to these
+    hashes changes what a study reports, and needs a CHANGES.md entry."""
+
+    @pytest.mark.parametrize("dist, study, digests", [
+        ({"family": "power_law", "alpha": 3, "beta": 0.5, "b": 1, "x_min": 1, "x_max": 2000},
+         {"mu": 1, "n_grid": [20000, 40000], "replications": 3, "seed": 1, "metrics": list(ALL_METRICS)},
+         ("e3c3b85d797c1b1061284a3ec40dc5c364c5c7192a6dba772be9960917add919",
+          "62fd60f2f706384b1d49f8153ce36f6b2524f6d5b780a6ba2c63ba561f358aba")),
+        ({"family": "constant", "size": 2, "strength": 1},
+         {"mu": 0.25, "n_grid": [4, 8], "replications": 3, "seed": 1},
+         ("418c59ba14392beaa01c3fc33c5f40deb961dae0502bb02d3f0fdffd06db96fc",
+          "ca60eea9bbf35492eef058592aab3d28d37319e9d208489bbeefbb5a21154c79")),
+    ], ids=["power_law_all_metrics", "one_layer_of_two_nodes"])
+    def test_study_file_hashes(self, tmp_path, dist, study, digests):
+        doc = {"layer_distribution": dist, "study": study}
+        assert main(["converge", "--config", json.dumps(doc), "--out", str(tmp_path)]) == 0
+        files = [next(tmp_path.glob(f"study_seed1_*.{ext}")) for ext in ("csv", "json")]
+        assert tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in files) == digests
 
 
 class TestExactFiniteN:
