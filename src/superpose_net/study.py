@@ -167,21 +167,18 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
     bideg_metrics = [m for m in ALL_METRICS if m in spec.metrics and (m == "tv2" or m in FUNCTIONALS)]
     correlations = [m for m in bideg_metrics if m in FUNCTIONALS]
 
-    def bideg_values(f: Pmf) -> dict:
-        """The bidegree metrics of f, each degenerate one as functionals gives it."""
+    def bideg_values(table: np.ndarray) -> dict:
+        """The bidegree metrics of the law of a table of directed-pair counts."""
+        if not table.any():
+            return {k: v for m in bideg_metrics for k, v in ((m, None), (f"{m}_degenerate", "no edges"))}
+        f = Pmf(table / table.sum())
         values = {"tv2": tv_distance_1d(f, f2)} if "tv2" in spec.metrics else {}
         return {**values, **functionals(f, correlations)}
 
     for ni, n in enumerate(spec.n_grid):
-        per_metric: dict[str, list] = {}  # metric: [(value, reason it is None)]
+        cells = []  # per replication, {metric: (value, reason it is None)}
         bideg_counts = np.zeros((1, 1))  # directed adjacent pairs per bidegree, summed over replications
         degree_counts = np.zeros(1)
-
-        def note(metric, rep, value, reason=None):
-            msg = "" if reason is None else f"degenerate: {reason}"
-            report.rows.append({"n": n, "replication": rep, "metric": metric, "value": value, "note": msg})
-            per_metric.setdefault(metric, []).append((value, reason))
-
         for rep in range(spec.replications):
             cfg = GenConfig(
                 n=n, mu=spec.mu, seed=_cell_seed(spec.seed, ni, rep),
@@ -189,37 +186,28 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             )
             g = generate_graph(cfg, spec.dist)
             counts = np.bincount(g.degrees)
-            degree_counts = _pooled(degree_counts, counts)
-
-            if "tv1" in spec.metrics:
-                note("tv1", rep, tv_distance_1d(Pmf(counts / n), f1))
-
+            values = {"tv1": tv_distance_1d(Pmf(counts / n), f1)} if "tv1" in spec.metrics else {}
             if bideg_metrics:
-                if g.edge_count == 0:
-                    for metric in bideg_metrics:
-                        note(metric, rep, None, "no edges")
-                else:
-                    table = bidegree_counts(g)
-                    bideg_counts = _pooled(bideg_counts, table)
-                    values = bideg_values(Pmf(table / table.sum()))
-                    for metric in bideg_metrics:
-                        note(metric, rep, values[metric], values.get(f"{metric}_degenerate"))
-
+                table = bidegree_counts(g) if g.edge_count else np.zeros((1, 1))
+                bideg_counts = _pooled(bideg_counts, table)
+                values.update(bideg_values(table))
             if "tail_slope" in spec.metrics:
+                degree_counts = _pooled(degree_counts, counts)
                 try:
-                    note("tail_slope", rep, _tail_fit(counts, spec.fit_range)[0])
+                    values["tail_slope"] = _tail_fit(counts, spec.fit_range)[0]
                 except Degenerate as exc:
-                    note("tail_slope", rep, None, str(exc))
-
+                    values.update(tail_slope=None, tail_slope_degenerate=str(exc))
             if "subgraph_counts" in spec.metrics:
-                for name, value in layer_subgraph_counts(g.layer_records).items():
-                    note(name, rep, value)
+                values.update(layer_subgraph_counts(g.layer_records))
 
-        agg = {metric: _summary(notes) for metric, notes in per_metric.items()}
+            cell = {m: (v, values.get(f"{m}_degenerate")) for m, v in values.items() if not m.endswith("_degenerate")}
+            report.rows += [{"n": n, "replication": rep, "metric": m, "value": v,
+                             "note": "" if why is None else f"degenerate: {why}"} for m, (v, why) in cell.items()]
+            cells.append(cell)
 
+        agg = {metric: _summary([cell[metric] for cell in cells]) for metric in cells[0]}
         if bideg_counts.any():  # the bidegree law pooled over all edges and replications
-            pooled = bideg_values(Pmf(bideg_counts / bideg_counts.sum()))
-            agg.update({f"{k}_pooled": v for k, v in pooled.items()})
+            agg.update({f"{k}_pooled": v for k, v in bideg_values(bideg_counts).items()})
         if "tail_slope" in spec.metrics:
             try:
                 slope, stderr, fit_range = _tail_fit(degree_counts, spec.fit_range)
