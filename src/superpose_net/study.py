@@ -206,14 +206,14 @@ def run_study(spec: StudySpec) -> ConvergenceReport:
             cells.append(cell)
 
         agg = {metric: _summary([cell[metric] for cell in cells]) for metric in cells[0]}
-        if bideg_counts.any():  # the bidegree law pooled over all edges and replications
+        if bideg_metrics:  # the bidegree law pooled over all edges and replications
             agg.update({f"{k}_pooled": v for k, v in bideg_values(bideg_counts).items()})
         if "tail_slope" in spec.metrics:
             try:
                 slope, stderr, fit_range = _tail_fit(degree_counts, spec.fit_range)
                 agg.update(tail_slope_pooled=slope, tail_slope_pooled_stderr=stderr, fit_range=list(fit_range))
-            except Degenerate:
-                agg["tail_slope_pooled"] = None
+            except Degenerate as exc:
+                agg.update(tail_slope_pooled=None, tail_slope_degenerate_pooled=str(exc))
 
         report.summary[str(n)] = agg
 

@@ -236,18 +236,25 @@ class TestRunStudy:
         assert agg["tv1"]["count"] == 3 and agg["tv1"]["degenerate"] == 0
         assert agg["tv1"]["degenerate_reason"] is None
 
-    @pytest.mark.parametrize("dist", [
-        LayerTypeDistribution.constant(2, 0.0), LayerTypeDistribution.constant(1, 1.0),
-    ], ids=["strength_0", "size_1"])
-    def test_edgeless_replications_leave_the_tail_slope_degenerate(self, dist):
+    @pytest.mark.parametrize("dist, metrics", [
+        (LayerTypeDistribution.constant(2, 0.0), ("tail_slope",)),
+        (LayerTypeDistribution.constant(1, 1.0), ("tail_slope",)),
+        # edges in the limit, but none at these n
+        (LayerTypeDistribution.constant(2, 1e-9), ("tv2", "assortativity", "kendall", "spearman", "tail_slope")),
+    ], ids=["strength_0", "size_1", "strength_1e-9"])
+    def test_edgeless_replications_leave_the_tail_slope_degenerate(self, dist, metrics):
+        """Every row, every per-n entry and every pooled value of a study
+        without edges is degenerate, and each says why."""
         report = run_study(StudySpec(
-            dist=dist, mu=0.5, n_grid=(8, 20), replications=4, seed=3, metrics=("tail_slope",),
+            dist=dist, mu=0.5, n_grid=(8, 20), replications=4, seed=3, metrics=metrics,
         ))
-        assert [row["note"] for row in report.rows] == ["degenerate: no edges"] * 8
+        assert [row["note"] for row in report.rows] == ["degenerate: no edges"] * 8 * len(metrics)
         for agg in report.summary.values():
-            assert agg["tail_slope"]["degenerate"] == 4
-            assert agg["tail_slope"]["degenerate_reason"] == "no edges"
-            assert agg["tail_slope_pooled"] is None
+            for metric in metrics:
+                assert agg[metric]["degenerate"] == 4
+                assert agg[metric]["degenerate_reason"] == "no edges"
+                assert agg[f"{metric}_pooled"] is None
+                assert agg[f"{metric}_degenerate_pooled"] == "no edges"
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
