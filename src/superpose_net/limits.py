@@ -113,10 +113,16 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf:
     the own-layer law m', by the recursion
         f(0) = exp(-nu sum_j m'(j) / (j + 1)),
         f(s) = (nu / s) * sum_{j=0}^{s-1} m'(j) f(s - 1 - j),
-    truncated at the smallest support where the remaining tail mass drops
-    below tail_epsilon.  If the support cap is hit first (heavy-tailed
-    layers), the recorded mass defect exceeds tail_epsilon honestly.
-    RateUnderflow if f(0) is 0, as it is at nu = inf.
+    truncated at the smallest support s where the remaining tail mass
+    1 - sum f drops below tail_epsilon, or where the tail past s is
+    provably at most tail_epsilon: s >= 2 nu and the last L = len(m')
+    values are each at most tail_epsilon / L.  As sum m' = 1, the tail T
+    past s then has T <= (1/2)(L tail_epsilon / L + T) (derived, not
+    quoted); this stop is reached where rounding keeps 1 - sum f above a
+    small tail_epsilon.  The recorded mass defect is 1 - sum f, which
+    exceeds tail_epsilon honestly at such a stop or if the support cap is
+    hit first (heavy-tailed layers).  RateUnderflow if f(0) is 0, as it is
+    at nu = inf.
 
     f1 is compound Poisson with rate mu * P_10 and increments from the
     Bin(x-1, y) laws weighted by x * P(x, y).  Its standard recursion
@@ -128,8 +134,8 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf:
         raise RateUnderflow(f"f(0) = exp(-nu sum_j m'(j) / (j + 1)) underflows to 0 at nu = {nu:g}")
     f = np.zeros(1024)  # doubled when full
     f[0] = acc
-    s = 0
-    while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT:
+    s = last_big = 0  # last_big: the last s with f(s) > tail_epsilon / len(m')
+    while 1.0 - acc >= tail_epsilon and s < _MAX_SUPPORT and (s < 2 * nu or s - last_big < len(marginal)):
         s += 1
         if s == len(f):
             f = np.concatenate([f, np.zeros(len(f))])
@@ -138,6 +144,8 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf:
         val = (nu / s) * float(marginal[: s - lo] @ f[lo:s][::-1].copy())
         f[s] = val
         acc += val
+        if val > tail_epsilon / len(marginal):
+            last_big = s
     probs = f[: s + 1]
     return Pmf(probs, mass_defect=max(0.0, 1.0 - math.fsum(probs.tolist())))
 

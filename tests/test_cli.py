@@ -771,6 +771,20 @@ class TestMainExitCodes:
         }), "--out", str(tmp_path)]) == 0
         assert time.perf_counter() - start < 2.0
 
+    def test_theory_at_a_tail_epsilon_below_rounding_exits_0(self, tmp_path, monkeypatch):
+        """The degree law of constant(50, 0.3) at tail_epsilon 1e-15 stops
+        near 1800 points, so its bidegree law fits; the files are not
+        written, as the 1851 x 1851 law takes seconds to format."""
+        import superpose_net.cli as cli_mod
+
+        shapes = []
+        monkeypatch.setattr(cli_mod, "pmf_to_csv", lambda f, path: shapes.append(f.probs.shape))
+        assert main(["theory", "--config", json.dumps({
+            "layer_distribution": {"family": "constant", "size": 50, "strength": 0.3},
+            "theory": {"mu": 1.0, "tail_epsilon": 1e-15},
+        }), "--out", str(tmp_path)]) == 0
+        assert len(shapes) == 2 and max(map(max, shapes)) < 10_000
+
     def test_theory_evaluates_each_law_once(self, tmp_path, monkeypatch):
         import superpose_net.limits as limits_mod
 

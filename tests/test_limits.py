@@ -212,6 +212,23 @@ class TestLimitingDegree:
         f = limiting_degree_pmf(LimitParams(1.0, LayerTypeDistribution.constant(3, 0.5)))
         assert moment(f, 1) == pytest.approx(3.0, abs=1e-8)
 
+    @pytest.mark.parametrize("dist, eps", [
+        (LayerTypeDistribution.constant(50, 0.3), 1e-15), (LayerTypeDistribution.constant(3, 0.5), 2.2e-16),
+        (LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), 2.2e-16),
+    ], ids=["constant_50_at_1e-15", "constant_3_at_2.2e-16", "two_atom_at_2.2e-16"])
+    def test_a_tail_epsilon_below_rounding_stops_where_the_tail_is_small(self, dist, eps):
+        """Rounding leaves 1 - sum f about 1e-14 above the law's true tail,
+        so below that the law stops where its tail is provably at most
+        eps, far short of the support cap, and records its sum's defect."""
+        start = time.perf_counter()
+        f = limiting_degree_pmf(LimitParams(1.0, dist, eps))
+        assert time.perf_counter() - start < 0.5
+        assert len(f.probs) < 10_000
+        longer = limiting_degree_pmf(LimitParams(1.0, dist, 1e-300))
+        assert longer.probs[: len(f.probs)].tolist() == f.probs.tolist()
+        assert longer.probs[len(f.probs) :].sum() <= eps
+        assert f.mass_defect == max(0.0, 1.0 - math.fsum(f.probs.tolist())) < 1e-13
+
 
 class TestRateUnderflow:
     def test_underflowing_zero_mass_raises_quickly(self):
