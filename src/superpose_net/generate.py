@@ -27,6 +27,8 @@ from .layers import LayerTypeDistribution
 _DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
 _DENSE_STRENGTH = 0.25
+_CODE_SDS = 5  # standard deviations above its mean at which the budget counts the edge codes drawn
+_ARRAY_BYTES = 256  # an array object beside its data, and its slot in a list
 _WRITE_ROWS = 1 << 16  # edges, or layers, formatted per block; bounds the text held at once
 # largest n whose edge codes i * n + j fit in an int64
 _MAX_NODES = math.isqrt(2**63 - 1)
@@ -192,19 +194,25 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     """Raise MemoryBudgetExceeded if sampling the graph would not fit."""
     x = np.minimum(dist.sizes, config.n).astype(float)  # the sampler clamps sizes to n
     pairs = x * (x - 1) / 2
-    codes = config.m * float(dist.probs @ (pairs * dist.strengths))  # expected edge codes
+    per_layer = pairs * dist.strengths  # mean edge codes a layer of each atom draws, Bin(pairs, strength)
+    # a layer's variance, plus that of its mean across atoms, as the layer types are one multinomial draw
+    var = float(dist.probs @ (per_layer * (1 - dist.strengths) + per_layer**2)) - float(dist.probs @ per_layer) ** 2
+    codes = config.m * float(dist.probs @ per_layer) + _CODE_SDS * math.sqrt(config.m * max(var, 0.0))
     # a word a layer (the permutation of kept layers), and the largest of three peaks: sampling holds
     # the codes so far and one block of an atom's layers, at 26 bytes a label as it draws the subsets,
     # then 8 a label, 9 a pair at a dense strength and 40 an edge, and 18 a pair of one layer where
     # the block decodes from a pair table; joining the codes holds 16 bytes a code; the union 9 a code
-    # and 16 a distinct edge.  Kept layers add 11 words a layer, 4 a node and 5 an edge as they are
-    # reordered
+    # and 16 a distinct edge.  Until the join, each block's codes are one more array in a list.  Kept
+    # layers add 11 words a layer, 4 a node and 5 an edge as they are reordered
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
     layers = np.minimum(config.m, np.maximum(1, _DRAW_BUDGET // np.maximum(np.maximum(pairs, x), 1)))
     table = pairs <= np.minimum(4 * layers * pairs * dist.strengths, _DRAW_BUDGET)  # as _sample_group decides
     block = layers * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 40 * dist.strengths)) + 18 * pairs * table
+    # at most one part-filled block per atom besides the full ones
+    arrays = _ARRAY_BYTES * (config.m * float(dist.probs @ (1 / layers)) + min(config.m, len(x)))
     edges = min(codes, config.n * (config.n - 1) / 2)
-    need = 8 * config.m + max(8 * codes + float(np.max(block, initial=0)), 16 * codes, 9 * codes + 16 * edges)
+    need = 8 * config.m + max(8 * codes + float(np.max(block, initial=0)) + arrays, 16 * codes + arrays,
+                              9 * codes + 16 * edges)
     if config.keep_layer_records:
         need += config.m * (88 + 32 * float(dist.probs @ x)) + 40 * codes
     check_memory(need, "sampled layers")

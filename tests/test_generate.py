@@ -232,22 +232,30 @@ class TestGenerateGraph:
         assert peaks[1] <= counted[1]
         assert peaks[1] - peaks[0] <= counted[1] - counted[0]
 
-    @pytest.mark.parametrize("d, n, m", [
-        (LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), 2_000_000, 2_000_000),
-        (LayerTypeDistribution.constant(50, 0.1), 1000, 20_000),
-        (LayerTypeDistribution.constant(50, 0.01), 1000, 20_000),
-    ], ids=["two_atom_n_2e6", "constant_50_on_1000_nodes", "sparse_constant_50_on_1000_nodes"])
-    def test_peak_is_within_the_sampler_budget(self, monkeypatch, d, n, m):
+    @pytest.mark.parametrize("d, n, m, seed", [
+        (LayerTypeDistribution.tabular([(2, 1.0, 0.5), (4, 1.0, 0.5)]), 2_000_000, 2_000_000, 1),
+        (LayerTypeDistribution.constant(50, 0.1), 1000, 20_000, 1),
+        (LayerTypeDistribution.constant(50, 0.01), 1000, 20_000, 1),
+        (LayerTypeDistribution.constant(900, 0.001), 1000, 20_000, 1),
+        (LayerTypeDistribution.constant(900, 0.001), 1000, 20_000, 2),
+        (LayerTypeDistribution.constant(3000, 0.001), 1_000_000, 20, 1),
+        (LayerTypeDistribution.constant(3000, 0.001), 1_000_000, 20, 2),
+    ], ids=["two_atom_n_2e6", "constant_50_on_1000_nodes", "sparse_constant_50_on_1000_nodes",
+            "2000_blocks_seed_1", "2000_blocks_seed_2", "20_blocks_on_1e6_nodes_seed_1",
+            "20_blocks_on_1e6_nodes_seed_2"])
+    def test_peak_is_within_the_sampler_budget(self, monkeypatch, d, n, m, seed):
         """Without records, the bytes tracemalloc sees at the peak of
         generate_graph stay under what check_sampler_budget counts: one
         block of dense layers as it codes its pairs, the union of codes
-        that mostly differ (n = 2e6) or mostly repeat (n = 1000), and a
-        block drawn while the one before it is still held (sparse)."""
+        that mostly differ (n = 2e6) or mostly repeat (n = 1000), a
+        block drawn while the one before it is still held (sparse), the
+        array objects of 2000 blocks as they are joined, and more codes
+        than their mean (seed 1 of both constant(x, 0.001) laws)."""
         counted = []
         monkeypatch.setattr(generate, "check_memory", lambda need, what: counted.append(need))
         tracemalloc.start()
         try:
-            generate_graph(GenConfig(n=n, layers=m, seed=1), d)
+            generate_graph(GenConfig(n=n, layers=m, seed=seed), d)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
