@@ -162,6 +162,11 @@ def _summary(notes) -> dict:
 
 
 def run_study(spec: StudySpec) -> ConvergenceReport:
+    """Each replication fills one dict of values, as functionals does: a
+    value under its metric, or None with the reason under
+    <metric>_degenerate ("no edges" for each bidegree metric of a graph
+    without edges).  The CSV rows and the per-n summary both read it, and
+    each pooled metric follows the same convention under <metric>_pooled."""
     theory, f1, f2 = _theory_values(spec)
     report = ConvergenceReport(theory=theory)
     bideg_metrics = [m for m in ALL_METRICS if m in spec.metrics and (m == "tv2" or m in FUNCTIONALS)]
