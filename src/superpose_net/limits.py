@@ -114,14 +114,14 @@ def _degree_law(nu: float, marginal: np.ndarray, tail_epsilon: float) -> Pmf:
         f(0) = exp(-nu sum_j m'(j) / (j + 1)),
         f(s) = (nu / s) * sum_{j=0}^{s-1} m'(j) f(s - 1 - j),
     truncated at the smallest support s where the remaining tail mass
-    1 - sum f drops below tail_epsilon, or where the tail past s is
-    provably at most tail_epsilon: s >= 2 nu and the last L = len(m')
-    values are each at most tail_epsilon / L.  As sum m' = 1, the tail T
-    past s then has T <= (1/2)(L tail_epsilon / L + T) (derived, not
-    quoted); this stop is reached where rounding keeps 1 - sum f above a
-    small tail_epsilon.  The recorded mass defect is 1 - sum f, which
-    exceeds tail_epsilon honestly at such a stop or if the support cap is
-    hit first (heavy-tailed layers).  RateUnderflow if f(0) is 0, as it is
+    1 - sum f drops below tail_epsilon, or where the tail T past s is
+    provably at most tail_epsilon: s >= 2 nu and the last len(m') values
+    each at most tail_epsilon / len(m'), so that, as sum m' = 1,
+    T <= (T + tail_epsilon) / 2 (derived, not quoted).  Rounding keeps
+    1 - sum f above a tail_epsilon below about 1e-14, so only this stop
+    ends such a law.  The recorded mass defect is 1 - sum f, which
+    exceeds tail_epsilon honestly there and if the support cap is hit
+    first (heavy-tailed layers).  RateUnderflow if f(0) is 0, as it is
     at nu = inf.
 
     f1 is compound Poisson with rate mu * P_10 and increments from the
