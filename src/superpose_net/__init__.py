@@ -9,8 +9,8 @@ import importlib
 __version__ = "0.4.0"
 
 _EXPORTS = {
-    "errors": ("ConfigError", "Degenerate", "EmptyGraph", "HypothesisViolation", "InvalidEdgeList",
-               "MemoryBudgetExceeded", "MissingRecords", "RateUnderflow", "SuperposeError", "ZeroEdgeMass", "ZeroMean"),
+    "errors": ("ConfigError", "Degenerate", "HypothesisViolation", "InvalidEdgeList", "MemoryBudgetExceeded",
+               "MissingRecords", "RateUnderflow", "SuperposeError"),
     "generate": ("GenConfig", "GraphSample", "generate_graph", "read_edge_list", "write_edge_list"),
     "layers": ("LayerTypeDistribution", "cross_moment", "edge_biased_distribution", "edge_mass"),
     "limits": ("LimitParams", "MomentReport", "limit_values", "limiting_degree_pmf", "limiting_laws",

@@ -22,6 +22,10 @@ from functools import partial
 from pathlib import Path
 from typing import Optional
 
+# a CLI process runs BLAS on one thread, set before numpy loads and reads it:
+# more threads were not faster, and their split of a matrix product changes the last bits of f2
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+
 from . import __version__
 from .errors import ConfigError, Degenerate, HypothesisViolation, InvalidEdgeList, SuperposeError
 from .layers import LayerTypeDistribution

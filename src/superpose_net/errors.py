@@ -6,14 +6,6 @@ class SuperposeError(Exception):
     """Base class for all toolkit errors."""
 
 
-class ZeroEdgeMass(SuperposeError):
-    """The layer distribution produces no edges in the limit (P_21 = 0)."""
-
-
-class ZeroMean(SuperposeError):
-    """Size-biasing requested for a distribution with zero mean."""
-
-
 class RateUnderflow(SuperposeError):
     """Compound Poisson rate so large that P(sum = 0) underflows to zero."""
 
@@ -34,13 +26,11 @@ def check_memory(need: float, what: str) -> None:
         )
 
 
-class EmptyGraph(SuperposeError):
-    """The graph has no nodes, or no edges where an operation needs one."""
-
-
 class Degenerate(SuperposeError):
-    """A statistic is undefined on its input: a correlation whose marginal
-    has zero variance, or a tail fit with too few positive-mass points."""
+    """A quantity is undefined on its input: a limit law of a layer law
+    without edges (P_21 = 0), a law of a graph without nodes or edges, a
+    correlation whose marginal has zero variance or whose law has no mass,
+    a size-biased law of zero mean, or a tail fit with too few points."""
 
 
 class InvalidEdgeList(SuperposeError):
@@ -53,23 +43,12 @@ class MissingRecords(SuperposeError):
 
 
 class HypothesisViolation(SuperposeError):
-    """Power-law tail hypotheses violated.
-
-    Carries the full list of failed conditions in ``violations``.
-    """
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(self.violations))
+    """Power-law tail hypotheses violated; the message names each one."""
 
 
 class ConfigError(SuperposeError):
-    """Invalid run configuration.
-
-    ``field`` is a dotted path into the offending config entry.
-    """
+    """Invalid run configuration; field is a dotted path into the offending
+    config entry."""
 
     def __init__(self, field, reason):
-        self.field = field
-        self.reason = reason
         super().__init__(f"{field}: {reason}")

@@ -199,15 +199,18 @@ def check_sampler_budget(config: GenConfig, dist: LayerTypeDistribution) -> None
     var = float(dist.probs @ (per_layer * (1 - dist.strengths) + per_layer**2)) - float(dist.probs @ per_layer) ** 2
     codes = config.m * float(dist.probs @ per_layer) + _CODE_SDS * math.sqrt(config.m * max(var, 0.0))
     # a word a layer (the permutation of kept layers), and the largest of three peaks: sampling holds
-    # the codes so far and one block of an atom's layers, at 26 bytes a label as it draws the subsets,
+    # the codes so far and one block of an atom's layers (no more than the Bin(m, prob) layers it gets,
+    # taken like the codes and at least 1), at 26 bytes a label as it draws the subsets,
     # then 8 a label, 9 a pair at a dense strength and 40 an edge, and 18 a pair of one layer where
     # the block decodes from a pair table; joining the codes holds 16 bytes a code; the union 9 a code
     # and 16 a distinct edge.  Until the join, each block's codes are one more array in a list.  Kept
     # layers add 11 words a layer, 4 a node and 5 an edge as they are reordered
     dense = (dist.strengths > _DENSE_STRENGTH) & (dist.strengths < 1)
     layers = np.minimum(config.m, np.maximum(1, _DRAW_BUDGET // np.maximum(np.maximum(pairs, x), 1)))
-    table = pairs <= np.minimum(4 * layers * pairs * dist.strengths, _DRAW_BUDGET)  # as _sample_group decides
-    block = layers * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 40 * dist.strengths)) + 18 * pairs * table
+    got = config.m * dist.probs + _CODE_SDS * np.sqrt(config.m * dist.probs * (1 - dist.probs))
+    held = np.minimum(layers, np.maximum(got, dist.probs > 0))
+    table = pairs <= np.minimum(4 * held * pairs * dist.strengths, _DRAW_BUDGET)  # as _sample_group decides
+    block = held * np.maximum(26 * x, 8 * x + pairs * (9 * dense + 40 * dist.strengths)) + 18 * pairs * table
     # at most one part-filled block per atom besides the full ones
     arrays = _ARRAY_BYTES * (config.m * float(dist.probs @ (1 / layers)) + min(config.m, len(x)))
     edges = min(codes, config.n * (config.n - 1) / 2)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ZeroEdgeMass, check_memory
+from .errors import Degenerate, check_memory
 
 _PROB_TOL = 1e-12
 # bytes per power-law atom while it is built: sizes, weights and their
@@ -134,17 +134,17 @@ def cross_moment(dist: LayerTypeDistribution, r: int, s: int) -> float:
 def edge_mass(dist: LayerTypeDistribution) -> float:
     """P_21 = E[(X)_2 Y], twice a layer's mean edge count.  Every limit law
     needs P_21 > 0, so each limit entry point reads it here, and gets
-    ZeroEdgeMass when it is zero."""
+    Degenerate when it is zero."""
     p21 = cross_moment(dist, 2, 1)
     if p21 <= 0.0:
-        raise ZeroEdgeMass("P_21 = 0: the model produces no edges in the limit")
+        raise Degenerate("P_21 = 0: the model produces no edges in the limit")
     return p21
 
 
 def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistribution:
     """Reweight atoms by (x)_2 * y: the law of the layer that produced an edge.
 
-    Atoms with size < 2 or strength 0 drop out.  Raises ZeroEdgeMass when no
+    Atoms with size < 2 or strength 0 drop out.  Raises Degenerate when no
     atom can produce an edge.
     """
     p21 = edge_mass(dist)

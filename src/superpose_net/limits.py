@@ -266,7 +266,7 @@ def tail_prediction(mu: float, dist: LayerTypeDistribution) -> dict:
     if beta == 0.0 and not b < 1.0:
         violations.append(f"b < 1 required when beta = 0 (b = {b})")
     if violations:
-        raise HypothesisViolation(violations)
+        raise HypothesisViolation("; ".join(violations))
     p21 = edge_mass(dist)
     exponent = (alpha - 2) / (1 - beta)
     try:

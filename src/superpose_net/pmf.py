@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Degenerate, ZeroMean, check_memory
+from .errors import Degenerate, check_memory
 
 _MASS_TOL = 1e-9
 _MAX_SUPPORT = 1 << 20  # largest support point of a 1-D law the engine computes or reads
@@ -42,7 +42,7 @@ def size_biased(f: Pmf) -> Pmf:
     weights = np.arange(len(f.probs)) * f.probs
     total = math.fsum(weights.tolist())
     if total <= 0.0:
-        raise ZeroMean("size-biasing needs a positive-mean distribution")
+        raise Degenerate("size-biasing needs a positive-mean distribution")
     return Pmf(weights / total, mass_defect=0.0)
 
 
@@ -81,11 +81,11 @@ def tail_slope_fit(f: Pmf, fit_range) -> tuple[float, float]:
 def _occupied(f: Pmf):
     """The normalised law restricted to its rows and columns of positive
     mass, and the support points those rows and columns stand for;
-    MemoryBudgetExceeded first if it would not fit."""
+    Degenerate if it has no mass, MemoryBudgetExceeded if it would not fit."""
     rows = np.flatnonzero(f.probs.sum(axis=1) > 0)
     cols = np.flatnonzero(f.probs.sum(axis=0) > 0)
     if len(rows) == 0:
-        raise ValueError("pmf carries no mass on its support")
+        raise Degenerate("pmf carries no mass on its support")
     check_memory(8 * len(rows) * len(cols), "correlation arrays of the occupied bidegree law")
     joint = f.probs[np.ix_(rows, cols)]
     joint /= joint.sum()
@@ -148,8 +148,8 @@ FUNCTIONALS = {"assortativity": pearson_correlation, "kendall": kendall, "spearm
 
 
 def functionals(f: Pmf, names) -> dict:
-    """The named FUNCTIONALS of f; one whose marginal is degenerate is
-    None, with the reason under <name>_degenerate."""
+    """The named FUNCTIONALS of f; one that is Degenerate on f is None,
+    with the reason under <name>_degenerate."""
     out = {}
     for name in names:
         try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyGraph, MissingRecords, check_memory
+from .errors import Degenerate, MissingRecords, check_memory
 from .generate import GraphSample
 from .pmf import Pmf
 
@@ -17,7 +17,7 @@ from .pmf import Pmf
 def degree_distribution(g: GraphSample) -> Pmf:
     """Fraction of nodes at each degree."""
     if g.n < 1:
-        raise EmptyGraph("degree distribution needs at least one node")
+        raise Degenerate("degree distribution needs at least one node")
     counts = np.bincount(g.degrees)
     return Pmf(counts / g.n)
 
@@ -26,7 +26,7 @@ def bidegree_counts(g: GraphSample) -> np.ndarray:
     """Directed adjacent pairs at each (degree, degree): a symmetric
     integer table that sums to twice the edge count."""
     if g.edge_count == 0:
-        raise EmptyGraph("bidegree distribution needs at least one edge")
+        raise Degenerate("bidegree distribution needs at least one edge")
     deg = g.degrees
     s = deg[g.edges[:, 0] - 1]
     t = deg[g.edges[:, 1] - 1]

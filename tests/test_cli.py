@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from laws import power_pmf_csv
 
+import superpose_net
 from superpose_net.cli import (
     COMMANDS,
     ConfigError,
@@ -71,6 +72,22 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(source)
         assert str(exc.value).startswith("<document>: cannot read config file")
+
+    def test_inline_text_that_is_not_json_is_config_error(self):
+        with pytest.raises(ConfigError, match="^<document>: invalid JSON: "):
+            parse_config("{bad")
+
+    def test_config_file_whose_top_level_is_not_an_object_is_config_error(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(str(path))
+        assert str(exc.value) == "<document>: top level must be an object"
+
+    def test_unknown_command_is_config_error(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_config('{"command": "nope"}')
+        assert str(exc.value) == f"command: must be one of {COMMANDS}, got 'nope'"
 
     def test_bad_strength(self):
         doc = json.loads(json.dumps(MINIMAL_GENERATE))
@@ -505,6 +522,7 @@ class TestMainExitCodes:
         ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
                                             "b": 1, "x_min": 1, "x_max": 100},
                      "theory": {"mu": 1e308}}, []),
+        ("tailfit", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "theory": {"mu": 1.0}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
@@ -512,7 +530,7 @@ class TestMainExitCodes:
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
             "edge_list_a_number", "repeated_n_grid", "metrics_repeated", "n_grid_empty", "metrics_empty",
-            "tailfit_constants_overflow"])
+            "tailfit_constants_overflow", "tailfit_constant_law"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1
@@ -654,7 +672,7 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == 2
         err = json.loads(capsys.readouterr().err)
-        assert err == {"error": "ZeroEdgeMass", "message": "P_21 = 0: the model produces no edges in the limit"}
+        assert err == {"error": "degenerate", "message": "P_21 = 0: the model produces no edges in the limit"}
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("prefix", ["", "size_0_", "size_1_", "size_1_and_strength_0_"],
@@ -723,7 +741,7 @@ class TestMainExitCodes:
         code = main(["empirical", "--config", json.dumps({"input": {"edge_list": str(tmp_path / "g.edgelist")}}),
                      "--out", str(tmp_path / "out")])
         assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"] == "EmptyGraph"
+        assert json.loads(capsys.readouterr().err)["error"] == "degenerate"
         assert not list((tmp_path / "out").iterdir())
 
     def test_degenerate_theory_writes_every_file(self, tmp_path):
@@ -856,12 +874,12 @@ class TestMainExitCodes:
             assert (tmp_path / "seeded" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
 
 
-def run_python(*args):
-    """A Python process with args and src on its path, its output captured.
-    Its standard streams are buffered, as on any run without a terminal, so
-    output that cli.run() failed to flush would be lost."""
+def run_python(*args, env=os.environ):
+    """A Python process with args, env and src on its path, its output
+    captured.  Its standard streams are buffered, as on any run without a
+    terminal, so output that cli.run() failed to flush would be lost."""
     src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {**env, "PYTHONPATH": os.pathsep.join([str(src), env.get("PYTHONPATH", "")])}
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, *args], env=env, stdin=subprocess.DEVNULL, capture_output=True, text=True)
 
@@ -952,6 +970,14 @@ def test_console_script_is_the_process_entry():
     assert getattr(importlib.import_module(module), name) is run
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib is in the standard library from Python 3.11")
+def test_package_version_is_the_project_version():
+    """The manifest records superpose_net.__version__; it must name the release pyproject.toml builds."""
+    import tomllib
+    pyproject = tomllib.loads((Path(__file__).resolve().parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["version"] == superpose_net.__version__
+
+
 def test_cli_import_leaves_scipy_out():
     """scipy's import alone costs about a second, more than a typical run."""
     src = Path(__file__).resolve().parents[1] / "src"
@@ -979,3 +1005,19 @@ def test_converge_output_does_not_depend_on_the_string_hash_seed(tmp_path):
                        env=env, check=True)
         outputs.append({path.name: path.read_bytes() for path in sorted(out.glob("study_*"))})
     assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
+
+
+def test_theory_files_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A CLI process runs BLAS on one thread whatever OPENBLAS_NUM_THREADS
+    says; at two threads, F'_2's matrix products split into other blocks
+    and change the last bits of some bidegree entries at this x_max."""
+    doc = json.dumps({"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5, "b": 1,
+                                             "x_min": 1, "x_max": 2000}, "theory": {"mu": 1.0}})
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = run_python("-m", "superpose_net.cli", "theory", "--config", doc, "--out", str(tmp_path / threads),
+                          env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({path.name: path.read_bytes() for path in sorted((tmp_path / threads).iterdir())})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]

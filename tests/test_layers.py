@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from superpose_net import (
+    Degenerate,
     GenConfig,
     LayerTypeDistribution,
-    ZeroEdgeMass,
     cross_moment,
     edge_biased_distribution,
     generate_graph,
@@ -153,7 +153,7 @@ class TestEdgeBiased:
 
     def test_zero_edge_mass(self):
         d = LayerTypeDistribution.tabular([(1, 0.9, 1.0)])
-        with pytest.raises(ZeroEdgeMass):
+        with pytest.raises(Degenerate):
             edge_biased_distribution(d)
 
     @given(tabular_dists())
@@ -161,7 +161,7 @@ class TestEdgeBiased:
     def test_output_normalized_without_small_atoms(self, d):
         try:
             biased = edge_biased_distribution(d)
-        except ZeroEdgeMass:
+        except Degenerate:
             return
         assert math.fsum(p for _, _, p in atoms(biased)) == pytest.approx(1.0, abs=1e-12)
         assert all(x >= 2 for x, _, _ in atoms(biased))

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import binom, poisson
 
 from superpose_net import (
+    Degenerate,
     GenConfig,
     HypothesisViolation,
     LayerTypeDistribution,
@@ -14,7 +15,6 @@ from superpose_net import (
     MemoryBudgetExceeded,
     Pmf,
     RateUnderflow,
-    ZeroEdgeMass,
     bidegree_distribution,
     edge_mass,
     generate_graph,
@@ -392,7 +392,7 @@ class TestAssortativity:
             d = random_tabular(rng)
             try:
                 val = limiting_moments(LimitParams(float(rng.uniform(0.1, 3.0)), d)).assortativity
-            except ZeroEdgeMass:
+            except Degenerate:
                 continue
             assert val >= -1e-12
 
@@ -485,7 +485,7 @@ class TestTailPrediction:
         d = LayerTypeDistribution.power_law(2.5, 0.0, 2.0, 1, 100)
         with pytest.raises(HypothesisViolation) as exc:
             tail_prediction(1.0, d)
-        assert len(exc.value.violations) == 2  # alpha+beta, b
+        assert str(exc.value) == "alpha + beta > 3 fails (alpha + beta = 2.5); b < 1 required when beta = 0 (b = 2.0)"
 
     def test_constants_positive(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 2000)
@@ -500,7 +500,7 @@ class TestTailPrediction:
 
     def test_edgeless_law_is_zero_edge_mass(self):
         d = LayerTypeDistribution.power_law(3.0, 0.5, 1.0, 1, 1)  # every layer has one node
-        with pytest.raises(ZeroEdgeMass):
+        with pytest.raises(Degenerate):
             tail_prediction(1.0, d)
 
     def test_overflowing_constants_rejected(self):

@@ -5,8 +5,9 @@ Every module-level function, class and constant of a module other than
 `__init__` must be referenced somewhere in the package beyond its own
 definition: being exported through `__init__._EXPORTS` is not a use, so
 no test-only helper hides there.  Every subclass of
-`SuperposeError` must be raised somewhere in the package, and `ZeroEdgeMass`
-by one function alone.
+`SuperposeError` must be raised somewhere in the package, and the error
+for a layer law without edges (its message starts "P_21 = 0") by one
+function alone.
 """
 
 import ast
@@ -44,13 +45,17 @@ def used_names():
     return used
 
 
+def raises(tree):
+    """Each `raise` statement in tree that raises an error."""
+    return (node for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc is not None)
+
+
 def raised_names(tree):
     """The error name of each `raise Name` or `raise Name(...)` in tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Raise) and node.exc is not None:
-            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
-            if isinstance(exc, ast.Name):
-                yield exc.id
+    for node in raises(tree):
+        exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(exc, ast.Name):
+            yield exc.id
 
 
 def test_every_module_level_name_is_used():
@@ -77,6 +82,8 @@ def test_edgeless_law_is_checked_in_one_function():
         f"{module}.{node.name}"
         for module, tree in TREES.items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef) and "ZeroEdgeMass" in raised_names(node)
+        if isinstance(node, ast.FunctionDef) and any(
+            isinstance(text, ast.Constant) and str(text.value).startswith("P_21 = 0")
+            for raised in raises(node) for text in ast.walk(raised))
     )
     assert raisers == ["layers.edge_mass"]

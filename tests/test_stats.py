@@ -8,12 +8,10 @@ from scipy.stats import kendalltau, spearmanr
 
 from superpose_net import (
     Degenerate,
-    EmptyGraph,
     GenConfig,
     GraphSample,
     LayerTypeDistribution,
     Pmf,
-    ZeroMean,
     bidegree_distribution,
     degree_distribution,
     generate_graph,
@@ -116,7 +114,7 @@ class TestBidegreeDistribution:
 
     def test_empty_raises(self):
         g = GraphSample(n=3, edges=np.empty((0, 2), dtype=np.int64))
-        with pytest.raises(EmptyGraph):
+        with pytest.raises(Degenerate):
             bidegree_distribution(g)
 
     def test_symmetry_and_marginals(self):
@@ -141,7 +139,7 @@ class TestSizeBiased:
         assert size_biased(f).probs == pytest.approx([0, 0.5, 0.5])
 
     def test_delta0_raises(self):
-        with pytest.raises(ZeroMean):
+        with pytest.raises(Degenerate):
             size_biased(Pmf(np.array([1.0])))
 
 
@@ -244,6 +242,11 @@ class TestFunctionals:
             "kendall": None, "kendall_degenerate": "a marginal is a point mass",
             "spearman": None, "spearman_degenerate": "a marginal is a point mass",
         }
+
+    def test_law_without_mass_is_none_with_a_reason(self):
+        got = functionals(Pmf(np.zeros((2, 2)), mass_defect=1.0), FUNCTIONALS)
+        reason = "pmf carries no mass on its support"
+        assert got == {name: None for name in FUNCTIONALS} | {f"{name}_degenerate": reason for name in FUNCTIONALS}
 
     def test_regular_law_is_bit_equal_to_the_table(self):
         f = pmf2({(0, 0): 0.2, (1, 1): 0.3, (1, 2): 0.1, (2, 1): 0.1, (3, 3): 0.3})
