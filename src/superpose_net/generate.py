@@ -293,11 +293,10 @@ def write_edge_list(g: GraphSample, path) -> None:
 def read_edge_list(path) -> GraphSample:
     """Graph of a file of "i j" lines, below "# key=value" header lines.
 
-    n, m and seed come from the header (n defaults to the largest id).
-    Node ids are checked against n, so an n that is not an integer is an
-    error; m and seed are only recorded, and are None unless integers.
-    Repeated edges and both orientations merge into one edge.  Raises
-    InvalidEdgeList for a line that is not two integers, a node id
+    Only the header's n is read (default: the largest id), and is checked
+    as an integer; other "key=value" comments are ignored, so m and seed
+    are None.  Repeated edges and both orientations merge into one edge.
+    Raises InvalidEdgeList for a line that is not two integers, a node id
     outside 1..n, or a self-loop.
     """
     meta = {}
@@ -312,7 +311,6 @@ def read_edge_list(path) -> GraphSample:
             warnings.simplefilter("ignore", UserWarning)  # raised for a file without edges
             ids = np.loadtxt(path, dtype=np.int64, comments="#", ndmin=2)
         n = int(meta["n"]) if meta.get("n", "None") != "None" else None
-        m, seed = (int(meta[key]) if meta.get(key, "").removeprefix("-").isdecimal() else None for key in ("m", "seed"))
     except ValueError as exc:
         raise InvalidEdgeList(f"{path}: {exc}") from None
     if ids.size == 0:
@@ -329,7 +327,7 @@ def read_edge_list(path) -> GraphSample:
     if np.any(lo == hi):
         raise InvalidEdgeList(f"{path}: self-loop at node {int(lo[lo == hi][0])}")
     edges = _edges_from_codes((lo - 1) * n + hi - 1, n)
-    return GraphSample(n=n, edges=edges, m=m, seed=seed)
+    return GraphSample(n=n, edges=edges)
 
 
 def write_layer_records(g: GraphSample, path) -> None:

@@ -150,11 +150,9 @@ def edge_biased_distribution(dist: LayerTypeDistribution) -> LayerTypeDistributi
     p21 = edge_mass(dist)
     keep = (dist.sizes >= 2) & (dist.strengths > 0) & (dist.probs > 0)
     x, y = dist.sizes[keep], dist.strengths[keep]
-    order = np.lexsort((y, x))  # the atom order of the tabular family
-    x, y = x[order], y[order]
     return LayerTypeDistribution(
         family="tabular",
         sizes=x,
         strengths=y,
-        probs=_falling_factorial(x, 2) * y * dist.probs[keep][order] / p21,
+        probs=_falling_factorial(x, 2) * y * dist.probs[keep] / p21,
     )

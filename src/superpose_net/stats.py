@@ -33,9 +33,8 @@ def bidegree_counts(g: GraphSample) -> np.ndarray:
     top = int(deg.max())
     width = top + 1
     check_memory(16 * width * width, "empirical bidegree law")
-    flat = np.bincount(s * width + t, minlength=width * width)
-    flat += np.bincount(t * width + s, minlength=width * width)
-    return flat.reshape(width, width)
+    table = np.bincount(s * width + t, minlength=width * width).reshape(width, width)
+    return table + table.T
 
 
 def bidegree_distribution(g: GraphSample) -> Pmf:

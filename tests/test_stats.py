@@ -142,6 +142,10 @@ class TestSizeBiased:
         with pytest.raises(Degenerate):
             size_biased(Pmf(np.array([1.0])))
 
+    def test_negative_mass_is_refused(self):
+        with pytest.raises(ValueError, match="negative probability mass"):
+            Pmf(np.array([1.5, -0.5]))
+
 
 class TestPearson:
     def test_path_is_minus_one(self):

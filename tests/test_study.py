@@ -263,6 +263,8 @@ class TestRunStudy:
         with pytest.raises(ValueError):
             StudySpec(dist=self.SPEC["dist"], mu=1.0, n_grid=(200,),
                       replications=1, seed=0, metrics=("bogus",))
+        with pytest.raises(ValueError, match="metrics must be a list of metric names, got 'tv1'"):
+            StudySpec(self.SPEC["dist"], 1.0, [100], 1, 0, metrics="tv1")
 
     def test_list_n_grid_is_stored_as_the_tuple(self):
         listed = StudySpec(**{**self.SPEC, "n_grid": [200, 500]})
