@@ -11,12 +11,12 @@ __version__ = "0.4.0"
 _EXPORTS = {
     "errors": ("ConfigError", "Degenerate", "HypothesisViolation", "InvalidEdgeList", "MemoryBudgetExceeded",
                "MissingRecords", "RateUnderflow", "SuperposeError"),
-    "generate": ("GenConfig", "GraphSample", "generate_graph", "read_edge_list", "write_edge_list"),
+    "generate": ("GenConfig", "GraphSample", "bidegree_counts", "bidegree_distribution", "degree_distribution",
+                 "generate_graph", "layer_subgraph_counts", "read_edge_list", "write_edge_list"),
     "layers": ("LayerTypeDistribution", "cross_moment", "edge_biased_distribution", "edge_mass"),
     "limits": ("LimitParams", "MomentReport", "limit_values", "limiting_degree_pmf", "limiting_laws",
                "limiting_moments", "tail_prediction"),
     "pmf": ("Pmf", "kendall", "pearson_correlation", "size_biased", "spearman", "tail_slope_fit"),
-    "stats": ("bidegree_counts", "bidegree_distribution", "degree_distribution", "layer_subgraph_counts"),
     "study": ("ConvergenceReport", "StudySpec", "run_study", "tv_distance_1d"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

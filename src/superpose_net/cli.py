@@ -228,8 +228,7 @@ def _run_generate(cfg: RunConfig):
 
 
 def _run_empirical(cfg: RunConfig):
-    from .generate import read_edge_list
-    from .stats import bidegree_distribution, degree_distribution
+    from .generate import bidegree_distribution, degree_distribution, read_edge_list
     g = read_edge_list(cfg.document["input"]["edge_list"])
     f1 = degree_distribution(g)
     f2 = bidegree_distribution(g)

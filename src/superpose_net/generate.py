@@ -9,6 +9,9 @@ on (seed, config, distribution).  The layers of one atom (one size, one
 strength) are then sampled a block at a time: node subsets as rows, and
 edges by one walk over the block's pairs.  Kept layers form a LayerTable, put
 in iid order by one gather; a GraphSample computes its degrees on first read.
+The module also writes and reads a sample's edge-list and layer-record files,
+and measures a sample: its degree law, its bidegree law and the subgraph
+counts of its layers.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidEdgeList, MissingRecords, check_memory
+from .errors import Degenerate, InvalidEdgeList, MissingRecords, check_memory
 from .layers import LayerTypeDistribution
+from .pmf import Pmf
 
 _DRAW_BUDGET = 1 << 22  # random draws per block of an atom group
 # dense Bernoulli over all pairs above this strength, geometric skips below
@@ -342,3 +346,50 @@ def write_layer_records(g: GraphSample, path) -> None:
                 fh.write(f'{{"size": {x}, "strength": {y!r}, "nodes": {t.nodes[a : a + x].tolist()}, '
                          f'"edges": {t.edges[b : b + k].tolist()}}}\n')
                 a, b = a + x, b + k
+
+
+# -- measurements of a sample --------------------------------------------
+
+def degree_distribution(g: GraphSample) -> Pmf:
+    """Fraction of nodes at each degree."""
+    if g.n < 1:
+        raise Degenerate("degree distribution needs at least one node")
+    counts = np.bincount(g.degrees)
+    return Pmf(counts / g.n)
+
+
+def bidegree_counts(g: GraphSample) -> np.ndarray:
+    """Directed adjacent pairs at each (degree, degree): a symmetric
+    integer table that sums to twice the edge count."""
+    if g.edge_count == 0:
+        raise Degenerate("bidegree distribution needs at least one edge")
+    deg = g.degrees
+    width = int(deg.max()) + 1
+    # the larger of two peaks, 24 bytes an edge as the codes are built and 16 a cell as the table
+    # and its symmetric sum are, plus the 64 KiB buffer that numpy takes for the transposed operand
+    # and the array objects; counting holds 8 bytes an edge and 8 a cell, at most 5/6 of the larger
+    check_memory(max(24 * g.edge_count, 16 * width * width) + (1 << 16) + 4 * _ARRAY_BYTES,
+                 "empirical bidegree law")
+    codes = deg[g.edges[:, 0] - 1] * width
+    codes += deg[g.edges[:, 1] - 1]
+    table = np.bincount(codes, minlength=width * width).reshape(width, width)
+    del codes
+    return table + table.T
+
+
+def bidegree_distribution(g: GraphSample) -> Pmf:
+    """Joint degree law of a uniform directed adjacent pair; symmetric."""
+    return Pmf(bidegree_counts(g) / (2.0 * g.edge_count))
+
+
+def layer_subgraph_counts(records) -> dict:
+    """Mean links, 2-stars, and 3-stars per layer graph of a LayerTable, from the degrees
+    within each layer: every endpoint keyed by (layer, node), in one pass."""
+    if records is None:
+        raise MissingRecords("no layer records available")
+    m, edges = len(records.links), records.edges
+    width = int(edges.max(initial=0)) + 1
+    d = np.unique(edges + (np.repeat(np.arange(m), records.links) * width)[:, None], return_counts=True)[1]
+    d = d.astype(float)  # integer sums below 2**53, so exact
+    return {"links": len(edges) / m, "two_stars": float(np.sum(d * (d - 1) / 2)) / m,
+            "three_stars": float(np.sum(d * (d - 1) * (d - 2) / 6)) / m}

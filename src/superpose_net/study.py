@@ -16,11 +16,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import Degenerate, check_memory
-from .generate import GenConfig, check_sampler_budget, generate_graph
+from .generate import GenConfig, bidegree_counts, check_sampler_budget, generate_graph, layer_subgraph_counts
 from .layers import LayerTypeDistribution, cross_moment
 from .limits import DEFAULT_TAIL_EPSILON, LimitParams, limit_values, tail_prediction
 from .pmf import _DEFAULT_T_LO, FUNCTIONALS, Pmf, checked_fit_range, functionals, size_biased, tail_slope_fit
-from .stats import bidegree_counts, layer_subgraph_counts
 
 ALL_METRICS = (
     "tv1", "tv2", "assortativity", "kendall", "spearman",

@@ -260,6 +260,7 @@ class TestDispatch:
         for name in ("graph.edgelist", "manifest.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    @pytest.mark.pins_bytes
     @pytest.mark.parametrize("atoms, model, digests", [
         ([[3, 0.5, 0.5], [0, 0.5, 0.25], [1, 1.0, 0.25]], {"n": 20, "m": 6, "seed": 3},
          ("bb99d5d8486aa3af21d8c39e5e708517445f9a3d0f708474b25ce724f7fd497c",
@@ -1022,6 +1023,7 @@ def test_converge_output_does_not_depend_on_the_string_hash_seed(tmp_path):
     assert len(outputs[0]) == 2 and outputs[0] == outputs[1]
 
 
+@pytest.mark.pins_bytes
 def test_theory_files_do_not_depend_on_the_blas_thread_count(tmp_path):
     """A CLI process runs BLAS on one thread whatever OPENBLAS_NUM_THREADS
     says; at two threads, F'_2's matrix products split into other blocks

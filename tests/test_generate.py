@@ -371,6 +371,7 @@ class TestWholeGraphLaw:
         assert self.p_value(dist, n, seed=0) > self.P_BOUND
 
 
+@pytest.mark.pins_bytes
 class TestGoldenStream:
     """Pin the random stream: a change to these hashes changes every
     sampled graph, and needs a version bump and a CHANGES.md entry."""

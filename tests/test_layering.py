@@ -54,26 +54,43 @@ def test_the_check_sees_each_import_form(tmp_path):
         assert imported_modules(path) & ABOVE, line
 
 
-@pytest.mark.parametrize("command", ["theory", "tailfit"])
-def test_theory_run_loads_no_sampler_module(tmp_path, command):
-    """The package resolves its names on first access, so neither a theory
-    run nor a tail fit of a pmf file imports generate, stats or study."""
-    doc = {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0,
-                                  "x_min": 1, "x_max": 50},
-           "theory": {"mu": 1.0}, "input": {"pmf_csv": str(power_pmf_csv(tmp_path / "pmf.csv"))}}
-    out = tmp_path / "out"
+def modules_loaded_by(command, doc, out):
+    """The package's modules that a fresh interpreter has loaded once it has run command on doc into out."""
     code = ("import json, sys, superpose_net.cli as cli; "
             f"cli.parse_config({json.dumps(doc)!r}, command={command!r}); "
             f"assert cli.main([{command!r}, '--config', {json.dumps(doc)!r}, '--out', {str(out)!r}]) == 0; "
             "print(json.dumps([m for m in sys.modules if m.startswith('superpose_net.')]))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    loaded = {name.split(".")[1] for name in json.loads(result.stdout)}
-    assert loaded == {"cli", "errors", "layers", "limits", "pmf"}
+    return {name.split(".")[1] for name in json.loads(result.stdout)}
+
+
+@pytest.mark.parametrize("command", ["theory", "tailfit"])
+def test_theory_run_loads_no_sampler_module(tmp_path, command):
+    """The package resolves its names on first access, so neither a theory
+    run nor a tail fit of a pmf file imports generate or study."""
+    doc = {"layer_distribution": {"family": "power_law", "alpha": 3.0, "beta": 0.5, "b": 1.0,
+                                  "x_min": 1, "x_max": 50},
+           "theory": {"mu": 1.0}, "input": {"pmf_csv": str(power_pmf_csv(tmp_path / "pmf.csv"))}}
+    out = tmp_path / "out"
+    assert modules_loaded_by(command, doc, out) == {"cli", "errors", "layers", "limits", "pmf"}
     written = {"theory": "limiting_bidegree_pmf.csv", "tailfit": "tail_prediction.json"}[command]
     assert (out / written).is_file()
     if command == "tailfit":
         assert "fitted_slope" in json.loads((out / written).read_text())
+
+
+@pytest.mark.parametrize("command, above", [("generate", {"generate"}), ("empirical", {"generate"}),
+                                            ("converge", {"generate", "study"})])
+def test_a_sampling_run_loads_the_theory_side_and_only_the_layers_it_runs(tmp_path, command, above):
+    """generate and empirical load the sampler module, which also measures
+    a sample, and converge loads the study harness besides."""
+    edge_list = tmp_path / "graph.edgelist"
+    edge_list.write_text("1 2\n2 3\n1 3\n3 4\n")
+    doc = {"layer_distribution": {"family": "constant", "size": 3, "strength": 0.5},
+           "model": {"n": 100, "mu": 1, "seed": 7}, "input": {"edge_list": str(edge_list)},
+           "study": {"mu": 1.0, "n_grid": [100], "replications": 1, "seed": 0}}
+    assert modules_loaded_by(command, doc, tmp_path / "out") == {"cli", "errors", "layers", "limits", "pmf"} | above
 
 
 def test_every_exported_name_resolves_to_its_module():

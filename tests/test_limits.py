@@ -372,6 +372,17 @@ class TestTracedMemory:
         peak = self.traced_peak(lambda: limit_values(self.PARAMS, ("kendall", "spearman")))
         assert peak <= 1.15 * max(counted)
 
+    def test_theory_metrics_on_a_wide_own_layer_law_stay_within_the_budget_count(self, monkeypatch):
+        """On power_law(3.5, 0, 1/2, 1, 2000) at mu = 1, F'_2 is 1231 x 1231
+        and f2 2462 x 2462.  The peak of limit_values for theory's three
+        metrics is limiting_laws' own: f2's product and its transposed sum
+        beside T and F'_2, 127.3 MiB against a count of 150.3."""
+        counted = []
+        monkeypatch.setattr(limits_mod, "check_memory", lambda need, what: counted.append(need))
+        params = LimitParams(1.0, LayerTypeDistribution.power_law(3.5, 0.0, 0.5, 1, 2000))
+        peak = self.traced_peak(lambda: limit_values(params, ("assortativity", "kendall", "spearman")))
+        assert peak <= max(counted)
+
     def test_pmf_to_csv_holds_under_twice_the_law(self, tmp_path):
         f2 = limiting_laws(self.PARAMS)[1]
         peak = self.traced_peak(lambda: pmf_to_csv(f2, tmp_path / "f2.csv"))

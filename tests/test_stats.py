@@ -12,6 +12,7 @@ from superpose_net import (
     GraphSample,
     LayerTypeDistribution,
     Pmf,
+    bidegree_counts,
     bidegree_distribution,
     degree_distribution,
     generate_graph,
@@ -21,7 +22,7 @@ from superpose_net import (
     size_biased,
     spearman,
 )
-from superpose_net import errors, pmf
+from superpose_net import errors, generate, pmf
 from superpose_net.generate import LayerTable
 from superpose_net.pmf import FUNCTIONALS, functionals, pmf1d_from_csv, pmf_to_csv
 
@@ -35,6 +36,15 @@ def path3():
 def k4():
     return GraphSample(n=4, edges=np.array(
         [[1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4]]))
+
+
+def complete(n):
+    i, j = np.triu_indices(n, 1)
+    return GraphSample(n=n, edges=np.column_stack([i + 1, j + 1]))
+
+
+def star(leaves):
+    return GraphSample(n=leaves + 1, edges=np.column_stack([np.ones(leaves, dtype=np.int64), np.arange(2, leaves + 2)]))
 
 
 def pmf2(entries):
@@ -128,6 +138,31 @@ class TestBidegreeDistribution:
         a = np.zeros(width); a[: len(sb.probs)] = sb.probs
         b = np.zeros(width); b[: len(marg.probs)] = marg.probs
         assert np.allclose(a, b, atol=1e-12)
+
+    @pytest.mark.parametrize("graph", [
+        lambda: complete(1000),
+        lambda: star(2000),
+        lambda: generate_graph(GenConfig(n=2000, layers=400, seed=1), LayerTypeDistribution.constant(200, 0.5)),
+        lambda: generate_graph(GenConfig(n=100_000, mu=1.0, seed=1),
+                               LayerTypeDistribution.power_law(3, 0.5, 1, 1, 2000)),
+    ], ids=["complete_1000", "star_2000_leaves", "constant_200_half_seed_1", "sparse_power_law_seed_1"])
+    def test_peak_is_within_the_counted_bytes(self, monkeypatch, graph):
+        """With the degrees already read, the bytes tracemalloc sees at the
+        peak of bidegree_counts stay under what it counts, and the count is
+        at most twice the peak: the table and its symmetric sum on dense
+        graphs (K_1000, a 2000-leaf star, 1.73 M edges on degrees up to
+        1932), and the codes of 49 823 edges on degrees up to 31."""
+        g = graph()
+        g.degrees
+        counted = []
+        monkeypatch.setattr(generate, "check_memory", lambda need, what: counted.append(need))
+        tracemalloc.start()
+        try:
+            bidegree_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= counted[0] <= 2 * peak
 
 
 class TestSizeBiased:

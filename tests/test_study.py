@@ -281,6 +281,7 @@ class TestRunStudy:
             StudySpec(**{**self.SPEC, **changes})
 
 
+@pytest.mark.pins_bytes
 class TestStudyFiles:
     """Pin the bytes of converge's study CSV and JSON: a change to these
     hashes changes what a study reports, and needs a CHANGES.md entry."""
